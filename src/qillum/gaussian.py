@@ -20,6 +20,7 @@ and the matching lower bound for an M-copy binary hypothesis test.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -221,12 +222,14 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     _require_unit(cm, "williamson")
     v = cm.mat
     n = cm.n_modes
-    cond = np.linalg.cond(v)
+    lam, u = np.linalg.eigh(v)
+    # CovMat is symmetric positive definite, so the 2-norm condition number
+    # is the ratio of its extreme eigenvalues (eigh sorts them ascending).
+    cond = lam[-1] / lam[0] if lam[0] > 0.0 else math.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise IllConditionedMatrixError(
             f"covariance matrix condition number {cond:.3e} exceeds 1e12"
         )
-    lam, u = np.linalg.eigh(v)
     root = (u * np.sqrt(lam)) @ u.T
     inv_root = (u / np.sqrt(lam)) @ u.T
     core = inv_root @ symplectic_form(n) @ inv_root
@@ -309,6 +312,44 @@ def _physical_williamson(state: GaussianState, label: str) -> WilliamsonDecompos
     return dec
 
 
+def _overlap_evaluator(
+    state0: GaussianState, state1: GaussianState
+) -> Callable[[float], float]:
+    """Decompose each state once and return the evaluator s -> Q_s.
+
+    Runs every state check of ``power_overlap`` (mode count, unit-vacuum
+    convention, conditioning, physicality) up front; the evaluator then
+    does only the per-s arithmetic of ``power_overlap``.
+    """
+    if state0.n_modes != state1.n_modes:
+        raise ValueError("states must have the same number of modes")
+    dec0 = _physical_williamson(state0, "state0")
+    dec1 = _physical_williamson(state1, "state1")
+    n = state0.n_modes
+
+    def q(s: float) -> float:
+        prefactor = 2.0**n
+        for nu in dec0.nu:
+            prefactor *= power_trace(nu, s)
+        for nu in dec1.nu:
+            prefactor *= power_trace(nu, 1.0 - s)
+        sigma = power_cm(dec0, s) + power_cm(dec1, 1.0 - s)
+        return min(prefactor / math.sqrt(np.linalg.det(sigma)), 1.0)
+
+    return q
+
+
+def _is_parity_pair(state0: GaussianState, state1: GaussianState) -> bool:
+    """True when V1 = P V0 P exactly, P negating both quadratures of the last mode.
+
+    P is the symplectic matrix of a pi phase shift on that mode.
+    """
+    v0 = state0.cm.mat
+    sign = np.ones(v0.shape[0])
+    sign[-2:] = -1.0
+    return bool(np.array_equal(state1.cm.mat, v0 * np.outer(sign, sign)))
+
+
 def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
     """The s-overlap Q_s = tr(rho0**s rho1**(1-s)) of two zero-mean Gaussian states.
 
@@ -320,49 +361,28 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     with V(s) from the symplectic functional calculus (power_cm).  Both
     states must share the mode count and be unit-vacuum and physical.
     Satisfies Q_s(rho, rho) = 1 and Q_s(rho0, rho1) = Q_{1-s}(rho1, rho0).
+    If rho1 = P rho0 P for a unitary P with P**2 = 1 (a parity pair, such
+    as a pi phase shift on one mode), cyclicity of the trace also gives
+    Q_s = Q_{1-s}.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"power s = {s} must lie strictly inside (0, 1)")
-    if state0.n_modes != state1.n_modes:
-        raise ValueError("states must have the same number of modes")
-    dec0 = _physical_williamson(state0, "state0")
-    dec1 = _physical_williamson(state1, "state1")
-    n = state0.n_modes
-    prefactor = 2.0**n
-    for nu in dec0.nu:
-        prefactor *= power_trace(nu, s)
-    for nu in dec1.nu:
-        prefactor *= power_trace(nu, 1.0 - s)
-    sigma = power_cm(dec0, s) + power_cm(dec1, 1.0 - s)
-    q = prefactor / math.sqrt(np.linalg.det(sigma))
-    return min(q, 1.0)
+    return _overlap_evaluator(state0, state1)(s)
 
 
-def minimize_overlap(
+def _minimize(
     state0: GaussianState,
     state1: GaussianState,
     s_lo: float = 1e-6,
     s_hi: float = 1.0 - 1e-6,
     tol: float = 1e-6,
     max_iter: int = 200,
-) -> OverlapResult:
-    """Minimise Q_s over s in (0, 1) by golden-section search.
-
-    Q_s is smooth and unimodal on the search interval (the endpoints are
-    singular for mixed states, so they are kept at 1e-6 off the boundary).
-    If the s = 1/2 value is at least as small as the golden-section result,
-    s = 1/2 is returned: this keeps the Chernoff bound at or below the
-    Bhattacharyya bound and resolves the flat minimum of symmetric pairs
-    exactly.
-
-    Raises:
-        RuntimeError: interval failed to contract below ``tol`` within
-            ``max_iter`` iterations.
-    """
-
-    def f(s: float) -> float:
-        return power_overlap(state0, state1, s)
-
+) -> tuple[OverlapResult, float]:
+    """``minimize_overlap`` that also returns Q_{1/2}, decomposing each state once."""
+    f = _overlap_evaluator(state0, state1)
+    q_half = f(0.5)
+    if _is_parity_pair(state0, state1):
+        return OverlapResult(q_s=q_half, s=0.5), q_half
     a, b = s_lo, s_hi
     c = b - _GOLDEN_INVPHI * (b - a)
     d = a + _GOLDEN_INVPHI * (b - a)
@@ -384,10 +404,36 @@ def minimize_overlap(
         iterations += 1
     s_star = (a + b) / 2.0
     q_star = f(s_star)
-    q_half = f(0.5)
     if q_half <= q_star:
-        return OverlapResult(q_s=q_half, s=0.5)
-    return OverlapResult(q_s=q_star, s=s_star)
+        return OverlapResult(q_s=q_half, s=0.5), q_half
+    return OverlapResult(q_s=q_star, s=s_star), q_half
+
+
+def minimize_overlap(
+    state0: GaussianState,
+    state1: GaussianState,
+    s_lo: float = 1e-6,
+    s_hi: float = 1.0 - 1e-6,
+    tol: float = 1e-6,
+    max_iter: int = 200,
+) -> OverlapResult:
+    """Minimise Q_s over s in (0, 1), decomposing each state once.
+
+    Parity pairs (V1 = P V0 P exactly, P negating both quadratures of the
+    last mode, as in every protocol pair) return s = 1/2 without a search:
+    Q_s = Q_{1-s} for them and log Q_s is convex in s, so the minimum sits
+    exactly at s = 1/2.  Other pairs use a golden-section search; Q_s is
+    smooth and unimodal on the search interval (the endpoints are singular
+    for mixed states, so they are kept at 1e-6 off the boundary).  If the
+    s = 1/2 value is at least as small as the golden-section result, s = 1/2
+    is returned: this keeps the Chernoff bound at or below the Bhattacharyya
+    bound.
+
+    Raises:
+        RuntimeError: interval failed to contract below ``tol`` within
+            ``max_iter`` iterations.
+    """
+    return _minimize(state0, state1, s_lo, s_hi, tol, max_iter)[0]
 
 
 def error_bounds_from_overlaps(
@@ -431,7 +477,10 @@ def chernoff_bound(state0: GaussianState, state1: GaussianState, m: int) -> Erro
     Pr(e) <= 0.5 * (min_s Q_s)**M together with the s = 1/2 upper bound and
     the matching lower bound; see ``error_bounds_from_overlaps`` for the
     exact expressions.  Identical states give 1/2 for all three.
+
+    Each state is decomposed once.  For parity pairs (see
+    ``minimize_overlap``) Q_s = Q_{1-s} and log Q_s is convex, so the
+    Chernoff bound equals the Bhattacharyya bound with s* = 1/2 exactly.
     """
-    best = minimize_overlap(state0, state1)
-    q_half = best.q_s if best.s == 0.5 else power_overlap(state0, state1, 0.5)
+    best, q_half = _minimize(state0, state1)
     return error_bounds_from_overlaps(best.q_s, q_half, m, best.s)

@@ -147,6 +147,25 @@ def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     )
 
 
+def _two_mode_cm(
+    diag_a: float, diag_b: float, corr: float, phase_sensitive: bool
+) -> CovMat:
+    """Two-mode quarter-vacuum CM with x-x correlation +corr.
+
+    The p-p correlation is -corr when ``phase_sensitive`` and +corr otherwise.
+    """
+    corr_p = -corr if phase_sensitive else corr
+    mat = 0.25 * np.array(
+        [
+            [diag_a, 0.0, corr, 0.0],
+            [0.0, diag_a, 0.0, corr_p],
+            [corr, 0.0, diag_b, 0.0],
+            [0.0, corr_p, 0.0, diag_b],
+        ]
+    )
+    return CovMat(mat, Convention.QUARTER_VACUUM)
+
+
 def source_cm(ns: float) -> CovMat:
     """Signal/idler covariance matrix of the downconversion source.
 
@@ -158,41 +177,7 @@ def source_cm(ns: float) -> CovMat:
         raise ValueError("ns must be positive and finite")
     s_diag = 2.0 * ns + 1.0
     c_q = 2.0 * math.sqrt(ns * (ns + 1.0))
-    mat = 0.25 * np.array(
-        [
-            [s_diag, 0.0, c_q, 0.0],
-            [0.0, s_diag, 0.0, -c_q],
-            [c_q, 0.0, s_diag, 0.0],
-            [0.0, -c_q, 0.0, s_diag],
-        ]
-    )
-    return CovMat(mat, Convention.QUARTER_VACUUM)
-
-
-def _phase_sensitive_cm(diag_a: float, diag_b: float, corr: float) -> CovMat:
-    """Two-mode CM with x-x correlation +corr and p-p correlation -corr."""
-    mat = 0.25 * np.array(
-        [
-            [diag_a, 0.0, corr, 0.0],
-            [0.0, diag_a, 0.0, -corr],
-            [corr, 0.0, diag_b, 0.0],
-            [0.0, -corr, 0.0, diag_b],
-        ]
-    )
-    return CovMat(mat, Convention.QUARTER_VACUUM)
-
-
-def _phase_insensitive_cm(diag_a: float, diag_b: float, corr: float) -> CovMat:
-    """Two-mode CM with the same correlation sign on both quadratures."""
-    mat = 0.25 * np.array(
-        [
-            [diag_a, 0.0, corr, 0.0],
-            [0.0, diag_a, 0.0, corr],
-            [corr, 0.0, diag_b, 0.0],
-            [0.0, corr, 0.0, diag_b],
-        ]
-    )
-    return CovMat(mat, Convention.QUARTER_VACUUM)
+    return _two_mode_cm(s_diag, s_diag, c_q, phase_sensitive=True)
 
 
 def alice_pair(params: ProtocolParams) -> HypothesisPair:
@@ -203,8 +188,8 @@ def alice_pair(params: ProtocolParams) -> HypothesisPair:
     """
     c = derived_coefficients(params)
     return HypothesisPair(
-        state_bit0=GaussianState(_phase_sensitive_cm(c.a, c.s_diag, c.c_a)),
-        state_bit1=GaussianState(_phase_sensitive_cm(c.a, c.s_diag, -c.c_a)),
+        state_bit0=GaussianState(_two_mode_cm(c.a, c.s_diag, c.c_a, phase_sensitive=True)),
+        state_bit1=GaussianState(_two_mode_cm(c.a, c.s_diag, -c.c_a, phase_sensitive=True)),
         observer=Observer.ALICE,
     )
 
@@ -218,8 +203,8 @@ def eve_pair(params: ProtocolParams) -> HypothesisPair:
     """
     c = derived_coefficients(params)
     return HypothesisPair(
-        state_bit0=GaussianState(_phase_insensitive_cm(c.d, c.e, c.c_e)),
-        state_bit1=GaussianState(_phase_insensitive_cm(c.d, c.e, -c.c_e)),
+        state_bit0=GaussianState(_two_mode_cm(c.d, c.e, c.c_e, phase_sensitive=False)),
+        state_bit1=GaussianState(_two_mode_cm(c.d, c.e, -c.c_e, phase_sensitive=False)),
         observer=Observer.EVE,
     )
 

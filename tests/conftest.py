@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qillum.gaussian as gaussian
 from qillum import Convention, CovMat, GaussianState, ProtocolParams, symplectic_form
 
 # Operating point used throughout: ns = 0.004, kappa = 0.1, g = nb = 1e4,
@@ -14,6 +15,20 @@ HEADLINE = dict(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=20000)
 @pytest.fixture
 def headline_params() -> ProtocolParams:
     return ProtocolParams(**HEADLINE)
+
+
+@pytest.fixture
+def williamson_calls(monkeypatch) -> list:
+    """Record every covariance matrix passed to ``gaussian.williamson``."""
+    calls = []
+    original = gaussian.williamson
+
+    def counting(cm):
+        calls.append(cm)
+        return original(cm)
+
+    monkeypatch.setattr(gaussian, "williamson", counting)
+    return calls
 
 
 def random_unit_state(rng: np.random.Generator, n_modes: int = 2, nu_max: float = 4.0) -> GaussianState:

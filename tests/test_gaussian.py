@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qillum import (
     Convention,
@@ -329,6 +331,48 @@ def test_minimize_overlap_asymmetric_pair_hits_left_edge():
     assert result.s < 0.01
     assert result.q_s < power_overlap(vac, th, 0.5)
     assert result.q_s == pytest.approx(0.25, rel=1e-4)
+
+
+@st.composite
+def protocol_params(draw):
+    """Knobs from the box of ``random_valid_params``, with M up to 1e5."""
+    g = 10.0 ** draw(st.floats(0.0, 6.0))
+    nb_lo = max(g - 1.0, 0.0)
+    nb = nb_lo + draw(st.floats(0.0, 1.0)) * (1e6 - nb_lo)
+    try:
+        return ProtocolParams(
+            ns=10.0 ** draw(st.floats(-4.0, 0.0)),
+            kappa=draw(st.floats(0.01, 0.99)),
+            g=g,
+            nb=nb,
+            m=draw(st.integers(1, 10**5)),
+        )
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=protocol_params())
+def test_protocol_pairs_take_s_half_exactly(params):
+    grid = np.linspace(0.05, 0.95, 19)
+    for pair in (alice_pair(params), eve_pair(params)):
+        s0, s1 = unit_states(pair)
+        bounds = chernoff_bound(s0, s1, params.m)
+        assert bounds.s_star == 0.5
+        assert bounds.chernoff_upper == bounds.bhattacharyya_upper
+        assert bounds.lower_bound <= bounds.chernoff_upper
+        # the general engine agrees that s = 1/2 is the minimum
+        q_min = min(power_overlap(s0, s1, s) for s in grid)
+        assert q_min >= bounds.q_half * (1.0 - 1e-9)
+
+
+def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
+    chernoff_bound(*unit_states(alice_pair(ProtocolParams(**HEADLINE))), 100)
+    assert len(williamson_calls) == 2
+    williamson_calls.clear()
+    bounds = chernoff_bound(thermal_state(0.0), thermal_state(3.0), 100)
+    assert bounds.s_star < 0.01  # the search ran
+    assert len(williamson_calls) == 2
 
 
 def test_chernoff_bound_identical_states():

@@ -154,3 +154,11 @@ def test_single_mode_pair_is_unusable():
     report = security_margin(params)
     assert report.alice_upper == pytest.approx(0.5, abs=1e-3)
     assert report.alice_unusable
+
+
+def test_planner_decomposes_each_state_once(williamson_calls, headline_params):
+    security_margin(headline_params)
+    assert len(williamson_calls) == 4  # Alice's pair and Eve's pair
+    williamson_calls.clear()
+    required_m(headline_params, 1e-6, Receiver.OPTIMUM)
+    assert len(williamson_calls) == 2
