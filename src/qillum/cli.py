@@ -197,12 +197,9 @@ def _sweep_m_values(spec: SweepSpec) -> list[int]:
 
 def sweep_rows(spec: SweepSpec) -> list[tuple[int, float, float, float, float]]:
     """Bound curves over the M grid; per-mode overlaps are computed once."""
-    base = ProtocolParams(
-        ns=spec.params.ns, kappa=spec.params.kappa, g=spec.params.g, nb=spec.params.nb, m=1
-    )
-    alice = alice_optimum_bounds(base)
-    opa = opa_bhattacharyya(base)
-    eve = eve_optimum_bounds(base)
+    alice = alice_optimum_bounds(spec.params)
+    opa = opa_bhattacharyya(spec.params)
+    eve = eve_optimum_bounds(spec.params)
     rows = []
     for m in _sweep_m_values(spec):
         a = error_bounds_from_overlaps(alice.q_star, alice.q_half, m, alice.s_star)

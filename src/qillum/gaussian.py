@@ -59,6 +59,7 @@ NU_PURE_TOL = 1e-12
 # as unphysical by the overlap engine.
 
 _SYMMETRY_ATOL = 1e-12
+_ENTRY_MAX = float(np.finfo(float).max) / 2.0  # so that m + m.T cannot overflow
 _GOLDEN_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -86,9 +87,9 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
 class CovMat:
     """A real, symmetric, positive-definite quadrature covariance matrix.
 
-    Construction validates shape (square, even dimension), symmetry to
-    within 1e-12 absolute and positive definiteness, then freezes the
-    underlying array.  Physicality (symplectic eigenvalues >= 1) is *not*
+    Construction validates shape (square, even dimension), finite entries,
+    symmetry to within 1e-12 absolute and positive definiteness, then freezes
+    the underlying array.  Physicality (symplectic eigenvalues >= 1) is *not*
     enforced here; diagnostics on unphysical matrices must stay possible.
     """
 
@@ -103,6 +104,8 @@ class CovMat:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
         if not isinstance(self.convention, Convention):
             raise ValueError("convention must be a Convention member")
+        if not np.abs(m).max() <= _ENTRY_MAX:  # false for NaN and inf too
+            raise ValueError("covariance matrix entries must be finite and at most 8.9e307 in size")
         if np.max(np.abs(m - m.T)) > _SYMMETRY_ATOL:
             raise ValueError("covariance matrix must be symmetric to 1e-12")
         m = (m + m.T) / 2.0
@@ -120,20 +123,9 @@ class CovMat:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A zero-mean Gaussian state: a covariance matrix plus a zero mean vector."""
+    """A zero-mean Gaussian state, fixed by its covariance matrix alone."""
 
     cm: CovMat
-    mean: NDArray[np.float64] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        dim = self.cm.mat.shape[0]
-        mean = np.zeros(dim) if self.mean is None else np.array(self.mean, dtype=float)
-        if mean.shape != (dim,):
-            raise ValueError(f"mean must have length {dim}")
-        if np.any(mean != 0.0):
-            raise ValueError("only zero-mean Gaussian states are supported")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
 
     @property
     def n_modes(self) -> int:
@@ -181,11 +173,19 @@ def to_unit_vacuum(cm: CovMat) -> CovMat:
 
     Multiplies the matrix by 4 so the vacuum state maps to the identity.
     Rejects input already tagged ``UNIT_VACUUM`` to guard against double
-    scaling.
+    scaling.  Scaling by 4 is exact, so unless it overflows the result is
+    as symmetric and positive definite as ``cm`` and skips the checks.
     """
     if cm.convention is Convention.UNIT_VACUUM:
         raise ValueError("covariance matrix is already in the unit-vacuum convention")
-    return CovMat(4.0 * cm.mat, Convention.UNIT_VACUUM)
+    mat = 4.0 * cm.mat
+    if not np.abs(mat).max() <= _ENTRY_MAX:
+        return CovMat(mat, Convention.UNIT_VACUUM)  # raises: entries too large
+    unit = object.__new__(CovMat)
+    object.__setattr__(unit, "mat", mat)
+    object.__setattr__(unit, "convention", Convention.UNIT_VACUUM)
+    mat.setflags(write=False)
+    return unit
 
 
 def _require_unit(cm: CovMat, what: str) -> None:
@@ -223,9 +223,10 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     v = cm.mat
     n = cm.n_modes
     lam, u = np.linalg.eigh(v)
-    # CovMat is symmetric positive definite, so the 2-norm condition number
-    # is the ratio of its extreme eigenvalues (eigh sorts them ascending).
-    cond = lam[-1] / lam[0] if lam[0] > 0.0 else math.inf
+    # V is symmetric positive definite, so its 2-norm condition number is
+    # lam[-1] / lam[0] (eigh sorts ascending).  A subnormal lam[0] counts as
+    # ill-conditioned: it would overflow V^{-1/2} Omega V^{-1/2} below.
+    cond = lam[-1] / lam[0] if lam[0] >= np.finfo(float).tiny else math.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise IllConditionedMatrixError(
             f"covariance matrix condition number {cond:.3e} exceeds 1e12"
@@ -234,7 +235,7 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     inv_root = (u / np.sqrt(lam)) @ u.T
     core = inv_root @ symplectic_form(n) @ inv_root
     core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
-    t, q = schur(core, output="real")
+    t, q = schur(core, output="real", check_finite=False)
     # Flip blocks whose upper-right entry came out negative.
     for k in range(n):
         if t[2 * k, 2 * k + 1] < 0.0:

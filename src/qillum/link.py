@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .gaussian import ErrorBounds, GaussianState, minimize_overlap, to_unit_vacuum
-from .protocol import ProtocolParams, alice_pair
+from .gaussian import ErrorBounds
+from .protocol import ProtocolParams
 from .receivers import (
     alice_optimum_bounds,
     approx_exponents,
@@ -119,18 +119,6 @@ def budget_from_fiber(
     )
 
 
-def _per_mode_overlap(params: ProtocolParams, receiver: Receiver) -> float:
-    if receiver is Receiver.OPA:
-        model = opa_model(params)
-        return geometric_bhattacharyya_overlap(model.n0, model.n1)
-    pair = alice_pair(params)
-    result = minimize_overlap(
-        GaussianState(to_unit_vacuum(pair.state_bit0.cm)),
-        GaussianState(to_unit_vacuum(pair.state_bit1.cm)),
-    )
-    return result.q_s
-
-
 def required_m(
     params: ProtocolParams, target_pe: float, receiver: Receiver = Receiver.OPA
 ) -> int:
@@ -138,7 +126,8 @@ def required_m(
 
     ``params.m`` is ignored; the per-mode overlap is fixed by the other
     four knobs and the bound 0.5 * q**M is monotone in M, so the answer is
-    found by exponential growth followed by binary search.
+    found by exponential growth followed by binary search.  The optimum
+    receiver's pair evaluation is shared per (ns, kappa, g, nb).
 
     Raises:
         ValueError: target outside (0, 0.5], or per-mode overlap within
@@ -146,7 +135,11 @@ def required_m(
     """
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
-    q = _per_mode_overlap(params, receiver)
+    if receiver is Receiver.OPA:
+        model = opa_model(params)
+        q = geometric_bhattacharyya_overlap(model.n0, model.n1)
+    else:
+        q = alice_optimum_bounds(params).q_star
     if q >= _OVERLAP_CEILING:
         raise ValueError(
             f"per-mode overlap {q!r} is too close to 1: target unreachable"

@@ -13,18 +13,20 @@ Closed-form exponent approximants valid for dim sources over noisy links
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .gaussian import (
     ErrorBounds,
     GaussianState,
-    chernoff_bound,
+    OverlapResult,
+    _minimize,
     error_bounds_from_overlaps,
     to_unit_vacuum,
 )
 from .protocol import (
-    HypothesisPair,
+    Observer,
     ProtocolParams,
     alice_pair,
     derived_coefficients,
@@ -81,20 +83,34 @@ class ApproxExponents:
     in_regime: bool
 
 
-def _pair_bounds(pair: HypothesisPair, m: int) -> ErrorBounds:
+@functools.lru_cache(maxsize=8)
+def _pair_overlaps(observer: Observer, knobs: tuple) -> tuple[OverlapResult, float]:
+    """``_minimize`` on one observer's unit-vacuum pair at (ns, kappa, g, nb); M-free."""
+    pair = (alice_pair if observer is Observer.ALICE else eve_pair)(ProtocolParams(*knobs, m=1))
     s0 = GaussianState(to_unit_vacuum(pair.state_bit0.cm))
     s1 = GaussianState(to_unit_vacuum(pair.state_bit1.cm))
-    return chernoff_bound(s0, s1, m)
+    return _minimize(s0, s1)
+
+
+def _optimum_bounds(observer: Observer, params: ProtocolParams) -> ErrorBounds:
+    best, q_half = _pair_overlaps(observer, (params.ns, params.kappa, params.g, params.nb))
+    return error_bounds_from_overlaps(best.q_s, q_half, params.m, best.s)
 
 
 def alice_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
-    """Chernoff-family bounds for Alice's optimum quantum receiver."""
-    return _pair_bounds(alice_pair(params), params.m)
+    """Chernoff-family bounds for Alice's optimum quantum receiver.
+
+    The pair evaluation is shared per (ns, kappa, g, nb); only M is per call.
+    """
+    return _optimum_bounds(Observer.ALICE, params)
 
 
 def eve_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
-    """Chernoff-family bounds for Eve's optimum quantum receiver."""
-    return _pair_bounds(eve_pair(params), params.m)
+    """Chernoff-family bounds for Eve's optimum quantum receiver.
+
+    The pair evaluation is shared per (ns, kappa, g, nb); only M is per call.
+    """
+    return _optimum_bounds(Observer.EVE, params)
 
 
 def opa_model(params: ProtocolParams) -> OpaReceiverModel:

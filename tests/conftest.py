@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import qillum.gaussian as gaussian
+import qillum.receivers as receivers
 from qillum import Convention, CovMat, GaussianState, ProtocolParams, symplectic_form
 
 # Operating point used throughout: ns = 0.004, kappa = 0.1, g = nb = 1e4,
@@ -19,7 +20,12 @@ def headline_params() -> ProtocolParams:
 
 @pytest.fixture
 def williamson_calls(monkeypatch) -> list:
-    """Record every covariance matrix passed to ``gaussian.williamson``."""
+    """Record every covariance matrix passed to ``gaussian.williamson``.
+
+    Empties the receivers' pair-overlap memo first, so that pairs an earlier
+    test evaluated are decomposed (and counted) again.
+    """
+    receivers._pair_overlaps.cache_clear()
     calls = []
     original = gaussian.williamson
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, CSV format, config precedence."""
 
+import hashlib
 import json
 import os
 
@@ -172,6 +173,18 @@ def test_sweep_is_deterministic_modulo_timestamp(capsys, tmp_path):
         return [l for l in path.read_text().splitlines() if not l.startswith("# generated")]
 
     assert stable_bytes(first) == stable_bytes(second)
+
+
+def test_readme_sweep_matches_golden_digest(capsys, tmp_path):
+    """The README sweep, byte for byte: any change to the float path shows here."""
+    out = tmp_path / "curves.csv"
+    code, _, _ = run_cli(capsys, "sweep", *SWEEP_FLAGS, "--out", str(out))
+    assert code == 0
+    with open(out, encoding="utf-8", newline="") as handle:
+        kept = "".join(line for line in handle if not line.startswith("# generated:"))
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "ae5fbbb2c3640b0d084065400115432e2f0eae23a04764c30ad5bc899686b267"
+    )
 
 
 def test_sweep_unwritable_path_exits_3(capsys, tmp_path):

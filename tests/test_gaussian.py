@@ -69,11 +69,34 @@ def test_covmat_validates_symmetry_and_positivity():
         CovMat(bad, Convention.UNIT_VACUUM)
     with pytest.raises(ValueError, match="positive definite"):
         CovMat(np.diag([1.0, -1.0, 1.0, 1.0]), Convention.UNIT_VACUUM)
+    for i, j, value in ((0, 0, np.nan), (1, 1, np.inf), (0, 1, np.nan), (2, 2, 1e308)):
+        bad = np.eye(4)
+        bad[i, j] = bad[j, i] = value
+        with pytest.raises(ValueError, match="finite"):
+            CovMat(bad, Convention.UNIT_VACUUM)  # 1e308 would overflow the symmetrisation
+
+
+def test_to_unit_vacuum_matches_a_checked_construction():
+    quarter = source_cm(0.004)
+    unit = to_unit_vacuum(quarter)
+    checked = CovMat(4.0 * quarter.mat, Convention.UNIT_VACUUM)
+    assert unit.convention is Convention.UNIT_VACUUM
+    assert unit.mat.tobytes() == checked.mat.tobytes()
+    assert not unit.mat.flags.writeable
+    huge = CovMat(3e307 * np.eye(2), Convention.QUARTER_VACUUM)
+    with pytest.raises(ValueError, match="finite"):
+        to_unit_vacuum(huge)  # 4 * 3e307 is above the entry limit
+
+
+def test_williamson_rejects_subnormal_scale():
+    # finite, but V^{-1/2} Omega V^{-1/2} would overflow to inf
+    with pytest.raises(IllConditionedMatrixError):
+        williamson(CovMat(1e-320 * np.eye(4), Convention.UNIT_VACUUM))
 
 
 def test_gaussian_state_requires_zero_mean():
     cm = CovMat(np.eye(2), Convention.UNIT_VACUUM)
-    with pytest.raises(ValueError, match="zero-mean"):
+    with pytest.raises(TypeError):
         GaussianState(cm, mean=np.array([0.1, 0.0]))
 
 

@@ -161,4 +161,6 @@ def test_planner_decomposes_each_state_once(williamson_calls, headline_params):
     assert len(williamson_calls) == 4  # Alice's pair and Eve's pair
     williamson_calls.clear()
     required_m(headline_params, 1e-6, Receiver.OPTIMUM)
-    assert len(williamson_calls) == 2
+    assert len(williamson_calls) == 0  # Alice's pair from security_margin
+    required_m(ProtocolParams(**{**HEADLINE, "ns": 0.005}), 1e-6, Receiver.OPTIMUM)
+    assert len(williamson_calls) == 2  # fresh knobs: Alice's pair only

@@ -4,21 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qillum.receivers as receivers
 from qillum import (
     OpaReceiverModel,
     ProtocolParams,
     alice_optimum_bounds,
     alice_pair,
     approx_exponents,
+    chernoff_bound,
     error_bounds_from_overlaps,
     eve_optimum_bounds,
+    eve_pair,
     geometric_bhattacharyya_overlap,
     opa_bhattacharyya,
     opa_model,
 )
 
 from conftest import HEADLINE, random_valid_params
+from test_gaussian import protocol_params, unit_states
 
 
 def opa_output_photons_oracle(params: ProtocolParams, bit: int) -> float:
@@ -283,3 +289,18 @@ def test_security_gap_in_regime():
         eve = eve_optimum_bounds(params)
         assert alice.chernoff_upper < eve.lower_bound
         checked += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=protocol_params(), other_m=st.integers(1, 10**5))
+def test_shared_pair_evaluation_matches_fresh_chernoff_bound(params, other_m):
+    """Bounds read from the per-knob memo equal a fresh evaluation at every M."""
+    assume(other_m != params.m)
+    memo = receivers._pair_overlaps
+    for m in (params.m, other_m):
+        at_m = ProtocolParams(ns=params.ns, kappa=params.kappa, g=params.g, nb=params.nb, m=m)
+        misses = memo.cache_info().misses
+        for optimum_bounds, pair in ((alice_optimum_bounds, alice_pair), (eve_optimum_bounds, eve_pair)):
+            assert optimum_bounds(at_m) == chernoff_bound(*unit_states(pair(at_m)), m)
+        if m == other_m:
+            assert memo.cache_info().misses == misses  # the second M reuses both pairs
