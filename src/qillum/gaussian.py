@@ -19,6 +19,7 @@ and the matching lower bound for an M-copy binary hypothesis test.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import schur
+from scipy.linalg.lapack import dgees
 
 __all__ = [
     "Convention",
@@ -81,6 +82,25 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
     return omega
+
+
+@functools.lru_cache(maxsize=8)
+def _omega(n_modes: int) -> NDArray[np.float64]:
+    """A shared, read-only ``symplectic_form(n_modes)``."""
+    omega = symplectic_form(n_modes)
+    omega.setflags(write=False)
+    return omega
+
+
+def _no_sort(wr: float, wi: float) -> None:
+    """dgees eigenvalue-selection callback; never called, as blocks are not sorted."""
+
+
+@functools.lru_cache(maxsize=8)
+def _dgees_lwork(n: int) -> int:
+    """The optimal dgees workspace for an n x n matrix, as scipy.linalg.schur queries it."""
+    work = dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2]
+    return int(work[0])
 
 
 @dataclass(frozen=True)
@@ -214,10 +234,13 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
 
     Computes V = S D S^T with S symplectic and D = diag(nu_1, nu_1, ...,
     nu_n, nu_n), nu sorted descending.  Uses the real Schur form of
-    V^{-1/2} Omega V^{-1/2}, whose antisymmetric 2x2 blocks carry 1/nu_k.
+    V^{-1/2} Omega V^{-1/2}, whose antisymmetric 2x2 blocks carry 1/nu_k,
+    from one LAPACK ``dgees`` call with the workspace size that
+    ``scipy.linalg.schur`` would query (memoised per matrix size).
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
+        numpy.linalg.LinAlgError: dgees found no Schur form.
     """
     _require_unit(cm, "williamson")
     v = cm.mat
@@ -233,22 +256,26 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
         )
     root = (u * np.sqrt(lam)) @ u.T
     inv_root = (u / np.sqrt(lam)) @ u.T
-    core = inv_root @ symplectic_form(n) @ inv_root
+    core = inv_root @ _omega(n) @ inv_root
     core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
-    t, q = schur(core, output="real", check_finite=False)
-    # Flip blocks whose upper-right entry came out negative.
-    for k in range(n):
-        if t[2 * k, 2 * k + 1] < 0.0:
-            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
-            t[[2 * k, 2 * k + 1], :] = t[[2 * k + 1, 2 * k], :]
-            t[:, [2 * k, 2 * k + 1]] = t[:, [2 * k + 1, 2 * k]]
-    nu = np.array([1.0 / t[2 * k, 2 * k + 1] for k in range(n)])
+    t, _, _, _, q, _, info = dgees(_no_sort, core, lwork=_dgees_lwork(2 * n))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
+    # Block k carries 1/nu_k in its positive off-diagonal entry; a block
+    # whose upper-right entry came out negative has its two columns of q
+    # swapped, which flips the block's orientation.
+    flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(n)]
+    nu = np.array([
+        1.0 / (t[2 * k + 1, 2 * k] if flip else t[2 * k, 2 * k + 1])
+        for k, flip in enumerate(flipped)
+    ])
     order = np.argsort(nu)[::-1]
-    cols = np.ravel([[2 * k, 2 * k + 1] for k in order])
+    cols = [2 * k + j for k in order for j in ((1, 0) if flipped[k] else (0, 1))]
     q = q[:, cols]
     nu = nu[order]
     nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
-    s = root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
+    # (root @ q) @ diag(d) only adds exact zeros to (root @ q) * d.
+    s = (root @ q) * (np.repeat(nu, 2) ** -0.5)
     return WilliamsonDecomposition(nu=nu, symplectic=s)
 
 
@@ -257,6 +284,41 @@ def _check_nu_s(nu: float, s: float) -> None:
         raise ValueError(f"symplectic eigenvalue {nu} is below 1")
     if not 0.0 < s < 1.0:
         raise ValueError(f"power s = {s} must lie strictly inside (0, 1)")
+
+
+def _check_power(s: float) -> None:
+    """Reject s unless s and 1 - s, the two powers Q_s takes, lie strictly inside (0, 1)."""
+    for power in (s, 1.0 - s):
+        if not 0.0 < power < 1.0:
+            raise ValueError(f"power s = {power} must lie strictly inside (0, 1)")
+
+
+def _log_excess(nu: float) -> float | None:
+    """ln(nu - 1), or None for a pure mode (nu - 1 <= NU_PURE_TOL)."""
+    return math.log(nu - 1.0) if nu - 1.0 > NU_PURE_TOL else None
+
+
+def _mode_powers(nu: float, log_excess: float | None, s: float) -> tuple[float, float]:
+    """(power_trace(nu, s), power_nu(nu, s)) from one (nu+1)**s and one (nu-1)**s.
+
+    ``log_excess`` is ``_log_excess(nu)``; a pure mode (None) takes the
+    closed forms, both equal to 1.  The caller checks nu and s.
+    """
+    if log_excess is None:
+        return 1.0, 1.0
+    a = (nu + 1.0) ** s
+    b = math.exp(s * log_excess)
+    return 2.0**s / (a - b), (a + b) / (a - b)
+
+
+def _scaled_gram(
+    sp: NDArray[np.float64], d: NDArray[np.float64] | list[float]
+) -> NDArray[np.float64]:
+    """S diag(d) S^T, bit-identical to ``sp @ np.diag(d) @ sp.T``.
+
+    The diagonal matmul only adds exact zeros to ``sp * d``.
+    """
+    return (sp * d) @ sp.T
 
 
 def power_nu(nu: float, s: float) -> float:
@@ -271,11 +333,7 @@ def power_nu(nu: float, s: float) -> float:
     evaluated as exp(s ln(nu-1)) only when nu - 1 > 1e-12.
     """
     _check_nu_s(nu, s)
-    if nu - 1.0 <= NU_PURE_TOL:
-        return 1.0
-    a = (nu + 1.0) ** s
-    b = math.exp(s * math.log(nu - 1.0))
-    return (a + b) / (a - b)
+    return _mode_powers(nu, _log_excess(nu), s)[1]
 
 
 def power_trace(nu: float, s: float) -> float:
@@ -284,11 +342,7 @@ def power_trace(nu: float, s: float) -> float:
     tr(rho**s) = 2**s / [(nu+1)**s - (nu-1)**s]; equal to 1 at nu = 1.
     """
     _check_nu_s(nu, s)
-    if nu - 1.0 <= NU_PURE_TOL:
-        return 1.0
-    a = (nu + 1.0) ** s
-    b = math.exp(s * math.log(nu - 1.0))
-    return 2.0**s / (a - b)
+    return _mode_powers(nu, _log_excess(nu), s)[0]
 
 
 def power_cm(decomp: WilliamsonDecomposition, s: float) -> NDArray[np.float64]:
@@ -299,8 +353,7 @@ def power_cm(decomp: WilliamsonDecomposition, s: float) -> NDArray[np.float64]:
     kept, i.e. V(s) = S diag(power_nu(nu_k, s)) S^T.
     """
     scaled = np.repeat([power_nu(nu, s) for nu in decomp.nu], 2)
-    sp = decomp.symplectic
-    return sp @ np.diag(scaled) @ sp.T
+    return _scaled_gram(decomp.symplectic, scaled)
 
 
 def _physical_williamson(state: GaussianState, label: str) -> WilliamsonDecomposition:
@@ -319,22 +372,30 @@ def _overlap_evaluator(
     """Decompose each state once and return the evaluator s -> Q_s.
 
     Runs every state check of ``power_overlap`` (mode count, unit-vacuum
-    convention, conditioning, physicality) up front; the evaluator then
-    does only the per-s arithmetic of ``power_overlap``.
+    convention, conditioning, physicality) up front and takes ln(nu - 1) of
+    each mode once; the evaluator then does only the per-s arithmetic of
+    ``power_overlap``, in the same order.  It does not check s: callers
+    keep s and 1 - s inside (0, 1) (see ``_check_power``).
     """
     if state0.n_modes != state1.n_modes:
         raise ValueError("states must have the same number of modes")
     dec0 = _physical_williamson(state0, "state0")
     dec1 = _physical_williamson(state1, "state1")
+    modes0 = [(nu, _log_excess(nu)) for nu in dec0.nu.tolist()]
+    modes1 = [(nu, _log_excess(nu)) for nu in dec1.nu.tolist()]
+    sp0, sp1 = dec0.symplectic, dec1.symplectic
     n = state0.n_modes
 
     def q(s: float) -> float:
         prefactor = 2.0**n
-        for nu in dec0.nu:
-            prefactor *= power_trace(nu, s)
-        for nu in dec1.nu:
-            prefactor *= power_trace(nu, 1.0 - s)
-        sigma = power_cm(dec0, s) + power_cm(dec1, 1.0 - s)
+        diag0: list[float] = []
+        diag1: list[float] = []
+        for modes, power, diag in ((modes0, s, diag0), (modes1, 1.0 - s, diag1)):
+            for nu, log_excess in modes:
+                trace, nu_s = _mode_powers(nu, log_excess, power)
+                prefactor *= trace
+                diag += (nu_s, nu_s)
+        sigma = _scaled_gram(sp0, diag0) + _scaled_gram(sp1, diag1)
         return min(prefactor / math.sqrt(np.linalg.det(sigma)), 1.0)
 
     return q
@@ -366,8 +427,7 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     as a pi phase shift on one mode), cyclicity of the trace also gives
     Q_s = Q_{1-s}.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"power s = {s} must lie strictly inside (0, 1)")
+    _check_power(s)
     return _overlap_evaluator(state0, state1)(s)
 
 
@@ -380,6 +440,14 @@ def _minimize(
     max_iter: int = 200,
 ) -> tuple[OverlapResult, float]:
     """``minimize_overlap`` that also returns Q_{1/2}, decomposing each state once."""
+    _check_power(s_lo)
+    _check_power(s_hi)
+    if not s_lo < s_hi:
+        raise ValueError(f"search interval [{s_lo}, {s_hi}] must have s_lo < s_hi")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol = {tol} must be positive and finite")
+    if max_iter < 1:
+        raise ValueError(f"max_iter = {max_iter} must be at least 1")
     f = _overlap_evaluator(state0, state1)
     q_half = f(0.5)
     if _is_parity_pair(state0, state1):
@@ -430,7 +498,12 @@ def minimize_overlap(
     is returned: this keeps the Chernoff bound at or below the Bhattacharyya
     bound.
 
+    Q_s is evaluated only at s = 1/2 and inside [s_lo, s_hi].
+
     Raises:
+        ValueError: s_lo or s_hi (or 1 minus either) is outside (0, 1),
+            s_lo >= s_hi, ``tol`` is not positive and finite, or
+            ``max_iter`` is below 1.
         RuntimeError: interval failed to contract below ``tol`` within
             ``max_iter`` iterations.
     """

@@ -37,13 +37,19 @@ def williamson_calls(monkeypatch) -> list:
     return calls
 
 
-def random_unit_state(rng: np.random.Generator, n_modes: int = 2, nu_max: float = 4.0) -> GaussianState:
-    """Random physical state: thermal spectrum conjugated by a random symplectic."""
+def random_unit_state(
+    rng: np.random.Generator, n_modes: int = 2, nu_max: float = 4.0, pure_modes: int = 0
+) -> GaussianState:
+    """Random physical state: thermal spectrum conjugated by a random symplectic.
+
+    The first ``pure_modes`` symplectic eigenvalues are set to exactly 1.
+    """
     dim = 2 * n_modes
     h = rng.normal(size=(dim, dim))
     h = 0.3 * (h + h.T) / 2.0
     sp = expm(symplectic_form(n_modes) @ h)
     nu = 1.0 + rng.uniform(0.0, nu_max - 1.0, n_modes)
+    nu[:pure_modes] = 1.0
     v = sp @ np.diag(np.repeat(nu, 2)) @ sp.T
     return GaussianState(CovMat((v + v.T) / 2.0, Convention.UNIT_VACUUM))
 

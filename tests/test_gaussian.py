@@ -1,11 +1,13 @@
 """Covariance conventions, Williamson form and the overlap/bound engine."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import schur
 
 from qillum import (
     Convention,
@@ -26,7 +28,9 @@ from qillum import (
     to_unit_vacuum,
     williamson,
 )
+from qillum.gaussian import NU_CLAMP_TOL, WilliamsonDecomposition
 from qillum.protocol import ProtocolParams, source_cm
+from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
 from conftest import HEADLINE, random_unit_state, thermal_state
 
@@ -204,6 +208,16 @@ def test_power_functions_reject_bad_inputs(func):
         func(2.0, 1.0)
 
 
+def test_power_cm_rejects_bad_inputs():
+    sub_vacuum = WilliamsonDecomposition(nu=np.array([0.5]), symplectic=np.eye(2))
+    with pytest.raises(ValueError, match="below 1"):
+        power_cm(sub_vacuum, 0.5)
+    thermal = WilliamsonDecomposition(nu=np.array([2.0]), symplectic=np.eye(2))
+    for s in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="inside"):
+            power_cm(thermal, s)
+
+
 def test_power_cm_at_s_one_reproduces_input():
     rng = np.random.default_rng(3)
     params = ProtocolParams(**HEADLINE)
@@ -374,6 +388,78 @@ def protocol_params(draw):
         assume(False)
 
 
+@st.composite
+def unit_state_pairs(draw):
+    """Two unit-vacuum states with the same mode count.
+
+    Either a protocol pair from the ``protocol_params`` box, or two random
+    states of 1 or 2 modes, with an exactly pure mode in some of them.
+    """
+    if draw(st.booleans()):
+        params = draw(protocol_params())
+        return unit_states(draw(st.sampled_from([alice_pair, eve_pair]))(params))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_modes = draw(st.sampled_from([1, 2]))
+    return tuple(
+        random_unit_state(rng, n_modes, pure_modes=draw(st.integers(0, 1))) for _ in range(2)
+    )
+
+
+def reference_williamson(cm: CovMat):
+    """The Schur-based Williamson form through scipy.linalg.schur, block flips by swaps."""
+    n = cm.n_modes
+    lam, u = np.linalg.eigh(cm.mat)
+    root = (u * np.sqrt(lam)) @ u.T
+    inv_root = (u / np.sqrt(lam)) @ u.T
+    core = inv_root @ symplectic_form(n) @ inv_root
+    core = (core - core.T) / 2.0
+    t, q = schur(core, output="real", check_finite=False)
+    for k in range(n):
+        if t[2 * k, 2 * k + 1] < 0.0:
+            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
+            t[[2 * k, 2 * k + 1], :] = t[[2 * k + 1, 2 * k], :]
+            t[:, [2 * k, 2 * k + 1]] = t[:, [2 * k + 1, 2 * k]]
+    nu = np.array([1.0 / t[2 * k, 2 * k + 1] for k in range(n)])
+    order = np.argsort(nu)[::-1]
+    q = q[:, np.ravel([[2 * k, 2 * k + 1] for k in order])]
+    nu = nu[order]
+    nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
+    return nu, root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
+
+
+def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
+    """Q_s assembled as ``power_overlap`` documents it, from the public power functions."""
+    dec0, dec1 = williamson(state0.cm), williamson(state1.cm)
+    prefactor = 2.0**state0.n_modes
+    for nu in dec0.nu:
+        prefactor *= power_trace(nu, s)
+    for nu in dec1.nu:
+        prefactor *= power_trace(nu, 1.0 - s)
+
+    def power_matrix(dec, power):
+        scaled = np.repeat([power_nu(nu, power) for nu in dec.nu], 2)
+        return dec.symplectic @ np.diag(scaled) @ dec.symplectic.T
+
+    sigma = power_matrix(dec0, s) + power_matrix(dec1, 1.0 - s)
+    return min(prefactor / math.sqrt(np.linalg.det(sigma)), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=unit_state_pairs())
+def test_williamson_matches_schur_reference_bit_for_bit(pair):
+    for state in pair:
+        dec = williamson(state.cm)
+        nu, sp = reference_williamson(state.cm)
+        assert np.array_equal(dec.nu, nu)
+        assert np.array_equal(dec.symplectic, sp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=unit_state_pairs(), s=st.floats(1e-6, 1.0 - 1e-6))
+def test_power_overlap_matches_documented_formula_bit_for_bit(pair, s):
+    assert power_overlap(*pair, s) == reference_overlap(*pair, s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=protocol_params())
 def test_protocol_pairs_take_s_half_exactly(params):
@@ -387,6 +473,58 @@ def test_protocol_pairs_take_s_half_exactly(params):
         # the general engine agrees that s = 1/2 is the minimum
         q_min = min(power_overlap(s0, s1, s) for s in grid)
         assert q_min >= bounds.q_half * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(tol=math.nan),
+        dict(tol=math.inf),
+        dict(tol=0.0),
+        dict(tol=-1e-6),
+        dict(max_iter=0),
+        dict(s_lo=0.6, s_hi=0.4),
+        dict(s_lo=0.5, s_hi=0.5),
+        dict(s_lo=0.0),
+        dict(s_lo=-0.1),
+        dict(s_hi=1.0),
+        dict(s_hi=1.5),
+        dict(s_lo=math.nan),
+        dict(s_lo=1e-20),  # 1 - s_lo rounds to 1
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_minimize_overlap_rejects_bad_search_arguments(kwargs):
+    # A NaN tol used to skip the search and return s = 1/2 on this pair,
+    # whose Chernoff point is near s = 0; the others ran or raised late.
+    vac, th = thermal_state(0.0), thermal_state(3.0)
+    with pytest.raises(ValueError):
+        minimize_overlap(vac, th, **kwargs)
+
+
+def float_fields(result) -> dict:
+    return {
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result)
+        if f.type in ("float", float)
+    }
+
+
+def test_result_fields_are_python_floats(headline_params):
+    rng = np.random.default_rng(31)
+    s0, s1 = random_unit_state(rng), random_unit_state(rng)
+    results = [
+        alice_optimum_bounds(headline_params),
+        eve_optimum_bounds(headline_params),
+        chernoff_bound(s0, s1, 100),
+        minimize_overlap(s0, s1),
+    ]
+    for result in results:
+        fields = float_fields(result)
+        assert fields
+        for name, value in fields.items():
+            assert type(value) is float, (type(result).__name__, name, type(value))
+    assert type(power_overlap(s0, s1, 0.3)) is float
 
 
 def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
