@@ -131,9 +131,20 @@ def _echo(params: dict) -> str:
     return " ".join(f"{k}={params[k]}" for k in params)
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _emit(record: RunRecord, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(record.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(_json_safe(record.as_dict()), indent=2, sort_keys=True, allow_nan=False))
     else:
         print(f"qillum {record.command} v{record.version} ({record.timestamp})")
         print(f"parameters: {_echo(record.params)}")
@@ -293,7 +304,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         ns=resolved["ns"], kappa=budget.kappa, g=resolved["g"], nb=resolved["nb"], m=budget.m
     )
     receiver = Receiver(resolved["receiver"])
-    margin = security_margin(params)
+    margin = security_margin(params, alice_target=resolved["target"])
     needed = required_m(params, resolved["target"], receiver)
     outputs = {
         "kappa": budget.kappa,

@@ -51,17 +51,21 @@ __all__ = [
 ]
 
 # Symplectic eigenvalues this close below 1 are treated as exactly 1
-# (pure-state fuzz from finite-precision eigensolves).
+# (pure-state fuzz from finite-precision eigensolves); a state with one
+# further below 1 is unphysical.
 NU_CLAMP_TOL = 1e-9
 # Below this distance from 1, the closed forms for nu = 1 are used instead
 # of evaluating (nu - 1)**s.
 NU_PURE_TOL = 1e-12
-# States with a symplectic eigenvalue below 1 - NU_CLAMP_TOL are rejected
-# as unphysical by the overlap engine.
 
 _SYMMETRY_ATOL = 1e-12
 _ENTRY_MAX = float(np.finfo(float).max) / 2.0  # so that m + m.T cannot overflow
 _GOLDEN_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The golden-section search bracket and the width at which it stops (see
+# ``minimize_overlap``).
+_S_LO = 1e-6
+_S_HI = 1.0 - 1e-6
+_S_TOL = 1e-6
 
 
 class IllConditionedMatrixError(ValueError):
@@ -75,19 +79,13 @@ class Convention(Enum):
     UNIT_VACUUM = "unit_vacuum"
 
 
+@functools.lru_cache(maxsize=8)
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """Return the 2n x 2n symplectic form for (x_1, p_1, ..., x_n, p_n)."""
+    """The 2n x 2n symplectic form for (x_1, p_1, ..., x_n, p_n), shared and read-only."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
-    return omega
-
-
-@functools.lru_cache(maxsize=8)
-def _omega(n_modes: int) -> NDArray[np.float64]:
-    """A shared, read-only ``symplectic_form(n_modes)``."""
-    omega = symplectic_form(n_modes)
     omega.setflags(write=False)
     return omega
 
@@ -214,19 +212,15 @@ def _require_unit(cm: CovMat, what: str) -> None:
 
 
 def symplectic_eigenvalues(cm: CovMat) -> NDArray[np.float64]:
-    """Symplectic spectrum of a unit-vacuum covariance matrix.
+    """Symplectic spectrum of a unit-vacuum covariance matrix: ``williamson(cm).nu``.
 
-    Returns the n distinct moduli of the eigenvalues of i Omega V, sorted
-    descending.  Values within 1e-9 below 1 are clamped up to 1.
+    The n values are sorted descending; values within 1e-9 below 1 are
+    clamped up to 1.
+
+    Raises:
+        IllConditionedMatrixError: condition number above 1e12.
     """
-    _require_unit(cm, "symplectic_eigenvalues")
-    n = cm.n_modes
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ cm.mat)
-    moduli = np.sort(np.abs(eigs))[::-1]
-    # The spectrum comes in +/- pairs; adjacent after sorting.
-    nu = moduli.reshape(n, 2).mean(axis=1)
-    nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
-    return nu
+    return williamson(cm).nu
 
 
 def williamson(cm: CovMat) -> WilliamsonDecomposition:
@@ -256,7 +250,7 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
         )
     root = (u * np.sqrt(lam)) @ u.T
     inv_root = (u / np.sqrt(lam)) @ u.T
-    core = inv_root @ _omega(n) @ inv_root
+    core = inv_root @ symplectic_form(n) @ inv_root
     core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
     t, _, _, _, q, _, info = dgees(_no_sort, core, lwork=_dgees_lwork(2 * n))
     if info != 0:
@@ -279,18 +273,17 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     return WilliamsonDecomposition(nu=nu, symplectic=s)
 
 
-def _check_nu_s(nu: float, s: float) -> None:
-    if not nu >= 1.0 - NU_CLAMP_TOL:
-        raise ValueError(f"symplectic eigenvalue {nu} is below 1")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"power s = {s} must lie strictly inside (0, 1)")
-
-
 def _check_power(s: float) -> None:
     """Reject s unless s and 1 - s, the two powers Q_s takes, lie strictly inside (0, 1)."""
     for power in (s, 1.0 - s):
         if not 0.0 < power < 1.0:
             raise ValueError(f"power s = {power} must lie strictly inside (0, 1)")
+
+
+def _check_nu_s(nu: float, s: float) -> None:
+    if not nu >= 1.0 - NU_CLAMP_TOL:
+        raise ValueError(f"symplectic eigenvalue {nu} is below 1")
+    _check_power(s)
 
 
 def _log_excess(nu: float) -> float | None:
@@ -357,7 +350,6 @@ def power_cm(decomp: WilliamsonDecomposition, s: float) -> NDArray[np.float64]:
 
 
 def _physical_williamson(state: GaussianState, label: str) -> WilliamsonDecomposition:
-    _require_unit(state.cm, "power_overlap")
     dec = williamson(state.cm)
     if np.any(dec.nu < 1.0 - NU_CLAMP_TOL):
         raise ValueError(
@@ -431,37 +423,17 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     return _overlap_evaluator(state0, state1)(s)
 
 
-def _minimize(
-    state0: GaussianState,
-    state1: GaussianState,
-    s_lo: float = 1e-6,
-    s_hi: float = 1.0 - 1e-6,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> tuple[OverlapResult, float]:
+def _minimize(state0: GaussianState, state1: GaussianState) -> tuple[OverlapResult, float]:
     """``minimize_overlap`` that also returns Q_{1/2}, decomposing each state once."""
-    _check_power(s_lo)
-    _check_power(s_hi)
-    if not s_lo < s_hi:
-        raise ValueError(f"search interval [{s_lo}, {s_hi}] must have s_lo < s_hi")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol = {tol} must be positive and finite")
-    if max_iter < 1:
-        raise ValueError(f"max_iter = {max_iter} must be at least 1")
     f = _overlap_evaluator(state0, state1)
     q_half = f(0.5)
     if _is_parity_pair(state0, state1):
         return OverlapResult(q_s=q_half, s=0.5), q_half
-    a, b = s_lo, s_hi
+    a, b = _S_LO, _S_HI
     c = b - _GOLDEN_INVPHI * (b - a)
     d = a + _GOLDEN_INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    iterations = 0
-    while abs(b - a) > tol:
-        if iterations >= max_iter:
-            raise RuntimeError(
-                f"overlap minimisation did not converge in {max_iter} iterations"
-            )
+    while abs(b - a) > _S_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN_INVPHI * (b - a)
@@ -470,7 +442,6 @@ def _minimize(
             a, c, fc = c, d, fd
             d = a + _GOLDEN_INVPHI * (b - a)
             fd = f(d)
-        iterations += 1
     s_star = (a + b) / 2.0
     q_star = f(s_star)
     if q_half <= q_star:
@@ -478,14 +449,7 @@ def _minimize(
     return OverlapResult(q_s=q_star, s=s_star), q_half
 
 
-def minimize_overlap(
-    state0: GaussianState,
-    state1: GaussianState,
-    s_lo: float = 1e-6,
-    s_hi: float = 1.0 - 1e-6,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> OverlapResult:
+def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapResult:
     """Minimise Q_s over s in (0, 1), decomposing each state once.
 
     Parity pairs (V1 = P V0 P exactly, P negating both quadratures of the
@@ -498,16 +462,10 @@ def minimize_overlap(
     is returned: this keeps the Chernoff bound at or below the Bhattacharyya
     bound.
 
-    Q_s is evaluated only at s = 1/2 and inside [s_lo, s_hi].
-
-    Raises:
-        ValueError: s_lo or s_hi (or 1 minus either) is outside (0, 1),
-            s_lo >= s_hi, ``tol`` is not positive and finite, or
-            ``max_iter`` is below 1.
-        RuntimeError: interval failed to contract below ``tol`` within
-            ``max_iter`` iterations.
+    The search runs on [1e-6, 1 - 1e-6] until the bracket is narrower than
+    1e-6, which takes a fixed 29 golden-section steps.
     """
-    return _minimize(state0, state1, s_lo, s_hi, tol, max_iter)[0]
+    return _minimize(state0, state1)[0]
 
 
 def error_bounds_from_overlaps(

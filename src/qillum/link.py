@@ -92,14 +92,24 @@ def budget_from_fiber(
 ) -> LinkBudget:
     """Build a link budget from fiber length, loss rate, bandwidth and bit time.
 
-    Requires W T >= 1 (at least one full mode pair per bit); fractional
-    mode pairs are truncated, which is conservative for error probability.
+    Requires finite inputs and a finite W T >= 1 (at least one full mode
+    pair per bit); fractional mode pairs are truncated, which is
+    conservative for error probability.
     """
+    product = w_hz * t_s
+    for name, value in (
+        ("length_km", length_km),
+        ("loss_db_per_km", loss_db_per_km),
+        ("w_hz", w_hz),
+        ("t_s", t_s),
+        ("W T", product),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if length_km < 0.0 or loss_db_per_km < 0.0:
         raise ValueError("length_km and loss_db_per_km must be nonnegative")
     if w_hz <= 0.0 or t_s <= 0.0:
         raise ValueError("w_hz and t_s must be positive")
-    product = w_hz * t_s
     if product < 1.0:
         raise ValueError(
             f"W T = {product:.3g} < 1: the bit interval holds no full mode pair"

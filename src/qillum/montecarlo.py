@@ -43,9 +43,9 @@ class McConfig:
     params: ProtocolParams
 
     def __post_init__(self) -> None:
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not (1 <= self.trials < math.inf and int(self.trials) == self.trials):
             raise ValueError("trials must be a positive integer")
-        if int(self.seed) != self.seed:
+        if not (-math.inf < self.seed < math.inf and int(self.seed) == self.seed):
             raise ValueError("seed must be an integer")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))

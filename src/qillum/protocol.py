@@ -22,7 +22,14 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import Convention, CovMat, GaussianState, symplectic_eigenvalues, to_unit_vacuum
+from .gaussian import (
+    NU_CLAMP_TOL,
+    Convention,
+    CovMat,
+    GaussianState,
+    symplectic_eigenvalues,
+    to_unit_vacuum,
+)
 
 __all__ = [
     "ProtocolParams",
@@ -37,7 +44,7 @@ __all__ = [
     "validate_physicality",
 ]
 
-PHYSICALITY_THRESHOLD = 1.0 - 1e-9
+PHYSICALITY_THRESHOLD = 1.0 - NU_CLAMP_TOL
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ class ProtocolParams:
             )
         if self.g == 1.0 and self.nb != 0.0:
             raise ValueError("nb must be 0 when g = 1 (no amplifier, no added noise)")
-        if int(self.m) != self.m or self.m < 1:
+        if not (1 <= self.m < math.inf and int(self.m) == self.m):
             raise ValueError("m must be an integer >= 1")
         object.__setattr__(self, "m", int(self.m))
 
@@ -213,7 +220,12 @@ def validate_physicality(cm: CovMat) -> PhysicalityReport:
     """Report the symplectic spectrum and whether the matrix is a physical state.
 
     Accepts either convention (quarter-vacuum input is rescaled first) and
-    never raises on unphysical input; the verdict is ``ok = all nu >= 1 - 1e-9``.
+    does not raise on unphysical input; the verdict is
+    ``ok = all nu >= 1 - 1e-9``.
+
+    Raises:
+        IllConditionedMatrixError: condition number above 1e12, where the
+            spectrum cannot be trusted (the source at ns above about 2.5e5).
     """
     unit = cm if cm.convention is Convention.UNIT_VACUUM else to_unit_vacuum(cm)
     nu = symplectic_eigenvalues(unit)

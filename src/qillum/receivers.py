@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from .gaussian import (
     ErrorBounds,
     GaussianState,
-    OverlapResult,
-    _minimize,
+    chernoff_bound,
     error_bounds_from_overlaps,
     to_unit_vacuum,
 )
@@ -84,17 +83,17 @@ class ApproxExponents:
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_overlaps(observer: Observer, knobs: tuple) -> tuple[OverlapResult, float]:
-    """``_minimize`` on one observer's unit-vacuum pair at (ns, kappa, g, nb); M-free."""
+def _pair_overlaps(observer: Observer, knobs: tuple) -> ErrorBounds:
+    """``chernoff_bound`` at M = 1 on one observer's unit-vacuum pair at (ns, kappa, g, nb)."""
     pair = (alice_pair if observer is Observer.ALICE else eve_pair)(ProtocolParams(*knobs, m=1))
     s0 = GaussianState(to_unit_vacuum(pair.state_bit0.cm))
     s1 = GaussianState(to_unit_vacuum(pair.state_bit1.cm))
-    return _minimize(s0, s1)
+    return chernoff_bound(s0, s1, 1)
 
 
 def _optimum_bounds(observer: Observer, params: ProtocolParams) -> ErrorBounds:
-    best, q_half = _pair_overlaps(observer, (params.ns, params.kappa, params.g, params.nb))
-    return error_bounds_from_overlaps(best.q_s, q_half, params.m, best.s)
+    one = _pair_overlaps(observer, (params.ns, params.kappa, params.g, params.nb))
+    return error_bounds_from_overlaps(one.q_star, one.q_half, params.m, one.s_star)
 
 
 def alice_optimum_bounds(params: ProtocolParams) -> ErrorBounds:

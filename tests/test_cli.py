@@ -240,6 +240,40 @@ def test_plan_headline_link(capsys):
     assert outputs["required_m_for_target"] <= 20000
 
 
+def test_plan_checks_usability_against_the_target(capsys):
+    # Alice's OPA bound at the headline link is 5.09e-7: fine for 1e-6, not for 1e-9.
+    code, record, _ = run_json(capsys, "plan", *PLAN_FLAGS, "--target", "1e-9")
+    assert code == 0
+    assert record["outputs"]["alice_unusable"] is True
+    assert record["outputs"]["required_m_for_target"] > 20000
+    code, out, _ = run_cli(capsys, "plan", *PLAN_FLAGS, "--target", "1e-9")
+    assert code == 0
+    assert "usability: UNUSABLE" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--w", "inf", "w_hz"), ("--w", "nan", "w_hz"), ("--km", "inf", "length_km"), ("--t", "nan", "t_s")],
+)
+def test_plan_rejects_non_finite_link_inputs(capsys, flag, value, name):
+    code, _, err = run_cli(capsys, "plan", *PLAN_FLAGS, flag, value)
+    assert code == 2
+    assert f"{name} must be finite" in err
+
+
+def test_plan_json_writes_non_finite_values_as_null(capsys):
+    # At M = 1e18 Alice's bound underflows to 0, so Eve / Alice is infinite.
+    code, out, _ = run_cli(capsys, "plan", *PLAN_FLAGS, "--w", "1e18", "--t", "1", "--json")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    record = json.loads(out, parse_constant=reject)
+    assert record["outputs"]["alice_opa_upper"] == 0.0
+    assert record["outputs"]["margin_ratio"] is None
+
+
 def test_plan_rejects_effectively_lossless_link(capsys):
     code, _, err = run_cli(
         capsys, "plan", "--km", "0.0001", "--db-per-km", "0.2", "--w", "1e12",

@@ -52,6 +52,22 @@ def test_budget_rejects_bad_inputs():
         budget_from_fiber(50.0, 0.2, 0.0, 2e-8)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((math.inf, 0.2, 1e12, 2e-8), "length_km"),
+        ((50.0, math.nan, 1e12, 2e-8), "loss_db_per_km"),
+        ((50.0, 0.2, math.inf, 2e-8), "w_hz"),
+        ((50.0, 0.2, math.nan, 2e-8), "w_hz"),
+        ((50.0, 0.2, 1e12, math.inf), "t_s"),
+        ((50.0, 0.2, 1e300, 1e300), "W T"),
+    ],
+)
+def test_budget_rejects_non_finite_inputs(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        budget_from_fiber(*args)
+
+
 def test_budget_truncates_fractional_mode_pairs():
     assert budget_from_fiber(50.0, 0.2, 1e9, 2.5e-9).m == 2
     assert budget_from_fiber(50.0, 0.2, 1e9, 2.9999e-9).m == 2

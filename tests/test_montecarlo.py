@@ -135,7 +135,9 @@ def test_run_mc_warns_on_low_statistical_power():
 
 def test_mc_config_validation():
     params = ProtocolParams(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=100)
-    with pytest.raises(ValueError, match="trials"):
-        McConfig(trials=0, seed=1, params=params)
-    with pytest.raises(ValueError, match="seed"):
-        McConfig(trials=100, seed=1.5, params=params)
+    for trials in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="trials"):
+            McConfig(trials=trials, seed=1, params=params)
+    for seed in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(trials=100, seed=seed, params=params)

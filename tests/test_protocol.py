@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qillum import (
+    IllConditionedMatrixError,
     Observer,
     ProtocolParams,
     alice_pair,
@@ -40,6 +41,8 @@ def test_valid_params_accepted(headline_params):
         (dict(m=0), "m"),
         (dict(m=1.5), "m"),
         (dict(ns=float("nan")), "finite"),
+        (dict(m=float("inf")), "m"),
+        (dict(m=float("nan")), "m"),
     ],
 )
 def test_invalid_params_rejected_with_named_invariant(overrides, fragment):
@@ -187,6 +190,15 @@ def test_source_physicality_reports_pure_spectrum():
     report = validate_physicality(source_cm(0.25))
     assert report.ok
     assert np.allclose(report.nu, [1.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("ns", [1e6, 1e8])
+def test_source_physicality_refuses_ill_conditioned_source(ns):
+    # Condition number (2 ns + 1 + 2 sqrt(ns (ns + 1)))**2 ~ 16 ns**2 > 1e12,
+    # where a float eigen-solve misreads the pure source (nu = 0.99984 at
+    # ns = 1e6, nu ~ 2.09 at ns = 1e8): refused rather than reported.
+    with pytest.raises(IllConditionedMatrixError):
+        validate_physicality(source_cm(ns))
 
 
 def test_sub_vacuum_matrix_fails_without_raising():
