@@ -60,12 +60,16 @@ NU_PURE_TOL = 1e-12
 
 _SYMMETRY_ATOL = 1e-12
 _ENTRY_MAX = float(np.finfo(float).max) / 2.0  # so that m + m.T cannot overflow
-_GOLDEN_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# The golden-section search bracket and the width at which it stops (see
+# The s-search bracket, kept 1e-6 inside (0, 1) where Q_s is singular for
+# mixed states, and the absolute part of its stopping tolerance (see
 # ``minimize_overlap``).
 _S_LO = 1e-6
 _S_HI = 1.0 - 1e-6
 _S_TOL = 1e-6
+# Brent's golden-section fraction (3 - sqrt 5) / 2, for steps where a
+# parabolic step is refused, and the relative part of the tolerance.
+_BRENT_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 
 
 class IllConditionedMatrixError(ValueError):
@@ -423,27 +427,73 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     return _overlap_evaluator(state0, state1)(s)
 
 
+def _brent_minimize(f: Callable[[float], float], x: float, fx: float) -> tuple[float, float]:
+    """Minimise f on [_S_LO, _S_HI] by Brent's method from x, where f(x) = fx.
+
+    Parabolic interpolation through the three best points, with a
+    golden-section step whenever the parabola is refused (Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 5, as in
+    the FMIN routine of Forsythe, Malcolm and Moler).  Stops once x lies
+    within 2 (sqrt(eps) |x| + _S_TOL / 3) of both ends of the bracket and
+    returns the best point evaluated with its value.
+    """
+    a, b = _S_LO, _S_HI
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + _S_TOL / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            # Take the parabola's vertex only if it lies inside the bracket
+            # and moves less than half the step before last.
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = math.copysign(tol1, mid - x)
+                parabolic = True
+        if not parabolic:
+            e = (a if x >= mid else b) - x
+            d = _BRENT_GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _minimize(state0: GaussianState, state1: GaussianState) -> tuple[OverlapResult, float]:
     """``minimize_overlap`` that also returns Q_{1/2}, decomposing each state once."""
     f = _overlap_evaluator(state0, state1)
     q_half = f(0.5)
     if _is_parity_pair(state0, state1):
         return OverlapResult(q_s=q_half, s=0.5), q_half
-    a, b = _S_LO, _S_HI
-    c = b - _GOLDEN_INVPHI * (b - a)
-    d = a + _GOLDEN_INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > _S_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_INVPHI * (b - a)
-            fd = f(d)
-    s_star = (a + b) / 2.0
-    q_star = f(s_star)
+    s_star, q_star = _brent_minimize(f, 0.5, q_half)
     if q_half <= q_star:
         return OverlapResult(q_s=q_half, s=0.5), q_half
     return OverlapResult(q_s=q_star, s=s_star), q_half
@@ -455,15 +505,18 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     Parity pairs (V1 = P V0 P exactly, P negating both quadratures of the
     last mode, as in every protocol pair) return s = 1/2 without a search:
     Q_s = Q_{1-s} for them and log Q_s is convex in s, so the minimum sits
-    exactly at s = 1/2.  Other pairs use a golden-section search; Q_s is
-    smooth and unimodal on the search interval (the endpoints are singular
-    for mixed states, so they are kept at 1e-6 off the boundary).  If the
-    s = 1/2 value is at least as small as the golden-section result, s = 1/2
-    is returned: this keeps the Chernoff bound at or below the Bhattacharyya
-    bound.
+    exactly at s = 1/2.  Other pairs use Brent's bounded minimiser
+    (parabolic interpolation with a golden-section fallback) started at
+    s = 1/2 from the Q_{1/2} already computed; log Q_s is convex and smooth
+    on the search interval, so the parabolic steps converge superlinearly
+    (the endpoints are singular for mixed states, so they are kept at 1e-6
+    off the boundary).  The best point evaluated is returned, or s = 1/2
+    when Q_{1/2} is at least as small: this keeps the Chernoff bound at or
+    below the Bhattacharyya bound.
 
-    The search runs on [1e-6, 1 - 1e-6] until the bracket is narrower than
-    1e-6, which takes a fixed 29 golden-section steps.
+    The search runs on [1e-6, 1 - 1e-6] until s* is pinned to within about
+    1e-6, which takes about 10 evaluations of Q_s on mixed pairs and up to
+    about 32 when the minimum sits at an end of the interval (a pure state).
     """
     return _minimize(state0, state1)[0]
 

@@ -35,6 +35,8 @@ __all__ = [
 
 # Per-mode overlaps at least this close to 1 make any target unreachable.
 _OVERLAP_CEILING = 1.0 - 1e-15
+# Largest mode-pair number required_m returns.
+_M_LIMIT = 2**62
 
 DEFAULT_EVE_FLOOR = 0.25
 DEFAULT_ALICE_TARGET = 1e-6
@@ -49,7 +51,8 @@ class Receiver(Enum):
 class LinkBudget:
     """Physical link description with its derived protocol quantities.
 
-    kappa = 10**(-length_km * loss_db_per_km / 10), m = floor(W T) and
+    kappa = 10**(-length_km * loss_db_per_km / 10), m = floor(W T) (W T
+    within 4 ulps of an integer counts as that integer) and
     bit_rate = 1 / T.  kappa = 1 (zero length) is representable here; it is
     rejected only once protocol parameters are built from the budget.
     """
@@ -94,7 +97,9 @@ def budget_from_fiber(
 
     Requires finite inputs and a finite W T >= 1 (at least one full mode
     pair per bit); fractional mode pairs are truncated, which is
-    conservative for error probability.
+    conservative for error probability.  A W T within 4 ulps of an integer
+    counts as that integer, so that products of decimal inputs such as
+    1e11 * 3e-8 are not truncated by their rounding error.
     """
     product = w_hz * t_s
     for name, value in (
@@ -114,9 +119,10 @@ def budget_from_fiber(
         raise ValueError(
             f"W T = {product:.3g} < 1: the bit interval holds no full mode pair"
         )
-    # Tiny relative epsilon so exact products like 1e12 * 2e-8 survive
-    # floating-point representation of the inputs.
-    m = int(math.floor(product * (1.0 + 1e-12)))
+    # A product within a few ulps of an integer is that integer (1e11 * 3e-8
+    # is 2999.9999999999995 in floats); anything further off is truncated.
+    nearest = round(product)
+    m = nearest if abs(product - nearest) <= 4.0 * math.ulp(product) else math.floor(product)
     kappa = 10.0 ** (-length_km * loss_db_per_km / 10.0)
     return LinkBudget(
         length_km=length_km,
@@ -136,12 +142,13 @@ def required_m(
 
     ``params.m`` is ignored; the per-mode overlap is fixed by the other
     four knobs and the bound 0.5 * q**M is monotone in M, so the answer is
-    found by exponential growth followed by binary search.  The optimum
+    the closed-form estimate ceil(log(2 target) / log q), stepped up or
+    down to the smallest M that meets the target in floating point.  The optimum
     receiver's pair evaluation is shared per (ns, kappa, g, nb).
 
     Raises:
         ValueError: target outside (0, 0.5], or per-mode overlap within
-            1e-15 of 1 (target unreachable).
+            1e-15 of 1, or M above 2**62 (target unreachable).
     """
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
@@ -159,21 +166,16 @@ def required_m(
     def bound(m: int) -> float:
         return 0.5 * math.exp(m * log_q)
 
-    hi = 1
-    while bound(hi) > target_pe:
-        hi *= 2
-        if hi > 2**62:
+    # 0.5 q**M <= target at M >= log(2 target) / log q; the float quotient
+    # may be off by a few ulps, which the two steps below correct.
+    m = min(max(1, math.ceil(math.log(2.0 * target_pe) / log_q)), _M_LIMIT)
+    while bound(m) > target_pe:
+        if m == _M_LIMIT:
             raise ValueError("target unreachable: M would exceed 2**62")
-    if hi == 1:
-        return 1
-    lo = hi // 2  # bound(lo) > target_pe >= bound(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= target_pe:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        m += 1
+    while m > 1 and bound(m - 1) <= target_pe:
+        m -= 1
+    return m
 
 
 def security_margin(

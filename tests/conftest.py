@@ -37,6 +37,25 @@ def williamson_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def overlap_evaluations(monkeypatch) -> list:
+    """Record every s at which an evaluator from ``gaussian._overlap_evaluator`` computes Q_s."""
+    calls = []
+    original = gaussian._overlap_evaluator
+
+    def counting(state0, state1):
+        q = original(state0, state1)
+
+        def recording(s):
+            calls.append(s)
+            return q(s)
+
+        return recording
+
+    monkeypatch.setattr(gaussian, "_overlap_evaluator", counting)
+    return calls
+
+
 def random_unit_state(
     rng: np.random.Generator, n_modes: int = 2, nu_max: float = 4.0, pure_modes: int = 0
 ) -> GaussianState:

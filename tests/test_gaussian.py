@@ -387,6 +387,47 @@ def test_minimize_overlap_asymmetric_pair_hits_left_edge():
     assert result.q_s == pytest.approx(0.25, rel=1e-4)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.sampled_from([1, 2]),
+    pure_modes=st.integers(0, 2),
+)
+def test_search_finds_the_grid_minimum(seed, n_modes, pure_modes):
+    """Brent's search on non-parity pairs, with pure modes putting some minima at an edge."""
+    rng = np.random.default_rng(seed)
+    s0 = random_unit_state(rng, n_modes, pure_modes=min(pure_modes, n_modes))
+    s1 = random_unit_state(rng, n_modes)
+    result = minimize_overlap(s0, s1)
+    q_half = power_overlap(s0, s1, 0.5)
+    assert 0.0 < result.s < 1.0
+    assert result.q_s <= q_half
+    grid = np.linspace(0.005, 0.995, 199)
+    values = [power_overlap(s0, s1, s) for s in grid]
+    k = int(np.argmin(values))
+    assert result.q_s <= (1.0 + 1e-12) * values[k]
+    if 0 < k < len(grid) - 1:
+        assert abs(result.s - grid[k]) <= grid[1] - grid[0]
+
+
+def test_protocol_pairs_evaluate_the_overlap_once(overlap_evaluations):
+    params = ProtocolParams(**HEADLINE)
+    for pair in (alice_pair(params), eve_pair(params)):
+        overlap_evaluations.clear()
+        chernoff_bound(*unit_states(pair), params.m)
+        assert overlap_evaluations == [0.5]
+
+
+def test_mixed_pairs_search_in_few_evaluations(overlap_evaluations):
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        s0, s1 = random_unit_state(rng), random_unit_state(rng)
+        overlap_evaluations.clear()
+        bounds = chernoff_bound(s0, s1, 100)
+        assert bounds.s_star != 0.5  # the search ran
+        assert len(overlap_evaluations) <= 14
+
+
 @st.composite
 def protocol_params(draw):
     """Knobs from the box of ``random_valid_params``, with M up to 1e5."""

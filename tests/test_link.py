@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qillum import (
     ProtocolParams,
     Receiver,
     budget_from_fiber,
+    alice_optimum_bounds,
+    geometric_bhattacharyya_overlap,
     opa_bhattacharyya,
+    opa_model,
     required_m,
     security_margin,
 )
 
-from conftest import HEADLINE
+from conftest import HEADLINE, random_valid_params
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +78,20 @@ def test_budget_truncates_fractional_mode_pairs():
     assert budget_from_fiber(50.0, 0.2, 1e9, 2.9999e-9).m == 2
 
 
+@pytest.mark.parametrize(
+    "w_hz, t_s, m",
+    [
+        (1e11, 3e-8, 3000),  # W T = 2999.9999999999995 in floats
+        (1e12, 20e-9, 20000),
+        (1e18, 1.0, 10**18),
+        (1e13, 0.3, 3 * 10**12),
+        (2.5, 1.0, 2),
+    ],
+)
+def test_budget_counts_mode_pairs_without_overcounting(w_hz, t_s, m):
+    assert budget_from_fiber(50.0, 0.2, w_hz, t_s).m == m
+
+
 def test_kappa_round_trips_to_db():
     rng = np.random.default_rng(13)
     for _ in range(50):
@@ -120,6 +139,40 @@ def test_required_m_monotone_in_length():
         params = ProtocolParams(ns=0.004, kappa=budget.kappa, g=1e4, nb=1e4, m=1)
         sizes.append(required_m(params, 1e-6, Receiver.OPA))
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_ns=st.floats(-13.0, 0.0),
+    receiver=st.sampled_from(list(Receiver)),
+    target=st.sampled_from([1e-300, 1e-9, 1e-6, 0.3, 0.5]) | st.floats(1e-300, 0.5),
+)
+# Points where the estimate ceil(log(2 target) / log q) starts 2 and 3 above
+# the answer, and 2 below it.
+@example(seed=2, log_ns=-13.0, receiver=Receiver.OPA, target=1e-300)
+@example(seed=378, log_ns=-12.0, receiver=Receiver.OPTIMUM, target=1e-300)
+@example(seed=36, log_ns=-13.0, receiver=Receiver.OPA, target=1e-300)
+def test_required_m_is_the_smallest_m_meeting_the_target(seed, log_ns, receiver, target):
+    """Dim sources put q within 1e-12 of 1 and M past 1e15, where log(2 target) / log q is off."""
+    knobs = random_valid_params(np.random.default_rng(seed))
+    params = ProtocolParams(ns=10.0**log_ns, kappa=knobs.kappa, g=knobs.g, nb=knobs.nb, m=1)
+    if receiver is Receiver.OPA:
+        model = opa_model(params)
+        q = geometric_bhattacharyya_overlap(model.n0, model.n1)
+    else:
+        q = alice_optimum_bounds(params).q_star
+    if q >= 1.0 - 1e-15:
+        with pytest.raises(ValueError, match="unreachable"):
+            required_m(params, target, receiver)
+        return
+    m = required_m(params, target, receiver)
+
+    def bound(k):
+        return 0.5 * math.exp(k * math.log(q))
+
+    assert m >= 1 and bound(m) <= target
+    assert m == 1 or bound(m - 1) > target
 
 
 def test_required_m_unreachable_target():
