@@ -10,104 +10,19 @@ batch interface.
 
 __version__ = "0.1.0"
 
-from .gaussian import (
-    Convention,
-    CovMat,
-    ErrorBounds,
-    GaussianState,
-    IllConditionedMatrixError,
-    OverlapResult,
-    WilliamsonDecomposition,
-    chernoff_bound,
-    error_bounds_from_overlaps,
-    minimize_overlap,
-    power_cm,
-    power_nu,
-    power_overlap,
-    power_trace,
-    symplectic_eigenvalues,
-    symplectic_form,
-    to_unit_vacuum,
-    williamson,
-)
-from .link import (
-    LinkBudget,
-    Receiver,
-    SecurityMarginReport,
-    budget_from_fiber,
-    required_m,
-    security_margin,
-)
-from .montecarlo import McConfig, McResult, ml_threshold, run_mc
-from .protocol import (
-    DerivedCoefficients,
-    HypothesisPair,
-    Observer,
-    PhysicalityReport,
-    ProtocolParams,
-    alice_pair,
-    derived_coefficients,
-    eve_pair,
-    source_cm,
-    validate_physicality,
-)
-from .receivers import (
-    ApproxExponents,
-    OpaReceiverModel,
-    alice_optimum_bounds,
-    approx_exponents,
-    eve_optimum_bounds,
-    geometric_bhattacharyya_overlap,
-    opa_bhattacharyya,
-    opa_model,
-)
+from . import gaussian, link, montecarlo, protocol, receivers
+from .gaussian import *  # noqa: F403
+from .link import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .protocol import *  # noqa: F403
+from .receivers import *  # noqa: F403
 
+# Each module's __all__ states its public names; the package re-exports them.
 __all__ = [
     "__version__",
-    "Convention",
-    "CovMat",
-    "GaussianState",
-    "WilliamsonDecomposition",
-    "OverlapResult",
-    "ErrorBounds",
-    "IllConditionedMatrixError",
-    "symplectic_form",
-    "to_unit_vacuum",
-    "symplectic_eigenvalues",
-    "williamson",
-    "power_nu",
-    "power_trace",
-    "power_cm",
-    "power_overlap",
-    "minimize_overlap",
-    "error_bounds_from_overlaps",
-    "chernoff_bound",
-    "ProtocolParams",
-    "DerivedCoefficients",
-    "Observer",
-    "HypothesisPair",
-    "PhysicalityReport",
-    "derived_coefficients",
-    "source_cm",
-    "alice_pair",
-    "eve_pair",
-    "validate_physicality",
-    "OpaReceiverModel",
-    "ApproxExponents",
-    "alice_optimum_bounds",
-    "eve_optimum_bounds",
-    "opa_model",
-    "opa_bhattacharyya",
-    "geometric_bhattacharyya_overlap",
-    "approx_exponents",
-    "McConfig",
-    "McResult",
-    "ml_threshold",
-    "run_mc",
-    "LinkBudget",
-    "Receiver",
-    "SecurityMarginReport",
-    "budget_from_fiber",
-    "required_m",
-    "security_margin",
+    *gaussian.__all__,
+    *protocol.__all__,
+    *receivers.__all__,
+    *montecarlo.__all__,
+    *link.__all__,
 ]

@@ -16,6 +16,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,26 +61,6 @@ class SweepSpec:
             raise ValueError("scale must be 'log' or 'linear'")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Everything needed to reproduce one invocation, plus its outputs."""
-
-    command: str
-    version: str
-    timestamp: str
-    params: dict
-    outputs: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "params": self.params,
-            "outputs": self.outputs,
-        }
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -94,37 +75,25 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line is not 'key = value': {raw.strip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            values[key] = value.strip()
     return values
 
 
-_DEFAULTS = {"target": 1e-6, "receiver": "opa", "seed": 0}
-
-
-def _resolve(args: argparse.Namespace, config: dict[str, str], spec: list[tuple[str, type]]):
+def _resolve(args: argparse.Namespace, params: tuple[_Param, ...]) -> dict:
     """Merge flags over config-file values over built-in defaults."""
+    config = _read_config(args.config) if args.config else {}
     out = {}
-    for key, cast in spec:
-        value = getattr(args, key, None)
-        if value is None and key in config:
-            value = config[key]
+    for param in params:
+        value = getattr(args, param.name)
         if value is None:
-            value = _DEFAULTS.get(key)
+            value = config.get(param.name, param.default)
         if value is None:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"missing required parameter {flag} (flag or config file)")
-        out[key] = cast(value)
+            raise ValueError(f"missing required parameter {param.flag} (flag or config file)")
+        out[param.name] = param.cast(value)
     return out
-
-
-def _protocol_params(resolved: dict) -> ProtocolParams:
-    return ProtocolParams(
-        ns=resolved["ns"],
-        kappa=resolved["kappa"],
-        g=resolved["g"],
-        nb=resolved["nb"],
-        m=resolved["m"],
-    )
 
 
 def _echo(params: dict) -> str:
@@ -142,12 +111,20 @@ def _json_safe(value):
     return value
 
 
-def _emit(record: RunRecord, as_json: bool, lines: list[str]) -> None:
+def _emit(command: str, params: dict, outputs: dict, as_json: bool, lines: list[str]) -> None:
+    """Print the run record: everything needed to reproduce the run, plus its outputs."""
+    record = {
+        "command": command,
+        "version": __version__,
+        "timestamp": _now(),
+        "params": params,
+        "outputs": outputs,
+    }
     if as_json:
-        print(json.dumps(_json_safe(record.as_dict()), indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(_json_safe(record), indent=2, sort_keys=True, allow_nan=False))
     else:
-        print(f"qillum {record.command} v{record.version} ({record.timestamp})")
-        print(f"parameters: {_echo(record.params)}")
+        print(f"qillum {command} v{__version__} ({record['timestamp']})")
+        print(f"parameters: {_echo(params)}")
         for line in lines:
             print(line)
 
@@ -156,12 +133,8 @@ def _emit(record: RunRecord, as_json: bool, lines: list[str]) -> None:
 # bounds
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    config = _read_config(args.config) if args.config else {}
-    resolved = _resolve(
-        args, config, [("ns", float), ("kappa", float), ("g", float), ("nb", float), ("m", int)]
-    )
-    params = _protocol_params(resolved)
+def _cmd_bounds(p: dict, as_json: bool) -> int:
+    params = ProtocolParams(**p)
     alice = alice_optimum_bounds(params)
     opa = opa_bhattacharyya(params)
     eve = eve_optimum_bounds(params)
@@ -178,10 +151,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "approx_exponent_alice_opa": approx.alice_opa,
         "in_low_brightness_high_noise_regime": approx.in_regime,
     }
-    record = RunRecord("bounds", __version__, _now(), resolved, outputs)
     _emit(
-        record,
-        args.json,
+        "bounds",
+        p,
+        outputs,
+        as_json,
         [
             f"Alice optimum receiver:  Pr(e) <= {alice.chernoff_upper:.9e}  (s* = {alice.s_star:.6f})",
             f"Alice OPA receiver:      Pr(e) <= {opa.bhattacharyya_upper:.9e}",
@@ -227,36 +201,12 @@ def _output_path(path: str) -> str:
     return path
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _read_config(args.config) if args.config else {}
-    resolved = _resolve(
-        args,
-        config,
-        [
-            ("ns", float),
-            ("kappa", float),
-            ("g", float),
-            ("nb", float),
-            ("m_min", int),
-            ("m_max", int),
-            ("points", int),
-            ("scale", str),
-            ("out", str),
-        ],
-    )
-    params = ProtocolParams(
-        ns=resolved["ns"], kappa=resolved["kappa"], g=resolved["g"], nb=resolved["nb"], m=1
-    )
-    spec = SweepSpec(
-        m_min=resolved["m_min"],
-        m_max=resolved["m_max"],
-        points=resolved["points"],
-        scale=resolved["scale"],
-        params=params,
-    )
+def _cmd_sweep(p: dict, as_json: bool) -> int:
+    params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=1)
+    spec = SweepSpec(m_min=p["m_min"], m_max=p["m_max"], points=p["points"], scale=p["scale"], params=params)
     rows = sweep_rows(spec)
-    path = _output_path(resolved["out"])
-    echo_keys = {k: resolved[k] for k in ("ns", "kappa", "g", "nb", "m_min", "m_max", "points", "scale")}
+    path = _output_path(p["out"])
+    echo_keys = {k: v for k, v in p.items() if k != "out"}
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(f"# qillum sweep {_echo(echo_keys)} version={__version__}\n")
@@ -267,9 +217,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3
-    outputs = {"path": path, "rows": len(rows)}
-    record = RunRecord("sweep", __version__, _now(), resolved, outputs)
-    _emit(record, args.json, [f"wrote {len(rows)} rows to {path}"])
+    _emit("sweep", p, {"path": path, "rows": len(rows)}, as_json, [f"wrote {len(rows)} rows to {path}"])
     return 0
 
 
@@ -277,35 +225,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # plan
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    config = _read_config(args.config) if args.config else {}
-    resolved = _resolve(
-        args,
-        config,
-        [
-            ("km", float),
-            ("db_per_km", float),
-            ("w", float),
-            ("t", float),
-            ("ns", float),
-            ("g", float),
-            ("nb", float),
-            ("target", float),
-            ("receiver", str),
-        ],
-    )
-    budget = budget_from_fiber(resolved["km"], resolved["db_per_km"], resolved["w"], resolved["t"])
+def _cmd_plan(p: dict, as_json: bool) -> int:
+    budget = budget_from_fiber(p["km"], p["db_per_km"], p["w"], p["t"])
     if budget.kappa > _KAPPA_PLAN_CEILING:
         raise ValueError(
             f"planner note: link is effectively lossless (kappa = {budget.kappa!r}); "
             "the two-way eavesdropping analysis is degenerate at kappa ~ 1"
         )
-    params = ProtocolParams(
-        ns=resolved["ns"], kappa=budget.kappa, g=resolved["g"], nb=resolved["nb"], m=budget.m
-    )
-    receiver = Receiver(resolved["receiver"])
-    margin = security_margin(params, alice_target=resolved["target"])
-    needed = required_m(params, resolved["target"], receiver)
+    params = ProtocolParams(ns=p["ns"], kappa=budget.kappa, g=p["g"], nb=p["nb"], m=budget.m)
+    receiver = Receiver(p["receiver"])
+    margin = security_margin(params, alice_target=p["target"])
+    needed = required_m(params, p["target"], receiver)
     outputs = {
         "kappa": budget.kappa,
         "m": budget.m,
@@ -318,13 +248,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "insecure": margin.insecure,
         "alice_unusable": margin.alice_unusable,
         "required_m_for_target": needed,
-        "target": resolved["target"],
+        "target": p["target"],
         "receiver": receiver.value,
     }
-    record = RunRecord("plan", __version__, _now(), resolved, outputs)
     _emit(
-        record,
-        args.json,
+        "plan",
+        p,
+        outputs,
+        as_json,
         [
             f"link: kappa = {budget.kappa:.6g}, M = {budget.m}, bit rate = {budget.bit_rate:.6g} bit/s",
             f"Alice OPA receiver:      Pr(e) <= {margin.alice_opa.bhattacharyya_upper:.9e}",
@@ -333,7 +264,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             f"margin: Eve lower / Alice OPA upper = {margin.margin_ratio:.6g}",
             f"security: {'INSECURE (Eve lower bound below ' + str(margin.eve_floor) + ')' if margin.insecure else 'secure'}",
             f"usability: {'UNUSABLE (Alice bound above target)' if margin.alice_unusable else 'ok'}",
-            f"required M for Pr(e) <= {resolved['target']:g} with {receiver.value} receiver: {needed}",
+            f"required M for Pr(e) <= {p['target']:g} with {receiver.value} receiver: {needed}",
         ],
     )
     return 0
@@ -343,23 +274,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 # mc
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
-    config = _read_config(args.config) if args.config else {}
-    resolved = _resolve(
-        args,
-        config,
-        [
-            ("ns", float),
-            ("kappa", float),
-            ("g", float),
-            ("nb", float),
-            ("m", int),
-            ("trials", int),
-            ("seed", int),
-        ],
-    )
-    params = _protocol_params(resolved)
-    mc_config = McConfig(trials=resolved["trials"], seed=resolved["seed"], params=params)
+def _cmd_mc(p: dict, as_json: bool) -> int:
+    params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=p["m"])
+    mc_config = McConfig(trials=p["trials"], seed=p["seed"], params=params)
     bound = opa_bhattacharyya(params).bhattacharyya_upper
     model = opa_model(params)
     with warnings.catch_warnings(record=True) as caught:
@@ -381,7 +298,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "n1": model.n1,
         "warnings": [str(w.message) for w in caught],
     }
-    record = RunRecord("mc", __version__, _now(), resolved, outputs)
     lines = [
         f"OPA photon statistics: n0 = {model.n0:.9e}, n1 = {model.n1:.9e}, "
         f"threshold = {result.threshold:.6f}",
@@ -389,7 +305,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         f"(Wilson 95% CI [{result.wilson_ci95[0]:.6e}, {result.wilson_ci95[1]:.6e}])",
         f"analytic Bhattacharyya bound: {bound:.6e}",
     ] + warning_lines
-    _emit(record, args.json, lines)
+    _emit("mc", p, outputs, as_json, lines)
     return 0
 
 
@@ -397,18 +313,71 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_protocol_flags(parser: argparse.ArgumentParser, with_m: bool = True) -> None:
-    parser.add_argument("--ns", type=float, help="mean signal photons per mode")
-    parser.add_argument("--kappa", type=float, help="one-way channel transmissivity, in (0, 1)")
-    parser.add_argument("--g", type=float, help="amplifier gain, >= 1")
-    parser.add_argument("--nb", type=float, help="amplifier noise photon number, >= g - 1")
-    if with_m:
-        parser.add_argument("--m", type=int, help="signal-idler mode pairs per bit")
+class _Param(NamedTuple):
+    """One parameter: config key ``name``, flag ``--name`` with ``_`` -> ``-``."""
+
+    name: str
+    cast: type
+    help: str
+    default: object = None
+    choices: tuple | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat 'key = value' config file; flags override it")
-    parser.add_argument("--json", action="store_true", help="emit a JSON run record")
+_NS = _Param("ns", float, "mean signal photons per mode")
+_KAPPA = _Param("kappa", float, "one-way channel transmissivity, in (0, 1)")
+_G = _Param("g", float, "amplifier gain, >= 1")
+_NB = _Param("nb", float, "amplifier noise photon number, >= g - 1")
+_M = _Param("m", int, "signal-idler mode pairs per bit")
+
+# Each subcommand's runner, --help line and parameters in echo order: the one
+# place a parameter is stated.  build_parser makes the flags from it and main
+# resolves the values against it.
+_SUBCOMMANDS = {
+    "bounds": (_cmd_bounds, "error-probability bounds at one operating point", (_NS, _KAPPA, _G, _NB, _M)),
+    "sweep": (
+        _cmd_sweep,
+        "bound curves over a range of M, written as CSV",
+        (
+            _NS, _KAPPA, _G, _NB,
+            _Param("m_min", int, "smallest M in the sweep"),
+            _Param("m_max", int, "largest M in the sweep"),
+            _Param("points", int, "number of sweep points (>= 2)"),
+            _Param("scale", str, "grid spacing", choices=("log", "linear")),
+            _Param("out", str, f"output CSV path (relative paths honour ${OUT_DIR_ENV})"),
+        ),
+    ),
+    "plan": (
+        _cmd_plan,
+        "fiber link budget, security margin and required M",
+        (
+            _Param("km", float, "fiber length in km"),
+            _Param("db_per_km", float, "fiber loss in dB/km"),
+            _Param("w", float, "source phase-matching bandwidth in Hz"),
+            _Param("t", float, "bit duration in seconds"),
+            _NS, _G, _NB,
+            _Param("target", float, "target error probability (default 1e-6)", 1e-6),
+            _Param(
+                "receiver", str, "receiver for required-M sizing (default opa)", "opa", ("optimum", "opa")
+            ),
+        ),
+    ),
+    "mc": (
+        _cmd_mc,
+        "Monte Carlo of the OPA receiver against its bound",
+        (
+            _NS, _KAPPA, _G, _NB, _M,
+            _Param("trials", int, "number of Monte Carlo trials"),
+            _Param("seed", int, "RNG seed (default 0)", 0),
+        ),
+    ),
+}
+
+# A config file may hold any subcommand's keys, so that one file serves several.
+_CONFIG_KEYS = {param.name for _, _, params in _SUBCOMMANDS.values() for param in params}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,50 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    bounds = subparsers.add_parser("bounds", help="error-probability bounds at one operating point")
-    _add_protocol_flags(bounds)
-    _add_common_flags(bounds)
-    bounds.set_defaults(func=_cmd_bounds)
-
-    sweep = subparsers.add_parser("sweep", help="bound curves over a range of M, written as CSV")
-    _add_protocol_flags(sweep, with_m=False)
-    sweep.add_argument("--m-min", type=int, help="smallest M in the sweep")
-    sweep.add_argument("--m-max", type=int, help="largest M in the sweep")
-    sweep.add_argument("--points", type=int, help="number of sweep points (>= 2)")
-    sweep.add_argument("--scale", choices=("log", "linear"), help="grid spacing")
-    sweep.add_argument("--out", help=f"output CSV path (relative paths honour ${OUT_DIR_ENV})")
-    _add_common_flags(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    plan = subparsers.add_parser("plan", help="fiber link budget, security margin and required M")
-    plan.add_argument("--km", type=float, help="fiber length in km")
-    plan.add_argument("--db-per-km", type=float, help="fiber loss in dB/km")
-    plan.add_argument("--w", type=float, help="source phase-matching bandwidth in Hz")
-    plan.add_argument("--t", type=float, help="bit duration in seconds")
-    _add_protocol_flags(plan, with_m=False)
-    plan.add_argument("--target", type=float, default=None, help="target error probability (default 1e-6)")
-    plan.add_argument(
-        "--receiver", choices=("optimum", "opa"), default=None, help="receiver for required-M sizing (default opa)"
-    )
-    _add_common_flags(plan)
-    plan.set_defaults(func=_cmd_plan)
-
-    mc = subparsers.add_parser("mc", help="Monte Carlo of the OPA receiver against its bound")
-    _add_protocol_flags(mc)
-    mc.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-    mc.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    _add_common_flags(mc)
-    mc.set_defaults(func=_cmd_mc)
-
+    for command, (_, summary, params) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary)
+        for param in params:
+            sub.add_argument(param.flag, type=param.cast, choices=param.choices, help=param.help)
+        sub.add_argument("--config", help="flat 'key = value' config file; flags override it")
+        sub.add_argument("--json", action="store_true", help="emit a JSON run record")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run, _, params = _SUBCOMMANDS[args.command]
+        return run(_resolve(args, params), args.json)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

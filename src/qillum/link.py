@@ -15,14 +15,7 @@ from enum import Enum
 
 from .gaussian import ErrorBounds
 from .protocol import ProtocolParams
-from .receivers import (
-    alice_optimum_bounds,
-    approx_exponents,
-    eve_optimum_bounds,
-    geometric_bhattacharyya_overlap,
-    opa_bhattacharyya,
-    opa_model,
-)
+from .receivers import alice_optimum_bounds, approx_exponents, eve_optimum_bounds, opa_bhattacharyya
 
 __all__ = [
     "LinkBudget",
@@ -35,8 +28,6 @@ __all__ = [
 
 # Per-mode overlaps at least this close to 1 make any target unreachable.
 _OVERLAP_CEILING = 1.0 - 1e-15
-# Largest mode-pair number required_m returns.
-_M_LIMIT = 2**62
 
 DEFAULT_EVE_FLOOR = 0.25
 DEFAULT_ALICE_TARGET = 1e-6
@@ -148,15 +139,13 @@ def required_m(
 
     Raises:
         ValueError: target outside (0, 0.5], or per-mode overlap within
-            1e-15 of 1, or M above 2**62 (target unreachable).
+            1e-15 of 1 (target unreachable).  Below that ceiling the
+            answer is at most about 6.8e17, even for a target of 5e-324.
     """
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
-    if receiver is Receiver.OPA:
-        model = opa_model(params)
-        q = geometric_bhattacharyya_overlap(model.n0, model.n1)
-    else:
-        q = alice_optimum_bounds(params).q_star
+    per_mode = opa_bhattacharyya if receiver is Receiver.OPA else alice_optimum_bounds
+    q = per_mode(params).q_star
     if q >= _OVERLAP_CEILING:
         raise ValueError(
             f"per-mode overlap {q!r} is too close to 1: target unreachable"
@@ -168,10 +157,8 @@ def required_m(
 
     # 0.5 q**M <= target at M >= log(2 target) / log q; the float quotient
     # may be off by a few ulps, which the two steps below correct.
-    m = min(max(1, math.ceil(math.log(2.0 * target_pe) / log_q)), _M_LIMIT)
+    m = max(1, math.ceil(math.log(2.0 * target_pe) / log_q))
     while bound(m) > target_pe:
-        if m == _M_LIMIT:
-            raise ValueError("target unreachable: M would exceed 2**62")
         m += 1
     while m > 1 and bound(m - 1) <= target_pe:
         m -= 1

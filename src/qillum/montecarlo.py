@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolParams
-from .receivers import OpaReceiverModel, geometric_bhattacharyya_overlap, opa_model
+from .receivers import OpaReceiverModel, opa_bhattacharyya, opa_model
 
 __all__ = ["McConfig", "McResult", "ml_threshold", "run_mc"]
 
@@ -90,28 +90,20 @@ def _wilson_ci95(errors: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def run_mc(config: McConfig, model: OpaReceiverModel | None = None) -> McResult:
+def run_mc(config: McConfig) -> McResult:
     """Simulate the OPA receiver and measure its empirical bit-error rate.
 
     Per trial: draw the bit, draw the total count from the negative
     binomial with mean m * n_bit, threshold, record the outcome.  Ties at
-    exactly the threshold are declared bit 0.  A model with n0 = n1 (no
-    threshold) falls back to the midpoint m * n0, under which the error
-    rate is exactly 1/2 in distribution.
+    exactly the threshold are declared bit 0.
 
     Output is fully determined by ``config.seed``.
     """
     params = config.params
-    if model is None:
-        model = opa_model(params)
+    model = opa_model(params)
     m = params.m
-    if model.n0 == model.n1:
-        threshold = m * model.n0
-    else:
-        threshold = ml_threshold(model, m)
-
-    q = geometric_bhattacharyya_overlap(model.n0, model.n1)
-    bound = 0.5 * math.exp(m * math.log(q))
+    threshold = ml_threshold(model, m)
+    bound = opa_bhattacharyya(params).bhattacharyya_upper
     if config.trials < RECOMMENDED_MIN_TRIALS or config.trials * min(bound, 1.0) < 10.0:
         warnings.warn(
             f"low statistical power: {config.trials} trials against an error bound "

@@ -139,11 +139,28 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
     """Bhattacharyya coefficient of two geometric photon-count distributions.
 
     sum_n sqrt(P0(n) P1(n)) for thermal counts with means n0, n1 sums to
-    1 / [sqrt((n0 + 1)(n1 + 1)) - sqrt(n0 n1)]; equals 1 at n0 = n1.
+    q = 1 / [sqrt((n0 + 1)(n1 + 1)) - sqrt(n0 n1)]; equals 1 at n0 = n1.
+    With a, b = sqrt(n0), sqrt(n1) and A, B = sqrt(n0 + 1), sqrt(n1 + 1),
+    1/q - 1 = [(a - b)^2 - (A - B)^2] / 2 is formed without cancellation as
+
+        (n0 - n1)^2 (1/(A + a) + 1/(B + b)) (A + B + a + b) / (2 (a + b)^2 (A + B)^2),
+
+    so q stays within 2 ulps of exact and never exceeds 1, even for the
+    nearly equal means of a dim source.
     """
     if n0 < 0.0 or n1 < 0.0:
         raise ValueError("mean photon numbers must be nonnegative")
-    return 1.0 / (math.sqrt((n0 + 1.0) * (n1 + 1.0)) - math.sqrt(n0 * n1))
+    if n0 == n1:
+        return 1.0
+    a, b = math.sqrt(n0), math.sqrt(n1)
+    big_a, big_b = math.sqrt(n0 + 1.0), math.sqrt(n1 + 1.0)
+    excess = (
+        0.5 * (n0 - n1) ** 2
+        * (1.0 / (big_a + a) + 1.0 / (big_b + b))
+        * (big_a + big_b + a + b)
+        / ((a + b) ** 2 * (big_a + big_b) ** 2)
+    )
+    return 1.0 / (1.0 + excess)
 
 
 def opa_bhattacharyya(params: ProtocolParams) -> ErrorBounds:

@@ -1,8 +1,12 @@
-"""The benchmark's general_pairs correctness gate, run on a fixed sample in the test suite.
+"""The benchmark's correctness gates, run on fixed samples in the test suite.
 
 ``bench/workloads.GeneralPairs`` draws asymmetric random 2-mode pairs, whose
 s* is off 1/2, so every op runs the s-search; its ``check`` enforces
 0 < lower <= Chernoff <= Bhattacharyya <= 1/2 and 0 < q* <= q_1/2.
+``PlanScan`` runs the planner (``security_margin`` and both ``required_m``
+receivers) and tells a correct refusal from a wrong one.  ``CliCold`` runs
+the README commands through ``cli.main`` and checks the headline numbers,
+the sweep's golden SHA-256 and the plan's required M.
 """
 
 import sys
@@ -20,3 +24,18 @@ def test_general_pairs_gate_holds_on_200_seeded_pairs():
     for _ in range(200):
         pair = workload.draw(rng)
         workload.check(pair, workload.op(pair))
+
+
+def test_plan_scan_gate_holds_on_300_seeded_draws():
+    workload = workloads.PlanScan()
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        params = workload.draw(rng)
+        workload.check(params, workload.op(params))
+
+
+def test_cli_gate_holds_for_each_subcommand(tmp_path):
+    workload = workloads.CliCold(str(tmp_path), in_process=True)
+    for sub in workload.SUBCOMMANDS:
+        item = (sub, workload.argv(sub, mc_seed=7))
+        workload.check(item, workload.op(item))

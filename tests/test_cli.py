@@ -102,6 +102,25 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     assert "key = value" in err
 
 
+
+def test_config_rejects_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("recevier = optimum\n")
+    code, _, err = run_cli(capsys, "plan", *PLAN_FLAGS, "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'recevier'" in err
+
+
+def test_config_may_hold_other_subcommands_keys(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("ns = 0.004\nkappa = 0.1\ng = 1e4\nnb = 1e4\nm = 100\ntrials = 5000\n")
+    code, record, _ = run_json(capsys, "bounds", "--config", str(cfg))
+    assert code == 0
+    assert "trials" not in record["params"]
+    code, record, _ = run_json(capsys, "plan", *PLAN_FLAGS, "--config", str(cfg))
+    assert code == 0
+    assert record["outputs"]["kappa"] == 0.1  # from the link budget, not the file
+
 # ----------------------------------------------------------------------
 # sweep
 
@@ -291,6 +310,14 @@ def test_plan_rejects_sub_unit_mode_count(capsys):
     assert code == 2
     assert "W T" in err
 
+
+
+def test_plan_has_no_kappa_flag(capsys):
+    # kappa comes from the fiber length and loss.
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", *PLAN_FLAGS, "--kappa", "0.5"])
+    assert exc.value.code == 2
+    assert "--kappa" in capsys.readouterr().err
 
 # ----------------------------------------------------------------------
 # mc

@@ -210,6 +210,17 @@ def test_headline_operating_point_is_secure(headline_params):
     assert report.margin_difference > 0.28
 
 
+
+def test_security_margin_at_a_dim_source():
+    # Here the OPA overlap once rounded above 1 and the report raised
+    # "overlaps must lie in (0, 1]" on valid knobs.
+    params = ProtocolParams(
+        ns=10**-11.5, kappa=0.9414544223994166, g=7.327531200248029, nb=948649.7720594693, m=1000
+    )
+    report = security_margin(params)
+    assert report.alice_opa.q_half <= 1.0
+    assert report.alice_upper <= 0.5
+
 def test_bright_source_leaves_regime():
     params = ProtocolParams(ns=0.5, kappa=0.1, g=1e4, nb=1e4, m=20000)
     report = security_margin(params)

@@ -119,15 +119,6 @@ def test_run_mc_error_grows_as_m_shrinks():
     assert errors[0] < errors[1] < errors[2]
 
 
-def test_run_mc_degenerate_model_gives_coin_flip():
-    config = make_config(m=100, trials=200_000)
-    model = OpaReceiverModel(g_opa=1.1, n0=0.2, n1=0.2)
-    result = run_mc(config, model=model)
-    lo, hi = result.wilson_ci95
-    assert lo <= 0.5 <= hi
-    assert result.threshold == pytest.approx(100 * 0.2)
-
-
 def test_run_mc_warns_on_low_statistical_power():
     with pytest.warns(UserWarning, match="low statistical power"):
         run_mc(make_config(m=2000, trials=100))

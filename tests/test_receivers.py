@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -139,6 +140,39 @@ def test_geometric_overlap_equal_means_is_one():
     assert geometric_bhattacharyya_overlap(0.3, 0.3) == pytest.approx(1.0, rel=1e-15)
     assert error_bounds_from_overlaps(1.0, 1.0, 100, 0.5).bhattacharyya_upper == 0.5
 
+
+
+def _geometric_overlap_ulps(n0, n1):
+    """Distance in ulps between the float overlap and a 60-digit evaluation at the same n0, n1."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(n0), mpmath.mpf(n1)
+        exact = 1 / (mpmath.sqrt((a + 1) * (b + 1)) - mpmath.sqrt(a * b))
+        q = geometric_bhattacharyya_overlap(n0, n1)
+        return q, float(abs(mpmath.mpf(q) - exact)) / math.ulp(float(exact))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_ns=st.floats(-13.0, 0.0))
+def test_geometric_overlap_matches_mpmath_oracle(seed, log_ns):
+    """Within 2 ulps of the oracle and never above 1, down to sources of 1e-13 photons."""
+    knobs = random_valid_params(np.random.default_rng(seed))
+    ns = 10.0**log_ns
+    # Below about 1.1e-16 the gain 1 + ns / sqrt(kappa nb) rounds to 1 and opa_model refuses.
+    assume(ns / math.sqrt(knobs.kappa * knobs.nb) > 1.2e-16)
+    model = opa_model(ProtocolParams(ns=ns, kappa=knobs.kappa, g=knobs.g, nb=knobs.nb, m=1))
+    q, ulps = _geometric_overlap_ulps(model.n0, model.n1)
+    assert q <= 1.0
+    assert ulps <= 2.0
+
+
+def test_geometric_overlap_stays_below_one_for_a_dim_source():
+    # The textbook form 1 / (sqrt((n0+1)(n1+1)) - sqrt(n0 n1)) gives 1 + 2.2e-16 here.
+    params = ProtocolParams(
+        ns=10**-11.5, kappa=0.9414544223994166, g=7.327531200248029, nb=948649.7720594693, m=1
+    )
+    model = opa_model(params)
+    q, ulps = _geometric_overlap_ulps(model.n0, model.n1)
+    assert q <= 1.0 and ulps <= 2.0
 
 def test_opa_bound_at_headline_point(headline_params):
     bounds = opa_bhattacharyya(headline_params)
