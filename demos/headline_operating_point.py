@@ -44,7 +44,7 @@ print()
 model = opa_model(params)
 opa = opa_bhattacharyya(params)
 print("Alice's OPA receiver (buildable)")
-print(f"  gain g_opa = {model.g_opa:.9f}")
+print(f"  gain g_opa = {1.0 + model.gain_excess:.9f}")
 print(f"  output photons per mode: n0 = {model.n0:.5f}, n1 = {model.n1:.5f}")
 print(f"  Pr(e) <= {opa.bhattacharyya_upper:.3e}")
 print()

@@ -66,19 +66,23 @@ def _now() -> str:
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not 'key = value': {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = value.strip()
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line is not 'key = value': {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -177,7 +181,7 @@ def _sweep_m_values(spec: SweepSpec) -> list[int]:
         grid = np.logspace(math.log10(spec.m_min), math.log10(spec.m_max), spec.points)
     else:
         grid = np.linspace(spec.m_min, spec.m_max, spec.points)
-    return sorted(max(1, int(round(v))) for v in grid)
+    return sorted({max(1, int(round(v))) for v in grid})
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple[int, float, float, float, float]]:
@@ -402,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run, _, params = _SUBCOMMANDS[args.command]
         return run(_resolve(args, params), args.json)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

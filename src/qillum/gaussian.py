@@ -1,9 +1,9 @@
 """Gaussian-state covariance algebra and binary-discrimination error bounds.
 
-Everything here works on zero-mean Gaussian states described by their real
-quadrature covariance matrices in the ordering (x_1, p_1, ..., x_n, p_n).
-Two variance conventions coexist in the literature, so every matrix carries
-an explicit tag:
+Everything here works on zero-mean two-mode Gaussian states described by
+their real 4 x 4 quadrature covariance matrices in the ordering
+(x_1, p_1, x_2, p_2).  Two variance conventions coexist in the literature,
+so every matrix carries an explicit tag:
 
 * ``QUARTER_VACUUM`` : vacuum quadrature variance 1/4 (the convention the
   protocol matrices are written in, so they can be transcribed by eye).
@@ -19,7 +19,6 @@ and the matching lower bound for an M-copy binary hypothesis test.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ __all__ = [
     "OverlapResult",
     "ErrorBounds",
     "IllConditionedMatrixError",
-    "symplectic_form",
+    "OMEGA",
     "to_unit_vacuum",
     "symplectic_eigenvalues",
     "williamson",
@@ -83,36 +82,30 @@ class Convention(Enum):
     UNIT_VACUUM = "unit_vacuum"
 
 
-@functools.lru_cache(maxsize=8)
-def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """The 2n x 2n symplectic form for (x_1, p_1, ..., x_n, p_n), shared and read-only."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    omega.setflags(write=False)
-    return omega
+# The symplectic form for (x_1, p_1, x_2, p_2), shared and read-only.
+OMEGA = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+OMEGA.setflags(write=False)
+# The sign pattern of P V P, P negating both quadratures of mode 2.
+_PARITY_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
 
 
 def _no_sort(wr: float, wi: float) -> None:
     """dgees eigenvalue-selection callback; never called, as blocks are not sorted."""
 
 
-@functools.lru_cache(maxsize=8)
-def _dgees_lwork(n: int) -> int:
-    """The optimal dgees workspace for an n x n matrix, as scipy.linalg.schur queries it."""
-    work = dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2]
-    return int(work[0])
+# The optimal dgees workspace for a 4 x 4 matrix, as scipy.linalg.schur queries it.
+_DGEES_LWORK = int(dgees(_no_sort, np.zeros((4, 4)), lwork=-1)[-2][0])
 
 
 @dataclass(frozen=True)
 class CovMat:
-    """A real, symmetric, positive-definite quadrature covariance matrix.
+    """A real, symmetric, positive-definite two-mode quadrature covariance matrix.
 
-    Construction validates shape (square, even dimension), finite entries,
-    symmetry to within 1e-12 absolute and positive definiteness, then freezes
-    the underlying array.  Physicality (symplectic eigenvalues >= 1) is *not*
-    enforced here; diagnostics on unphysical matrices must stay possible.
+    Construction validates shape (4 x 4), finite entries, symmetry to within
+    1e-12 absolute and positive definiteness, then freezes the underlying
+    array.  Physicality (symplectic eigenvalues >= 1) is *not* enforced here;
+    diagnostics on unphysical matrices must stay possible.
     """
 
     mat: NDArray[np.float64]
@@ -120,10 +113,8 @@ class CovMat:
 
     def __post_init__(self) -> None:
         m = np.array(self.mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance matrix must be square")
-        if m.shape[0] % 2 != 0 or m.shape[0] < 2:
-            raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
+        if m.shape != (4, 4):
+            raise ValueError(f"covariance matrix must be 4 x 4 (two modes), not shape {m.shape}")
         if not isinstance(self.convention, Convention):
             raise ValueError("convention must be a Convention member")
         if not np.abs(m).max() <= _ENTRY_MAX:  # false for NaN and inf too
@@ -138,25 +129,17 @@ class CovMat:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
-    @property
-    def n_modes(self) -> int:
-        return self.mat.shape[0] // 2
-
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A zero-mean Gaussian state, fixed by its covariance matrix alone."""
+    """A zero-mean two-mode Gaussian state, fixed by its covariance matrix alone."""
 
     cm: CovMat
-
-    @property
-    def n_modes(self) -> int:
-        return self.cm.n_modes
 
 
 @dataclass(frozen=True)
 class WilliamsonDecomposition:
-    """Williamson normal form V = S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T."""
+    """Williamson normal form V = S diag(nu_1, nu_1, nu_2, nu_2) S^T."""
 
     nu: NDArray[np.float64]
     symplectic: NDArray[np.float64]
@@ -218,7 +201,7 @@ def _require_unit(cm: CovMat, what: str) -> None:
 def symplectic_eigenvalues(cm: CovMat) -> NDArray[np.float64]:
     """Symplectic spectrum of a unit-vacuum covariance matrix: ``williamson(cm).nu``.
 
-    The n values are sorted descending; values within 1e-9 below 1 are
+    The two values are sorted descending; values within 1e-9 below 1 are
     clamped up to 1.
 
     Raises:
@@ -230,11 +213,11 @@ def symplectic_eigenvalues(cm: CovMat) -> NDArray[np.float64]:
 def williamson(cm: CovMat) -> WilliamsonDecomposition:
     """Williamson decomposition of a unit-vacuum covariance matrix.
 
-    Computes V = S D S^T with S symplectic and D = diag(nu_1, nu_1, ...,
-    nu_n, nu_n), nu sorted descending.  Uses the real Schur form of
+    Computes V = S D S^T with S symplectic and D = diag(nu_1, nu_1, nu_2,
+    nu_2), nu sorted descending.  Uses the real Schur form of
     V^{-1/2} Omega V^{-1/2}, whose antisymmetric 2x2 blocks carry 1/nu_k,
     from one LAPACK ``dgees`` call with the workspace size that
-    ``scipy.linalg.schur`` would query (memoised per matrix size).
+    ``scipy.linalg.schur`` would query (queried once at import).
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
@@ -242,7 +225,6 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     """
     _require_unit(cm, "williamson")
     v = cm.mat
-    n = cm.n_modes
     lam, u = np.linalg.eigh(v)
     # V is symmetric positive definite, so its 2-norm condition number is
     # lam[-1] / lam[0] (eigh sorts ascending).  A subnormal lam[0] counts as
@@ -254,15 +236,15 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
         )
     root = (u * np.sqrt(lam)) @ u.T
     inv_root = (u / np.sqrt(lam)) @ u.T
-    core = inv_root @ symplectic_form(n) @ inv_root
+    core = inv_root @ OMEGA @ inv_root
     core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
-    t, _, _, _, q, _, info = dgees(_no_sort, core, lwork=_dgees_lwork(2 * n))
+    t, _, _, _, q, _, info = dgees(_no_sort, core, lwork=_DGEES_LWORK)
     if info != 0:
         raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
     # Block k carries 1/nu_k in its positive off-diagonal entry; a block
     # whose upper-right entry came out negative has its two columns of q
     # swapped, which flips the block's orientation.
-    flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(n)]
+    flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(2)]
     nu = np.array([
         1.0 / (t[2 * k + 1, 2 * k] if flip else t[2 * k, 2 * k + 1])
         for k, flip in enumerate(flipped)
@@ -367,23 +349,20 @@ def _overlap_evaluator(
 ) -> Callable[[float], float]:
     """Decompose each state once and return the evaluator s -> Q_s.
 
-    Runs every state check of ``power_overlap`` (mode count, unit-vacuum
-    convention, conditioning, physicality) up front and takes ln(nu - 1) of
-    each mode once; the evaluator then does only the per-s arithmetic of
+    Runs every state check of ``power_overlap`` (unit-vacuum convention,
+    conditioning, physicality) up front and takes ln(nu - 1) of each mode
+    once; the evaluator then does only the per-s arithmetic of
     ``power_overlap``, in the same order.  It does not check s: callers
     keep s and 1 - s inside (0, 1) (see ``_check_power``).
     """
-    if state0.n_modes != state1.n_modes:
-        raise ValueError("states must have the same number of modes")
     dec0 = _physical_williamson(state0, "state0")
     dec1 = _physical_williamson(state1, "state1")
     modes0 = [(nu, _log_excess(nu)) for nu in dec0.nu.tolist()]
     modes1 = [(nu, _log_excess(nu)) for nu in dec1.nu.tolist()]
     sp0, sp1 = dec0.symplectic, dec1.symplectic
-    n = state0.n_modes
 
     def q(s: float) -> float:
-        prefactor = 2.0**n
+        prefactor = 4.0
         diag0: list[float] = []
         diag1: list[float] = []
         for modes, power, diag in ((modes0, s, diag0), (modes1, 1.0 - s, diag1)):
@@ -398,26 +377,23 @@ def _overlap_evaluator(
 
 
 def _is_parity_pair(state0: GaussianState, state1: GaussianState) -> bool:
-    """True when V1 = P V0 P exactly, P negating both quadratures of the last mode.
+    """True when V1 = P V0 P exactly, P negating both quadratures of mode 2.
 
     P is the symplectic matrix of a pi phase shift on that mode.
     """
-    v0 = state0.cm.mat
-    sign = np.ones(v0.shape[0])
-    sign[-2:] = -1.0
-    return bool(np.array_equal(state1.cm.mat, v0 * np.outer(sign, sign)))
+    return bool(np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS))
 
 
 def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
     """The s-overlap Q_s = tr(rho0**s rho1**(1-s)) of two zero-mean Gaussian states.
 
-    For n-mode states with Williamson spectra alpha_k, beta_k,
+    For two-mode states with Williamson spectra alpha_k, beta_k (k = 1, 2),
 
-        Q_s = 2**n prod_k power_trace(alpha_k, s) power_trace(beta_k, 1-s)
-                    / sqrt(det[V0(s) + V1(1-s)]),
+        Q_s = 4 prod_k power_trace(alpha_k, s) power_trace(beta_k, 1-s)
+                / sqrt(det[V0(s) + V1(1-s)]),
 
     with V(s) from the symplectic functional calculus (power_cm).  Both
-    states must share the mode count and be unit-vacuum and physical.
+    states must be unit-vacuum and physical.
     Satisfies Q_s(rho, rho) = 1 and Q_s(rho0, rho1) = Q_{1-s}(rho1, rho0).
     If rho1 = P rho0 P for a unitary P with P**2 = 1 (a parity pair, such
     as a pi phase shift on one mode), cyclicity of the trace also gives
@@ -502,8 +478,8 @@ def _minimize(state0: GaussianState, state1: GaussianState) -> tuple[OverlapResu
 def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapResult:
     """Minimise Q_s over s in (0, 1), decomposing each state once.
 
-    Parity pairs (V1 = P V0 P exactly, P negating both quadratures of the
-    last mode, as in every protocol pair) return s = 1/2 without a search:
+    Parity pairs (V1 = P V0 P exactly, P negating both quadratures of
+    mode 2, as in every protocol pair) return s = 1/2 without a search:
     Q_s = Q_{1-s} for them and log Q_s is convex in s, so the minimum sits
     exactly at s = 1/2.  Other pairs use Brent's bounded minimiser
     (parabolic interpolation with a golden-section fallback) started at

@@ -51,18 +51,19 @@ REGIME_KAPPA_NB_MIN = 100.0
 class OpaReceiverModel:
     """Photon statistics of the OPA receiver.
 
-    The amplifier gain is g_opa = 1 + ns / sqrt(kappa nb); each output mode
-    is thermal with mean photon number n0 (bit 0, positive correlation) or
-    n1 (bit 1), n0 > n1.
+    The amplifier gain is g_opa = 1 + x with excess x = ns / sqrt(kappa nb),
+    held as ``gain_excess`` = x so that it stays exact where 1 + x rounds
+    to 1; each output mode is thermal with mean photon number n0 (bit 0,
+    positive correlation) or n1 (bit 1), n0 > n1.
     """
 
-    g_opa: float
+    gain_excess: float
     n0: float
     n1: float
 
     def __post_init__(self) -> None:
-        if self.g_opa <= 1.0:
-            raise ValueError("g_opa must exceed 1")
+        if not self.gain_excess > 0.0:
+            raise ValueError("gain_excess = g_opa - 1 must be positive")
         if not self.n0 >= self.n1 > 0.0:
             raise ValueError("mean photon numbers must satisfy n0 >= n1 > 0")
 
@@ -125,14 +126,16 @@ def opa_model(params: ProtocolParams) -> OpaReceiverModel:
 
     where a and c_a are the return/idler coefficients and the bit enters
     through the phase-sensitive cross moment <a_R a_I> = (-1)^k c_a / 2.
+    Every term is formed from the excess x = g_opa - 1 = ns / sqrt(kappa nb)
+    directly, never from 1 + x, so a dim source keeps its signal.
     """
     if params.nb <= 0.0:
         raise ValueError("the OPA gain 1 + ns / sqrt(kappa nb) requires nb > 0")
     c = derived_coefficients(params)
-    g_opa = 1.0 + params.ns / math.sqrt(params.kappa * params.nb)
-    common = g_opa * params.ns + (g_opa - 1.0) * (c.a + 1.0) / 2.0
-    shift = math.sqrt(g_opa * (g_opa - 1.0)) * c.c_a
-    return OpaReceiverModel(g_opa=g_opa, n0=common + shift, n1=common - shift)
+    x = params.ns / math.sqrt(params.kappa * params.nb)
+    common = (1.0 + x) * params.ns + x * (c.a + 1.0) / 2.0
+    shift = math.sqrt((1.0 + x) * x) * c.c_a
+    return OpaReceiverModel(gain_excess=x, n0=common + shift, n1=common - shift)
 
 
 def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:

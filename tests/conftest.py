@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import qillum.gaussian as gaussian
 import qillum.receivers as receivers
-from qillum import Convention, CovMat, GaussianState, ProtocolParams, symplectic_form
+from qillum import OMEGA, Convention, CovMat, GaussianState, ProtocolParams
 
 # Operating point used throughout: ns = 0.004, kappa = 0.1, g = nb = 1e4,
 # M = 2e4 (the 50 km / 0.2 dB/km / 1 THz / 20 ns link).
@@ -57,17 +57,16 @@ def overlap_evaluations(monkeypatch) -> list:
 
 
 def random_unit_state(
-    rng: np.random.Generator, n_modes: int = 2, nu_max: float = 4.0, pure_modes: int = 0
+    rng: np.random.Generator, nu_max: float = 4.0, pure_modes: int = 0
 ) -> GaussianState:
-    """Random physical state: thermal spectrum conjugated by a random symplectic.
+    """Random physical two-mode state: thermal spectrum conjugated by a random symplectic.
 
     The first ``pure_modes`` symplectic eigenvalues are set to exactly 1.
     """
-    dim = 2 * n_modes
-    h = rng.normal(size=(dim, dim))
+    h = rng.normal(size=(4, 4))
     h = 0.3 * (h + h.T) / 2.0
-    sp = expm(symplectic_form(n_modes) @ h)
-    nu = 1.0 + rng.uniform(0.0, nu_max - 1.0, n_modes)
+    sp = expm(OMEGA @ h)
+    nu = 1.0 + rng.uniform(0.0, nu_max - 1.0, 2)
     nu[:pure_modes] = 1.0
     v = sp @ np.diag(np.repeat(nu, 2)) @ sp.T
     return GaussianState(CovMat((v + v.T) / 2.0, Convention.UNIT_VACUUM))
@@ -86,9 +85,11 @@ def random_valid_params(rng: np.random.Generator, m: int = 1) -> ProtocolParams:
             continue
 
 
-def thermal_state(mean_photons: float, n_modes: int = 1) -> GaussianState:
-    """Unit-vacuum thermal state: covariance (2 N + 1) I."""
-    dim = 2 * n_modes
-    return GaussianState(
-        CovMat((2.0 * mean_photons + 1.0) * np.eye(dim), Convention.UNIT_VACUUM)
-    )
+def thermal_state(mean_photons: float) -> GaussianState:
+    """A unit-vacuum thermal mode beside a vacuum mode: diag(2 N + 1, 2 N + 1, 1, 1).
+
+    Q_s factorises over modes and the vacuum pair contributes 1, so two such
+    states overlap exactly as their thermal modes do.
+    """
+    v = 2.0 * mean_photons + 1.0
+    return GaussianState(CovMat(np.diag([v, v, 1.0, 1.0]), Convention.UNIT_VACUUM))

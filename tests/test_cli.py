@@ -102,6 +102,13 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     assert "key = value" in err
 
 
+@pytest.mark.parametrize("name", [".", "absent.cfg"])
+def test_config_that_cannot_be_read_exits_2(capsys, tmp_path, name):
+    path = str(tmp_path / name)  # a directory, then a missing file
+    code, _, err = run_cli(capsys, "bounds", *HEADLINE_FLAGS, "--m", "100", "--config", path)
+    assert code == 2
+    assert f"cannot read config file {path!r}" in err
+
 
 def test_config_rejects_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "plan.cfg"
@@ -181,6 +188,20 @@ def test_sweep_two_points(capsys, tmp_path):
     _, _, rows = read_csv(out)
     assert len(rows) == 2
     assert rows[0].startswith("1000,") and rows[1].startswith("2000,")
+
+
+def test_sweep_writes_each_m_once(capsys, tmp_path):
+    # 12 linear points over M = 1..5 round to 1 1 2 2 2 3 3 4 4 4 5 5
+    out = tmp_path / "dense.csv"
+    code, record, _ = run_json(
+        capsys, "sweep", *HEADLINE_FLAGS,
+        "--m-min", "1", "--m-max", "5", "--points", "12", "--scale", "linear",
+        "--out", str(out),
+    )
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert [int(row.split(",")[0]) for row in rows] == [1, 2, 3, 4, 5]
+    assert record["outputs"]["rows"] == 5
 
 
 def test_sweep_is_deterministic_modulo_timestamp(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import schur
 
 from qillum import (
+    OMEGA,
     Convention,
     CovMat,
     GaussianState,
@@ -24,7 +25,6 @@ from qillum import (
     power_overlap,
     power_trace,
     symplectic_eigenvalues,
-    symplectic_form,
     to_unit_vacuum,
     williamson,
 )
@@ -80,6 +80,12 @@ def test_covmat_validates_symmetry_and_positivity():
             CovMat(bad, Convention.UNIT_VACUUM)  # 1e308 would overflow the symmetrisation
 
 
+@pytest.mark.parametrize("dim", [2, 6])
+def test_covmat_refuses_other_than_two_modes(dim):
+    with pytest.raises(ValueError, match=rf"4 x 4 \(two modes\), not shape \({dim}, {dim}\)"):
+        CovMat(np.eye(dim), Convention.UNIT_VACUUM)
+
+
 def test_to_unit_vacuum_matches_a_checked_construction():
     quarter = source_cm(0.004)
     unit = to_unit_vacuum(quarter)
@@ -87,7 +93,7 @@ def test_to_unit_vacuum_matches_a_checked_construction():
     assert unit.convention is Convention.UNIT_VACUUM
     assert unit.mat.tobytes() == checked.mat.tobytes()
     assert not unit.mat.flags.writeable
-    huge = CovMat(3e307 * np.eye(2), Convention.QUARTER_VACUUM)
+    huge = CovMat(3e307 * np.eye(4), Convention.QUARTER_VACUUM)
     with pytest.raises(ValueError, match="finite"):
         to_unit_vacuum(huge)  # 4 * 3e307 is above the entry limit
 
@@ -99,7 +105,7 @@ def test_williamson_rejects_subnormal_scale():
 
 
 def test_gaussian_state_requires_zero_mean():
-    cm = CovMat(np.eye(2), Convention.UNIT_VACUUM)
+    cm = CovMat(np.eye(4), Convention.UNIT_VACUUM)
     with pytest.raises(TypeError):
         GaussianState(cm, mean=np.array([0.1, 0.0]))
 
@@ -139,20 +145,17 @@ def test_symplectic_eigenvalues_are_the_williamson_spectrum():
         assert np.array_equal(symplectic_eigenvalues(cm), williamson(cm).nu)
 
 
-def test_symplectic_form_is_shared_and_read_only():
-    omega = symplectic_form(2)
-    assert omega is symplectic_form(2)
-    assert np.array_equal(omega, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+def test_omega_is_the_two_mode_form_and_read_only():
+    assert np.array_equal(OMEGA, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    assert not np.signbit(OMEGA[OMEGA == 0.0]).any()  # no -0.0 entries
     with pytest.raises(ValueError):
-        omega[0, 1] = 2.0
+        OMEGA[0, 1] = 2.0
 
 
 def williamson_invariants(cm: CovMat):
     dec = williamson(cm)
-    n = cm.n_modes
-    omega = symplectic_form(n)
     sp = dec.symplectic
-    assert np.max(np.abs(sp @ omega @ sp.T - omega)) < 1e-9
+    assert np.max(np.abs(sp @ OMEGA @ sp.T - OMEGA)) < 1e-9
     recon = sp @ np.diag(np.repeat(dec.nu, 2)) @ sp.T
     rel = np.linalg.norm(recon - cm.mat) / np.linalg.norm(cm.mat)
     assert rel < 1e-9
@@ -226,10 +229,10 @@ def test_power_functions_reject_bad_inputs(func):
 
 
 def test_power_cm_rejects_bad_inputs():
-    sub_vacuum = WilliamsonDecomposition(nu=np.array([0.5]), symplectic=np.eye(2))
+    sub_vacuum = WilliamsonDecomposition(nu=np.array([1.0, 0.5]), symplectic=np.eye(4))
     with pytest.raises(ValueError, match="below 1"):
         power_cm(sub_vacuum, 0.5)
-    thermal = WilliamsonDecomposition(nu=np.array([2.0]), symplectic=np.eye(2))
+    thermal = WilliamsonDecomposition(nu=np.array([2.0, 1.0]), symplectic=np.eye(4))
     for s in (0.0, 1.0, -0.1, math.nan, 1e-20):  # 1 - 1e-20 rounds to 1
         with pytest.raises(ValueError, match="inside"):
             power_cm(thermal, s)
@@ -346,18 +349,16 @@ def test_overlap_unimodal_on_grid():
         assert interior_minima + boundary_minima == 1
 
 
-def test_overlap_rejects_convention_and_mode_mismatch():
+def test_overlap_rejects_convention_mismatch():
     params = ProtocolParams(**HEADLINE)
     quarter = alice_pair(params).state_bit0
     unit = GaussianState(to_unit_vacuum(quarter.cm))
     with pytest.raises(ValueError, match="unit-vacuum"):
         power_overlap(quarter, unit, 0.5)
-    with pytest.raises(ValueError, match="modes"):
-        power_overlap(thermal_state(1.0, n_modes=1), unit, 0.5)
 
 
 def test_overlap_rejects_unphysical_state():
-    sub_vacuum = GaussianState(CovMat(0.5 * np.eye(2), Convention.UNIT_VACUUM))
+    sub_vacuum = GaussianState(CovMat(0.5 * np.eye(4), Convention.UNIT_VACUUM))
     with pytest.raises(ValueError, match="unphysical"):
         power_overlap(sub_vacuum, thermal_state(1.0), 0.5)
 
@@ -388,16 +389,12 @@ def test_minimize_overlap_asymmetric_pair_hits_left_edge():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_modes=st.sampled_from([1, 2]),
-    pure_modes=st.integers(0, 2),
-)
-def test_search_finds_the_grid_minimum(seed, n_modes, pure_modes):
+@given(seed=st.integers(0, 2**32 - 1), pure_modes=st.integers(0, 2))
+def test_search_finds_the_grid_minimum(seed, pure_modes):
     """Brent's search on non-parity pairs, with pure modes putting some minima at an edge."""
     rng = np.random.default_rng(seed)
-    s0 = random_unit_state(rng, n_modes, pure_modes=min(pure_modes, n_modes))
-    s1 = random_unit_state(rng, n_modes)
+    s0 = random_unit_state(rng, pure_modes=pure_modes)
+    s1 = random_unit_state(rng)
     result = minimize_overlap(s0, s1)
     q_half = power_overlap(s0, s1, 0.5)
     assert 0.0 < result.s < 1.0
@@ -448,36 +445,32 @@ def protocol_params(draw):
 
 @st.composite
 def unit_state_pairs(draw):
-    """Two unit-vacuum states with the same mode count.
+    """Two unit-vacuum two-mode states.
 
     Either a protocol pair from the ``protocol_params`` box, or two random
-    states of 1 or 2 modes, with an exactly pure mode in some of them.
+    states, with an exactly pure mode in some of them.
     """
     if draw(st.booleans()):
         params = draw(protocol_params())
         return unit_states(draw(st.sampled_from([alice_pair, eve_pair]))(params))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_modes = draw(st.sampled_from([1, 2]))
-    return tuple(
-        random_unit_state(rng, n_modes, pure_modes=draw(st.integers(0, 1))) for _ in range(2)
-    )
+    return tuple(random_unit_state(rng, pure_modes=draw(st.integers(0, 1))) for _ in range(2))
 
 
 def reference_williamson(cm: CovMat):
     """The Schur-based Williamson form through scipy.linalg.schur, block flips by swaps."""
-    n = cm.n_modes
     lam, u = np.linalg.eigh(cm.mat)
     root = (u * np.sqrt(lam)) @ u.T
     inv_root = (u / np.sqrt(lam)) @ u.T
-    core = inv_root @ symplectic_form(n) @ inv_root
+    core = inv_root @ OMEGA @ inv_root
     core = (core - core.T) / 2.0
     t, q = schur(core, output="real", check_finite=False)
-    for k in range(n):
+    for k in range(2):
         if t[2 * k, 2 * k + 1] < 0.0:
             q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
             t[[2 * k, 2 * k + 1], :] = t[[2 * k + 1, 2 * k], :]
             t[:, [2 * k, 2 * k + 1]] = t[:, [2 * k + 1, 2 * k]]
-    nu = np.array([1.0 / t[2 * k, 2 * k + 1] for k in range(n)])
+    nu = np.array([1.0 / t[2 * k, 2 * k + 1] for k in range(2)])
     order = np.argsort(nu)[::-1]
     q = q[:, np.ravel([[2 * k, 2 * k + 1] for k in order])]
     nu = nu[order]
@@ -488,7 +481,7 @@ def reference_williamson(cm: CovMat):
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
     """Q_s assembled as ``power_overlap`` documents it, from the public power functions."""
     dec0, dec1 = williamson(state0.cm), williamson(state1.cm)
-    prefactor = 2.0**state0.n_modes
+    prefactor = 4.0
     for nu in dec0.nu:
         prefactor *= power_trace(nu, s)
     for nu in dec1.nu:

@@ -183,9 +183,10 @@ def test_required_m_unreachable_target():
 
 
 def test_required_m_opa_degenerates_without_gain():
-    # the OPA route fails earlier: the gain underflows to exactly 1
+    # the gain excess ns / sqrt(kappa nb) = 1e-18 is kept, but the OPA's
+    # per-mode overlap then rounds to 1: refused as unreachable
     params = ProtocolParams(ns=1e-16, kappa=0.1, g=1e4, nb=1e4, m=1)
-    with pytest.raises(ValueError, match="g_opa"):
+    with pytest.raises(ValueError, match="target unreachable"):
         required_m(params, 1e-6, Receiver.OPA)
 
 

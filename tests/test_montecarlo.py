@@ -27,7 +27,7 @@ def make_config(m: int, trials: int, seed: int = 7) -> McConfig:
 
 
 def test_ml_threshold_single_mode_example():
-    model = OpaReceiverModel(g_opa=1.1, n0=3.0, n1=1.0)
+    model = OpaReceiverModel(gain_excess=0.1, n0=3.0, n1=1.0)
     expected = math.log(2.0) / math.log(1.5)
     assert ml_threshold(model, 1) == pytest.approx(expected, rel=1e-12)
     assert ml_threshold(model, 1) == pytest.approx(1.7095112913514547, rel=1e-12)
@@ -35,7 +35,7 @@ def test_ml_threshold_single_mode_example():
 
 def test_ml_threshold_matches_likelihood_ratio_sign_change():
     # discrete search: first count where the bit-0 likelihood overtakes bit 1
-    model = OpaReceiverModel(g_opa=1.1, n0=3.0, n1=1.0)
+    model = OpaReceiverModel(gain_excess=0.1, n0=3.0, n1=1.0)
     threshold = ml_threshold(model, 1)
 
     def log_likelihood(n, mean):
@@ -47,7 +47,7 @@ def test_ml_threshold_matches_likelihood_ratio_sign_change():
 
 
 def test_ml_threshold_scales_with_m():
-    model = OpaReceiverModel(g_opa=1.1, n0=3.0, n1=1.0)
+    model = OpaReceiverModel(gain_excess=0.1, n0=3.0, n1=1.0)
     assert ml_threshold(model, 10) == pytest.approx(10 * ml_threshold(model, 1), rel=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_ml_threshold_within_mean_interval(headline_params):
 
 
 def test_ml_threshold_rejects_degenerate_model():
-    model = OpaReceiverModel(g_opa=1.1, n0=0.5, n1=0.5)
+    model = OpaReceiverModel(gain_excess=0.1, n0=0.5, n1=0.5)
     with pytest.raises(ValueError, match="no threshold"):
         ml_threshold(model, 10)
 

@@ -32,7 +32,7 @@ def opa_output_photons_oracle(params: ProtocolParams, bit: int) -> float:
     """Propagate the return/idler covariance matrix through the OPA transform.
 
     Builds the 4x4 unit-vacuum matrix for the given bit, applies the
-    two-mode squeezing symplectic of gain g_opa and reads off the output
+    two-mode squeezing symplectic of gain g_opa = 1 + x and reads off the output
     idler mode's mean photon number.  Also asserts the output mode is
     exactly thermal (no phase-sensitive self-correlation), which is what
     makes the geometric count statistics exact.
@@ -49,8 +49,8 @@ def opa_output_photons_oracle(params: ProtocolParams, bit: int) -> float:
             [0.0, -sign * c.c_a, 0.0, c.s_diag],
         ]
     )
-    g_opa = 1.0 + params.ns / math.sqrt(params.kappa * params.nb)
-    ch, sh = math.sqrt(g_opa), math.sqrt(g_opa - 1.0)
+    x = params.ns / math.sqrt(params.kappa * params.nb)
+    ch, sh = math.sqrt(1.0 + x), math.sqrt(x)
     transform = np.array(
         [
             [ch, 0.0, sh, 0.0],
@@ -72,8 +72,8 @@ def opa_output_photons_oracle(params: ProtocolParams, bit: int) -> float:
 
 def test_opa_gain_value(headline_params):
     model = opa_model(headline_params)
-    assert model.g_opa == pytest.approx(1.0 + 0.004 / math.sqrt(1000.0), rel=1e-12)
-    assert model.g_opa == pytest.approx(1.000126491, abs=1e-9)
+    assert model.gain_excess == pytest.approx(0.004 / math.sqrt(1000.0), rel=1e-12)
+    assert 1.0 + model.gain_excess == pytest.approx(1.000126491, abs=1e-9)
 
 
 def test_opa_photon_numbers_match_moment_oracle(headline_params):
@@ -98,14 +98,15 @@ def test_opa_photon_numbers_match_oracle_across_parameters():
 
 
 def test_opa_modulation_vanishes_with_signal():
-    # the bit-dependent shift is 2 sqrt(g_opa (g_opa - 1)) c_a, which goes to
+    # the bit-dependent shift is 2 sqrt((1 + x) x) c_a, x = g_opa - 1, which goes to
     # zero with the correlation c_a as ns -> 0
     from qillum import derived_coefficients
 
     params = ProtocolParams(ns=1e-9, kappa=0.1, g=1e4, nb=1e4, m=10)
     model = opa_model(params)
     c = derived_coefficients(params)
-    shift = 2.0 * math.sqrt(model.g_opa * (model.g_opa - 1.0)) * c.c_a
+    x = model.gain_excess
+    shift = 2.0 * math.sqrt((1.0 + x) * x) * c.c_a
     assert model.n0 - model.n1 == pytest.approx(shift, rel=1e-9)
     assert model.n0 - model.n1 == pytest.approx(0.0, abs=1e-8)
 
@@ -118,9 +119,17 @@ def test_opa_model_requires_noise_photons():
 
 def test_opa_receiver_model_validation():
     with pytest.raises(ValueError):
-        OpaReceiverModel(g_opa=1.0, n0=1.0, n1=0.5)
+        OpaReceiverModel(gain_excess=0.0, n0=1.0, n1=0.5)
     with pytest.raises(ValueError):
-        OpaReceiverModel(g_opa=1.1, n0=0.5, n1=1.0)
+        OpaReceiverModel(gain_excess=0.1, n0=0.5, n1=1.0)
+
+
+def test_opa_model_keeps_a_gain_excess_below_the_float_spacing_of_one():
+    # x = ns / sqrt(kappa nb) = 1e-16, so 1 + x rounds to 1
+    params = ProtocolParams(ns=1e-13, kappa=0.5, g=2e6, nb=2e6, m=1)
+    model = opa_model(params)
+    assert model.gain_excess == pytest.approx(1e-16, rel=1e-12)
+    assert model.n0 > model.n1 > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +166,6 @@ def test_geometric_overlap_matches_mpmath_oracle(seed, log_ns):
     """Within 2 ulps of the oracle and never above 1, down to sources of 1e-13 photons."""
     knobs = random_valid_params(np.random.default_rng(seed))
     ns = 10.0**log_ns
-    # Below about 1.1e-16 the gain 1 + ns / sqrt(kappa nb) rounds to 1 and opa_model refuses.
-    assume(ns / math.sqrt(knobs.kappa * knobs.nb) > 1.2e-16)
     model = opa_model(ProtocolParams(ns=ns, kappa=knobs.kappa, g=knobs.g, nb=knobs.nb, m=1))
     q, ulps = _geometric_overlap_ulps(model.n0, model.n1)
     assert q <= 1.0
