@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -38,27 +37,6 @@ CSV_HEADER = "M,alice_qcb,alice_opa_bhatt,eve_qcb_upper,eve_lower_bound"
 
 # Links this close to lossless make the eavesdropping analysis degenerate.
 _KAPPA_PLAN_CEILING = 1.0 - 1e-5
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """M-grid description for the sweep subcommand."""
-
-    m_min: int
-    m_max: int
-    points: int
-    scale: str
-    params: ProtocolParams  # params.m is ignored by the sweep
-
-    def __post_init__(self) -> None:
-        if self.m_min < 1:
-            raise ValueError("m-min must be >= 1")
-        if self.m_max <= self.m_min:
-            raise ValueError("m-max must exceed m-min")
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
-        if self.scale not in ("log", "linear"):
-            raise ValueError("scale must be 'log' or 'linear'")
 
 
 def _now() -> str:
@@ -87,7 +65,11 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, params: tuple[_Param, ...]) -> dict:
-    """Merge flags over config-file values over built-in defaults."""
+    """Merge flags over config-file values over built-in defaults.
+
+    argparse has already cast and checked the flags; config values get the
+    same cast and choices check here, and an error names the key.
+    """
     config = _read_config(args.config) if args.config else {}
     out = {}
     for param in params:
@@ -96,7 +78,13 @@ def _resolve(args: argparse.Namespace, params: tuple[_Param, ...]) -> dict:
             value = config.get(param.name, param.default)
         if value is None:
             raise ValueError(f"missing required parameter {param.flag} (flag or config file)")
-        out[param.name] = param.cast(value)
+        try:
+            cast = param.cast(value)
+        except ValueError:
+            raise ValueError(f"{param.name} must be {param.cast.__name__}, got {value!r}") from None
+        if param.choices and cast not in param.choices:
+            raise ValueError(f"{param.name} must be one of {', '.join(param.choices)}, got {value!r}")
+        out[param.name] = cast
     return out
 
 
@@ -176,21 +164,28 @@ def _cmd_bounds(p: dict, as_json: bool) -> int:
 # sweep
 
 
-def _sweep_m_values(spec: SweepSpec) -> list[int]:
-    if spec.scale == "log":
-        grid = np.logspace(math.log10(spec.m_min), math.log10(spec.m_max), spec.points)
+def _sweep_m_values(m_min: int, m_max: int, points: int, scale: str) -> list[int]:
+    """The distinct M values of a ``points``-point log or linear grid on [m_min, m_max]."""
+    if m_min < 1:
+        raise ValueError("m-min must be >= 1")
+    if m_max <= m_min:
+        raise ValueError("m-max must exceed m-min")
+    if points < 2:
+        raise ValueError("points must be >= 2")
+    if scale == "log":
+        grid = np.logspace(math.log10(m_min), math.log10(m_max), points)
     else:
-        grid = np.linspace(spec.m_min, spec.m_max, spec.points)
+        grid = np.linspace(m_min, m_max, points)
     return sorted({max(1, int(round(v))) for v in grid})
 
 
-def sweep_rows(spec: SweepSpec) -> list[tuple[int, float, float, float, float]]:
-    """Bound curves over the M grid; per-mode overlaps are computed once."""
-    alice = alice_optimum_bounds(spec.params)
-    opa = opa_bhattacharyya(spec.params)
-    eve = eve_optimum_bounds(spec.params)
+def sweep_rows(params: ProtocolParams, m_values: list[int]) -> list[tuple[int, float, float, float, float]]:
+    """Bound curves over ``m_values`` (``params.m`` is ignored); per-mode overlaps are computed once."""
+    alice = alice_optimum_bounds(params)
+    opa = opa_bhattacharyya(params)
+    eve = eve_optimum_bounds(params)
     rows = []
-    for m in _sweep_m_values(spec):
+    for m in m_values:
         a = error_bounds_from_overlaps(alice.q_star, alice.q_half, m, alice.s_star)
         o = error_bounds_from_overlaps(opa.q_star, opa.q_half, m, opa.s_star)
         e = error_bounds_from_overlaps(eve.q_star, eve.q_half, m, eve.s_star)
@@ -207,8 +202,7 @@ def _output_path(path: str) -> str:
 
 def _cmd_sweep(p: dict, as_json: bool) -> int:
     params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=1)
-    spec = SweepSpec(m_min=p["m_min"], m_max=p["m_max"], points=p["points"], scale=p["scale"], params=params)
-    rows = sweep_rows(spec)
+    rows = sweep_rows(params, _sweep_m_values(p["m_min"], p["m_max"], p["points"], p["scale"]))
     path = _output_path(p["out"])
     echo_keys = {k: v for k, v in p.items() if k != "out"}
     try:

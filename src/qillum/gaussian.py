@@ -5,11 +5,13 @@ their real 4 x 4 quadrature covariance matrices in the ordering
 (x_1, p_1, x_2, p_2).  Two variance conventions coexist in the literature,
 so every matrix carries an explicit tag:
 
-* ``QUARTER_VACUUM`` : vacuum quadrature variance 1/4 (the convention the
-  protocol matrices are written in, so they can be transcribed by eye).
 * ``UNIT_VACUUM``    : vacuum covariance matrix equals the identity.  All
   spectral machinery below (symplectic eigenvalues, Williamson form, state
-  overlaps) requires this convention.
+  overlaps) requires this convention, and the protocol states are built
+  in it.
+* ``QUARTER_VACUUM`` : vacuum quadrature variance 1/4, the tag for matrices
+  that come from outside in that convention; ``to_unit_vacuum`` converts
+  them.
 
 The discrimination engine computes ``tr(rho0**s rho1**(1-s))`` for two
 zero-mean Gaussian states from their Williamson decompositions, then turns
@@ -38,7 +40,6 @@ __all__ = [
     "IllConditionedMatrixError",
     "OMEGA",
     "to_unit_vacuum",
-    "symplectic_eigenvalues",
     "williamson",
     "power_nu",
     "power_trace",
@@ -92,10 +93,6 @@ _PARITY_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
 
 def _no_sort(wr: float, wi: float) -> None:
     """dgees eigenvalue-selection callback; never called, as blocks are not sorted."""
-
-
-# The optimal dgees workspace for a 4 x 4 matrix, as scipy.linalg.schur queries it.
-_DGEES_LWORK = int(dgees(_no_sort, np.zeros((4, 4)), lwork=-1)[-2][0])
 
 
 @dataclass(frozen=True)
@@ -178,19 +175,11 @@ def to_unit_vacuum(cm: CovMat) -> CovMat:
 
     Multiplies the matrix by 4 so the vacuum state maps to the identity.
     Rejects input already tagged ``UNIT_VACUUM`` to guard against double
-    scaling.  Scaling by 4 is exact, so unless it overflows the result is
-    as symmetric and positive definite as ``cm`` and skips the checks.
+    scaling.
     """
     if cm.convention is Convention.UNIT_VACUUM:
         raise ValueError("covariance matrix is already in the unit-vacuum convention")
-    mat = 4.0 * cm.mat
-    if not np.abs(mat).max() <= _ENTRY_MAX:
-        return CovMat(mat, Convention.UNIT_VACUUM)  # raises: entries too large
-    unit = object.__new__(CovMat)
-    object.__setattr__(unit, "mat", mat)
-    object.__setattr__(unit, "convention", Convention.UNIT_VACUUM)
-    mat.setflags(write=False)
-    return unit
+    return CovMat(4.0 * cm.mat, Convention.UNIT_VACUUM)
 
 
 def _require_unit(cm: CovMat, what: str) -> None:
@@ -198,26 +187,13 @@ def _require_unit(cm: CovMat, what: str) -> None:
         raise ValueError(f"{what} requires the unit-vacuum convention")
 
 
-def symplectic_eigenvalues(cm: CovMat) -> NDArray[np.float64]:
-    """Symplectic spectrum of a unit-vacuum covariance matrix: ``williamson(cm).nu``.
-
-    The two values are sorted descending; values within 1e-9 below 1 are
-    clamped up to 1.
-
-    Raises:
-        IllConditionedMatrixError: condition number above 1e12.
-    """
-    return williamson(cm).nu
-
-
 def williamson(cm: CovMat) -> WilliamsonDecomposition:
     """Williamson decomposition of a unit-vacuum covariance matrix.
 
     Computes V = S D S^T with S symplectic and D = diag(nu_1, nu_1, nu_2,
-    nu_2), nu sorted descending.  Uses the real Schur form of
-    V^{-1/2} Omega V^{-1/2}, whose antisymmetric 2x2 blocks carry 1/nu_k,
-    from one LAPACK ``dgees`` call with the workspace size that
-    ``scipy.linalg.schur`` would query (queried once at import).
+    nu_2), nu sorted descending; values within 1e-9 below 1 are clamped
+    up to 1.  Uses the real Schur form of V^{-1/2} Omega V^{-1/2}, whose
+    antisymmetric 2x2 blocks carry 1/nu_k, from one LAPACK ``dgees`` call.
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
@@ -238,7 +214,7 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     inv_root = (u / np.sqrt(lam)) @ u.T
     core = inv_root @ OMEGA @ inv_root
     core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
-    t, _, _, _, q, _, info = dgees(_no_sort, core, lwork=_DGEES_LWORK)
+    t, _, _, _, q, _, info = dgees(_no_sort, core)
     if info != 0:
         raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
     # Block k carries 1/nu_k in its positive off-diagonal entry; a block

@@ -45,8 +45,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if not (1 <= self.trials < math.inf and int(self.trials) == self.trials):
             raise ValueError("trials must be a positive integer")
-        if not (-math.inf < self.seed < math.inf and int(self.seed) == self.seed):
-            raise ValueError("seed must be an integer")
+        if not (0 <= self.seed < math.inf and int(self.seed) == self.seed):
+            raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
 

@@ -8,33 +8,24 @@ states that differ only in the sign of a correlation block.  This module
 builds those covariance matrices from the five protocol knobs and checks
 their physicality.
 
-All matrices are produced in the quarter-vacuum convention so that their
-entries match the printed coefficient definitions entry for entry; convert
-with :func:`qillum.gaussian.to_unit_vacuum` before any spectral work.
+Every matrix is built in the unit-vacuum convention the Gaussian engine
+works in, so its entries are the ``DerivedCoefficients`` themselves and it
+goes to the engine as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import (
-    NU_CLAMP_TOL,
-    Convention,
-    CovMat,
-    GaussianState,
-    symplectic_eigenvalues,
-    to_unit_vacuum,
-)
+from .gaussian import NU_CLAMP_TOL, Convention, CovMat, GaussianState, to_unit_vacuum, williamson
 
 __all__ = [
     "ProtocolParams",
     "DerivedCoefficients",
-    "Observer",
     "HypothesisPair",
     "PhysicalityReport",
     "derived_coefficients",
@@ -111,18 +102,12 @@ class DerivedCoefficients:
     e: float
 
 
-class Observer(Enum):
-    ALICE = "alice"
-    EVE = "eve"
-
-
 @dataclass(frozen=True)
 class HypothesisPair:
     """The two equally likely Gaussian states one observer must distinguish."""
 
     state_bit0: GaussianState
     state_bit1: GaussianState
-    observer: Observer
 
 
 @dataclass(frozen=True)
@@ -137,8 +122,8 @@ class PhysicalityReport:
 def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     """Evaluate every covariance-matrix coefficient from the protocol knobs.
 
-    The matrix builders below place these exact values, so recomputing here
-    reproduces the matrix entries bit for bit.
+    The unit-vacuum matrix builders below place these exact values as their
+    entries, so recomputing here reproduces the matrices bit for bit.
     """
     ns, kappa, g, nb = params.ns, params.kappa, params.g, params.nb
     s_diag = 2.0 * ns + 1.0
@@ -157,12 +142,12 @@ def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
 def _two_mode_cm(
     diag_a: float, diag_b: float, corr: float, phase_sensitive: bool
 ) -> CovMat:
-    """Two-mode quarter-vacuum CM with x-x correlation +corr.
+    """Two-mode unit-vacuum CM with x-x correlation +corr.
 
     The p-p correlation is -corr when ``phase_sensitive`` and +corr otherwise.
     """
     corr_p = -corr if phase_sensitive else corr
-    mat = 0.25 * np.array(
+    mat = np.array(
         [
             [diag_a, 0.0, corr, 0.0],
             [0.0, diag_a, 0.0, corr_p],
@@ -170,15 +155,15 @@ def _two_mode_cm(
             [0.0, corr_p, 0.0, diag_b],
         ]
     )
-    return CovMat(mat, Convention.QUARTER_VACUUM)
+    return CovMat(mat, Convention.UNIT_VACUUM)
 
 
 def source_cm(ns: float) -> CovMat:
     """Signal/idler covariance matrix of the downconversion source.
 
-    Quarter-vacuum convention, ordering (x_S, p_S, x_I, p_I): diagonal
-    (2 ns + 1) / 4 with phase-sensitive corners +/- c_q / 4.  The state is
-    pure: both symplectic eigenvalues equal 1 after rescaling.
+    Unit-vacuum convention, ordering (x_S, p_S, x_I, p_I): diagonal
+    s_diag = 2 ns + 1 with phase-sensitive corners +/- c_q.  The state is
+    pure: both symplectic eigenvalues equal 1.
     """
     if not (isinstance(ns, (int, float)) and math.isfinite(ns) and ns > 0):
         raise ValueError("ns must be positive and finite")
@@ -190,29 +175,29 @@ def source_cm(ns: float) -> CovMat:
 def alice_pair(params: ProtocolParams) -> HypothesisPair:
     """Alice's return/idler states under Bob's bit k = 0 and k = 1.
 
-    Ordering (x_R, p_R, x_I, p_I).  The correlation is phase sensitive:
-    the x-x entry carries (-1)^k c_a and the p-p entry the opposite sign.
+    Unit-vacuum convention, ordering (x_R, p_R, x_I, p_I): diagonal
+    (a, a, s_diag, s_diag).  The correlation is phase sensitive: the x-x
+    entry carries (-1)^k c_a and the p-p entry the opposite sign.
     """
     c = derived_coefficients(params)
     return HypothesisPair(
         state_bit0=GaussianState(_two_mode_cm(c.a, c.s_diag, c.c_a, phase_sensitive=True)),
         state_bit1=GaussianState(_two_mode_cm(c.a, c.s_diag, -c.c_a, phase_sensitive=True)),
-        observer=Observer.ALICE,
     )
 
 
 def eve_pair(params: ProtocolParams) -> HypothesisPair:
     """Eve's tapped signal/return states under Bob's bit k = 0 and k = 1.
 
-    Ordering (x_S', p_S', x_R', p_R') for the two tapped modes.  Unlike
-    Alice's pair the correlation here is phase insensitive: (-1)^k c_e
-    multiplies both the x-x and the p-p entry.
+    Unit-vacuum convention, ordering (x_S', p_S', x_R', p_R') for the two
+    tapped modes: diagonal (d, d, e, e).  Unlike Alice's pair the
+    correlation here is phase insensitive: (-1)^k c_e multiplies both the
+    x-x and the p-p entry.
     """
     c = derived_coefficients(params)
     return HypothesisPair(
         state_bit0=GaussianState(_two_mode_cm(c.d, c.e, c.c_e, phase_sensitive=False)),
         state_bit1=GaussianState(_two_mode_cm(c.d, c.e, -c.c_e, phase_sensitive=False)),
-        observer=Observer.EVE,
     )
 
 
@@ -228,7 +213,7 @@ def validate_physicality(cm: CovMat) -> PhysicalityReport:
             spectrum cannot be trusted (the source at ns above about 2.5e5).
     """
     unit = cm if cm.convention is Convention.UNIT_VACUUM else to_unit_vacuum(cm)
-    nu = symplectic_eigenvalues(unit)
+    nu = williamson(unit).nu
     return PhysicalityReport(
         nu=nu,
         threshold=PHYSICALITY_THRESHOLD,

@@ -15,22 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .gaussian import (
-    ErrorBounds,
-    GaussianState,
-    chernoff_bound,
-    error_bounds_from_overlaps,
-    to_unit_vacuum,
-)
-from .protocol import (
-    Observer,
-    ProtocolParams,
-    alice_pair,
-    derived_coefficients,
-    eve_pair,
-)
+from .gaussian import ErrorBounds, chernoff_bound, error_bounds_from_overlaps
+from .protocol import HypothesisPair, ProtocolParams, alice_pair, derived_coefficients, eve_pair
 
 __all__ = [
     "OpaReceiverModel",
@@ -83,17 +72,18 @@ class ApproxExponents:
     in_regime: bool
 
 
+_PairBuilder = Callable[[ProtocolParams], HypothesisPair]
+
+
 @functools.lru_cache(maxsize=8)
-def _pair_overlaps(observer: Observer, knobs: tuple) -> ErrorBounds:
-    """``chernoff_bound`` at M = 1 on one observer's unit-vacuum pair at (ns, kappa, g, nb)."""
-    pair = (alice_pair if observer is Observer.ALICE else eve_pair)(ProtocolParams(*knobs, m=1))
-    s0 = GaussianState(to_unit_vacuum(pair.state_bit0.cm))
-    s1 = GaussianState(to_unit_vacuum(pair.state_bit1.cm))
-    return chernoff_bound(s0, s1, 1)
+def _pair_overlaps(build: _PairBuilder, knobs: tuple) -> ErrorBounds:
+    """``chernoff_bound`` at M = 1 on the pair ``build`` makes at (ns, kappa, g, nb)."""
+    pair = build(ProtocolParams(*knobs, m=1))
+    return chernoff_bound(pair.state_bit0, pair.state_bit1, 1)
 
 
-def _optimum_bounds(observer: Observer, params: ProtocolParams) -> ErrorBounds:
-    one = _pair_overlaps(observer, (params.ns, params.kappa, params.g, params.nb))
+def _optimum_bounds(build: _PairBuilder, params: ProtocolParams) -> ErrorBounds:
+    one = _pair_overlaps(build, (params.ns, params.kappa, params.g, params.nb))
     return error_bounds_from_overlaps(one.q_star, one.q_half, params.m, one.s_star)
 
 
@@ -102,7 +92,7 @@ def alice_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
 
     The pair evaluation is shared per (ns, kappa, g, nb); only M is per call.
     """
-    return _optimum_bounds(Observer.ALICE, params)
+    return _optimum_bounds(alice_pair, params)
 
 
 def eve_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
@@ -110,7 +100,7 @@ def eve_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
 
     The pair evaluation is shared per (ns, kappa, g, nb); only M is per call.
     """
-    return _optimum_bounds(Observer.EVE, params)
+    return _optimum_bounds(eve_pair, params)
 
 
 def opa_model(params: ProtocolParams) -> OpaReceiverModel:

@@ -6,7 +6,9 @@ s* is off 1/2, so every op runs the s-search; its ``check`` enforces
 ``PlanScan`` runs the planner (``security_margin`` and both ``required_m``
 receivers) and tells a correct refusal from a wrong one.  ``CliCold`` runs
 the README commands through ``cli.main`` and checks the headline numbers,
-the sweep's golden SHA-256 and the plan's required M.
+the sweep's golden SHA-256 and the plan's required M.  ``tracing.Tracer``
+rebinds the traced functions by name, so a traced run breaks when one of
+them is renamed or deleted.
 """
 
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -39,3 +42,18 @@ def test_cli_gate_holds_for_each_subcommand(tmp_path):
     for sub in workload.SUBCOMMANDS:
         item = (sub, workload.argv(sub, mc_seed=7))
         workload.check(item, workload.op(item))
+
+
+def test_traced_ops_record_spans_across_layers():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        for workload, seed in ((workloads.PlanScan(), 5), (workloads.GeneralPairs(), 6)):
+            item = workload.draw(np.random.default_rng(seed))
+            workload.check(item, workload.op(item))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"link.security_margin", "protocol.alice_pair", "gaussian.williamson"} <= names

@@ -381,3 +381,34 @@ def test_mc_seed_defaults_to_zero(capsys):
     code, record, _ = run_json(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "20000")
     assert code == 0
     assert record["params"]["seed"] == 0
+
+
+def test_mc_rejects_negative_seed(capsys):
+    code, _, err = run_cli(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "100", "--seed", "-1")
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+
+
+# ----------------------------------------------------------------------
+# config values are cast and checked like flags, and errors name the key
+
+
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["plan", *PLAN_FLAGS], "receiver = bogus", "receiver must be one of optimum, opa, got 'bogus'"),
+        (["bounds", *HEADLINE_FLAGS], "m = 2.5", "m must be int, got '2.5'"),
+        (
+            ["sweep", *HEADLINE_FLAGS, "--m-min", "10", "--m-max", "20", "--points", "2", "--out", "x.csv"],
+            "scale = cubic",
+            "scale must be one of log, linear, got 'cubic'",
+        ),
+    ],
+    ids=["receiver", "m", "scale"],
+)
+def test_bad_config_value_names_its_key(capsys, tmp_path, argv, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert message in err

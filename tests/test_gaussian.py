@@ -24,7 +24,6 @@ from qillum import (
     power_nu,
     power_overlap,
     power_trace,
-    symplectic_eigenvalues,
     to_unit_vacuum,
     williamson,
 )
@@ -33,13 +32,6 @@ from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
 from conftest import HEADLINE, random_unit_state, thermal_state
-
-
-def unit_states(pair):
-    return (
-        GaussianState(to_unit_vacuum(pair.state_bit0.cm)),
-        GaussianState(to_unit_vacuum(pair.state_bit1.cm)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +46,8 @@ def test_to_unit_vacuum_maps_vacuum_to_identity():
 
 
 def test_to_unit_vacuum_on_source_matrix():
-    unit = to_unit_vacuum(source_cm(0.004))
+    unit = to_unit_vacuum(CovMat(0.25 * source_cm(0.004).mat, Convention.QUARTER_VACUUM))
+    assert np.array_equal(unit.mat, source_cm(0.004).mat)
     assert np.allclose(np.diag(unit.mat), 1.008)
     assert unit.mat[0, 2] == pytest.approx(0.1267438, abs=1e-7)
     assert unit.mat[1, 3] == pytest.approx(-0.1267438, abs=1e-7)
@@ -87,7 +80,7 @@ def test_covmat_refuses_other_than_two_modes(dim):
 
 
 def test_to_unit_vacuum_matches_a_checked_construction():
-    quarter = source_cm(0.004)
+    quarter = CovMat(0.25 * source_cm(0.004).mat, Convention.QUARTER_VACUUM)
     unit = to_unit_vacuum(quarter)
     checked = CovMat(4.0 * quarter.mat, Convention.UNIT_VACUUM)
     assert unit.convention is Convention.UNIT_VACUUM
@@ -115,34 +108,25 @@ def test_gaussian_state_requires_zero_mean():
 
 
 def test_symplectic_eigenvalues_of_vacuum():
-    nu = symplectic_eigenvalues(CovMat(np.eye(4), Convention.UNIT_VACUUM))
+    nu = williamson(CovMat(np.eye(4), Convention.UNIT_VACUUM)).nu
     assert np.allclose(nu, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("ns", [5e-4, 0.004, 0.3])
 def test_source_state_is_pure(ns):
     # (2 ns + 1)^2 - 4 ns (ns + 1) = 1 for every ns.
-    nu = symplectic_eigenvalues(to_unit_vacuum(source_cm(ns)))
+    nu = williamson(source_cm(ns)).nu
     assert np.allclose(nu, [1.0, 1.0], atol=1e-9)
 
 
 def test_symplectic_eigenvalues_of_williamson_form_input():
     cm = CovMat(np.diag([7.0, 7.0, 3.0, 3.0]), Convention.UNIT_VACUUM)
-    assert np.allclose(symplectic_eigenvalues(cm), [7.0, 3.0])
+    assert np.allclose(williamson(cm).nu, [7.0, 3.0])
 
 
 def test_symplectic_eigenvalues_requires_unit_convention():
     with pytest.raises(ValueError, match="unit-vacuum"):
-        symplectic_eigenvalues(CovMat(np.eye(4), Convention.QUARTER_VACUUM))
-
-
-def test_symplectic_eigenvalues_are_the_williamson_spectrum():
-    rng = np.random.default_rng(5)
-    params = ProtocolParams(**HEADLINE)
-    cms = [random_unit_state(rng, pure_modes=k % 2).cm for k in range(20)]
-    cms += [state.cm for state in unit_states(alice_pair(params)) + unit_states(eve_pair(params))]
-    for cm in cms:
-        assert np.array_equal(symplectic_eigenvalues(cm), williamson(cm).nu)
+        williamson(CovMat(np.eye(4), Convention.QUARTER_VACUUM))
 
 
 def test_omega_is_the_two_mode_form_and_read_only():
@@ -159,7 +143,7 @@ def williamson_invariants(cm: CovMat):
     recon = sp @ np.diag(np.repeat(dec.nu, 2)) @ sp.T
     rel = np.linalg.norm(recon - cm.mat) / np.linalg.norm(cm.mat)
     assert rel < 1e-9
-    assert np.array_equal(dec.nu, symplectic_eigenvalues(cm))
+    assert np.array_equal(dec.nu, williamson(cm).nu)
     return dec
 
 
@@ -180,7 +164,7 @@ def test_williamson_on_protocol_states():
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
         for state in (pair.state_bit0, pair.state_bit1):
-            williamson_invariants(to_unit_vacuum(state.cm))
+            williamson_invariants(state.cm)
 
 
 def test_williamson_random_states():
@@ -243,8 +227,8 @@ def test_power_cm_at_s_one_reproduces_input():
     params = ProtocolParams(**HEADLINE)
     states = [
         random_unit_state(rng),
-        unit_states(alice_pair(params))[0],
-        unit_states(eve_pair(params))[1],
+        alice_pair(params).state_bit0,
+        eve_pair(params).state_bit1,
     ]
     for state in states:
         dec = williamson(state.cm)
@@ -331,9 +315,10 @@ def test_overlap_symmetry_under_s_reflection():
 def test_overlap_unimodal_on_grid():
     params = ProtocolParams(**HEADLINE)
     rng = np.random.default_rng(23)
+    alice, eve = alice_pair(params), eve_pair(params)
     pairs = [
-        unit_states(alice_pair(params)),
-        unit_states(eve_pair(params)),
+        (alice.state_bit0, alice.state_bit1),
+        (eve.state_bit0, eve.state_bit1),
         (thermal_state(0.0), thermal_state(3.0)),
         (random_unit_state(rng), random_unit_state(rng)),
     ]
@@ -350,9 +335,8 @@ def test_overlap_unimodal_on_grid():
 
 
 def test_overlap_rejects_convention_mismatch():
-    params = ProtocolParams(**HEADLINE)
-    quarter = alice_pair(params).state_bit0
-    unit = GaussianState(to_unit_vacuum(quarter.cm))
+    unit = alice_pair(ProtocolParams(**HEADLINE)).state_bit0
+    quarter = GaussianState(CovMat(0.25 * unit.cm.mat, Convention.QUARTER_VACUUM))
     with pytest.raises(ValueError, match="unit-vacuum"):
         power_overlap(quarter, unit, 0.5)
 
@@ -370,7 +354,7 @@ def test_overlap_rejects_unphysical_state():
 def test_minimize_overlap_symmetric_pairs_pick_s_half():
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
-        s0, s1 = unit_states(pair)
+        s0, s1 = pair.state_bit0, pair.state_bit1
         result = minimize_overlap(s0, s1)
         assert abs(result.s - 0.5) < 1e-3
         # symmetry Q_s = Q_{1-s} on a grid is what pins the minimum at 1/2
@@ -411,7 +395,7 @@ def test_protocol_pairs_evaluate_the_overlap_once(overlap_evaluations):
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
         overlap_evaluations.clear()
-        chernoff_bound(*unit_states(pair), params.m)
+        chernoff_bound(pair.state_bit0, pair.state_bit1, params.m)
         assert overlap_evaluations == [0.5]
 
 
@@ -451,8 +435,8 @@ def unit_state_pairs(draw):
     states, with an exactly pure mode in some of them.
     """
     if draw(st.booleans()):
-        params = draw(protocol_params())
-        return unit_states(draw(st.sampled_from([alice_pair, eve_pair]))(params))
+        pair = draw(st.sampled_from([alice_pair, eve_pair]))(draw(protocol_params()))
+        return pair.state_bit0, pair.state_bit1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return tuple(random_unit_state(rng, pure_modes=draw(st.integers(0, 1))) for _ in range(2))
 
@@ -516,7 +500,7 @@ def test_power_overlap_matches_documented_formula_bit_for_bit(pair, s):
 def test_protocol_pairs_take_s_half_exactly(params):
     grid = np.linspace(0.05, 0.95, 19)
     for pair in (alice_pair(params), eve_pair(params)):
-        s0, s1 = unit_states(pair)
+        s0, s1 = pair.state_bit0, pair.state_bit1
         bounds = chernoff_bound(s0, s1, params.m)
         assert bounds.s_star == 0.5
         assert bounds.chernoff_upper == bounds.bhattacharyya_upper
@@ -552,7 +536,8 @@ def test_result_fields_are_python_floats(headline_params):
 
 
 def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
-    chernoff_bound(*unit_states(alice_pair(ProtocolParams(**HEADLINE))), 100)
+    pair = alice_pair(ProtocolParams(**HEADLINE))
+    chernoff_bound(pair.state_bit0, pair.state_bit1, 100)
     assert len(williamson_calls) == 2
     williamson_calls.clear()
     bounds = chernoff_bound(thermal_state(0.0), thermal_state(3.0), 100)
@@ -576,7 +561,7 @@ def test_bound_ordering_on_protocol_pairs():
     for _ in range(8):
         params = random_valid_params(rng, m=int(rng.integers(1, 10**5)))
         for pair in (alice_pair(params), eve_pair(params)):
-            s0, s1 = unit_states(pair)
+            s0, s1 = pair.state_bit0, pair.state_bit1
             bounds = chernoff_bound(s0, s1, params.m)
             assert bounds.lower_bound <= bounds.chernoff_upper + 1e-15
             assert bounds.chernoff_upper <= bounds.bhattacharyya_upper + 1e-15

@@ -129,6 +129,6 @@ def test_mc_config_validation():
     for trials in (0, math.inf, math.nan):
         with pytest.raises(ValueError, match="trials"):
             McConfig(trials=trials, seed=1, params=params)
-    for seed in (1.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="seed"):
+    for seed in (1.5, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             McConfig(trials=100, seed=seed, params=params)

@@ -5,17 +5,15 @@ import pytest
 
 from qillum import (
     IllConditionedMatrixError,
-    Observer,
     ProtocolParams,
     alice_pair,
     derived_coefficients,
     eve_pair,
     power_overlap,
     source_cm,
-    to_unit_vacuum,
     validate_physicality,
 )
-from qillum.gaussian import Convention, CovMat, GaussianState
+from qillum.gaussian import Convention, CovMat
 
 from conftest import HEADLINE, random_valid_params
 
@@ -92,12 +90,12 @@ def test_coefficient_recomputation_is_bit_identical(headline_params):
 def test_matrix_entries_equal_coefficients_exactly(headline_params):
     c = derived_coefficients(headline_params)
     alice = alice_pair(headline_params)
-    mat0 = 4.0 * alice.state_bit0.cm.mat
+    mat0 = alice.state_bit0.cm.mat
     assert mat0[0, 0] == c.a and mat0[1, 1] == c.a
     assert mat0[2, 2] == c.s_diag and mat0[3, 3] == c.s_diag
     assert mat0[0, 2] == c.c_a and mat0[1, 3] == -c.c_a
     eve = eve_pair(headline_params)
-    emat0 = 4.0 * eve.state_bit0.cm.mat
+    emat0 = eve.state_bit0.cm.mat
     assert emat0[0, 0] == c.d and emat0[2, 2] == c.e
     assert emat0[0, 2] == c.c_e and emat0[1, 3] == c.c_e
 
@@ -106,12 +104,12 @@ def test_matrix_entries_equal_coefficients_exactly(headline_params):
 # source state
 
 
-def test_source_cm_quarter_entries():
+def test_source_cm_unit_entries():
     cm = source_cm(0.004)
-    assert cm.convention is Convention.QUARTER_VACUUM
-    assert np.allclose(np.diag(cm.mat), 0.252)
-    assert cm.mat[0, 2] == pytest.approx(0.0316860, abs=5e-7)
-    assert cm.mat[1, 3] == pytest.approx(-0.0316860, abs=5e-7)
+    assert cm.convention is Convention.UNIT_VACUUM
+    assert np.allclose(np.diag(cm.mat), 1.008)
+    assert cm.mat[0, 2] == pytest.approx(0.1267438, abs=1e-7)
+    assert cm.mat[1, 3] == pytest.approx(-0.1267438, abs=1e-7)
 
 
 def test_source_cm_rejects_nonpositive_ns():
@@ -126,7 +124,6 @@ def test_source_cm_rejects_nonpositive_ns():
 
 def test_alice_pair_sign_symmetry(headline_params):
     pair = alice_pair(headline_params)
-    assert pair.observer is Observer.ALICE
     m0 = pair.state_bit0.cm.mat.copy()
     m1 = pair.state_bit1.cm.mat
     # negating the correlation block of bit 0 gives bit 1
@@ -136,15 +133,13 @@ def test_alice_pair_sign_symmetry(headline_params):
 
 
 def test_alice_pair_is_phase_sensitive(headline_params):
-    mat = 4.0 * alice_pair(headline_params).state_bit0.cm.mat
+    mat = alice_pair(headline_params).state_bit0.cm.mat
     assert mat[0, 2] == -mat[1, 3]  # opposite signs on x-x and p-p
 
 
 def test_eve_pair_is_phase_insensitive(headline_params):
-    mat = 4.0 * eve_pair(headline_params).state_bit0.cm.mat
+    mat = eve_pair(headline_params).state_bit0.cm.mat
     assert mat[0, 2] == mat[1, 3]  # same sign on both quadratures
-    pair = eve_pair(headline_params)
-    assert pair.observer is Observer.EVE
 
 
 def test_pairs_share_diagonal_blocks(headline_params):
@@ -160,11 +155,7 @@ def test_eve_correlation_vanishes_as_kappa_to_one():
     assert c.d == pytest.approx(1.0, abs=1e-7)
     # her two hypotheses then essentially coincide
     pair = eve_pair(params)
-    q = power_overlap(
-        GaussianState(to_unit_vacuum(pair.state_bit0.cm)),
-        GaussianState(to_unit_vacuum(pair.state_bit1.cm)),
-        0.5,
-    )
+    q = power_overlap(pair.state_bit0, pair.state_bit1, 0.5)
     assert q == pytest.approx(1.0, abs=1e-9)
 
 
@@ -184,6 +175,9 @@ def test_protocol_states_are_physical(headline_params):
             report = validate_physicality(state.cm)
             assert report.ok
             assert np.all(report.nu >= report.threshold)
+            # the same state handed in at quarter-vacuum scale
+            quarter = validate_physicality(CovMat(0.25 * state.cm.mat, Convention.QUARTER_VACUUM))
+            assert np.array_equal(quarter.nu, report.nu)
 
 
 def test_source_physicality_reports_pure_spectrum():
@@ -223,10 +217,6 @@ def test_alice_overlap_monotone_in_signal_brightness():
     for ns in np.logspace(-4, -2, 7):
         params = ProtocolParams(ns=float(ns), kappa=0.1, g=1e4, nb=1e4, m=1)
         pair = alice_pair(params)
-        q = power_overlap(
-            GaussianState(to_unit_vacuum(pair.state_bit0.cm)),
-            GaussianState(to_unit_vacuum(pair.state_bit1.cm)),
-            0.5,
-        )
+        q = power_overlap(pair.state_bit0, pair.state_bit1, 0.5)
         assert q <= previous + 1e-12
         previous = q

@@ -25,7 +25,7 @@ from qillum import (
 )
 
 from conftest import HEADLINE, random_valid_params
-from test_gaussian import protocol_params, unit_states
+from test_gaussian import protocol_params
 
 
 def opa_output_photons_oracle(params: ProtocolParams, bit: int) -> float:
@@ -342,6 +342,7 @@ def test_shared_pair_evaluation_matches_fresh_chernoff_bound(params, other_m):
         at_m = ProtocolParams(ns=params.ns, kappa=params.kappa, g=params.g, nb=params.nb, m=m)
         misses = memo.cache_info().misses
         for optimum_bounds, pair in ((alice_optimum_bounds, alice_pair), (eve_optimum_bounds, eve_pair)):
-            assert optimum_bounds(at_m) == chernoff_bound(*unit_states(pair(at_m)), m)
+            states = pair(at_m)
+            assert optimum_bounds(at_m) == chernoff_bound(states.state_bit0, states.state_bit1, m)
         if m == other_m:
             assert memo.cache_info().misses == misses  # the second M reuses both pairs
