@@ -28,7 +28,7 @@ for km in (10, 25, 50, 75, 100):
     rate = W_HZ / m_needed  # T = M / W
     print(
         f"{km:>5}  {kappa:>8.4f}  {m_needed:>10d}  {rate:>9.3e} /s"
-        f"  {margin.eve_lower:>9.4f}  {not margin.insecure}"
+        f"  {margin.eve.lower_bound:>9.4f}  {not margin.insecure}"
     )
 
 print()
@@ -39,5 +39,6 @@ params = ProtocolParams(ns=0.004, kappa=budget.kappa, g=1e4, nb=1e4, m=budget.m)
 margin = security_margin(params)
 print(f"50 km with T = 20 ns: kappa = {budget.kappa}, M = {budget.m}, "
       f"rate = {budget.bit_rate:.0f} bit/s")
-print(f"  Alice OPA bound {margin.alice_upper:.3e}, Eve lower bound {margin.eve_lower:.3f}")
+print(f"  Alice OPA bound {margin.alice_opa.bhattacharyya_upper:.3e}, "
+      f"Eve lower bound {margin.eve.lower_bound:.3f}")
 print(f"  margin ratio (Eve lower / Alice upper): {margin.margin_ratio:.3g}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import error_bounds_from_overlaps
-from .link import Receiver, budget_from_fiber, required_m, security_margin
+from .link import EVE_FLOOR, Receiver, budget_from_fiber, required_m, security_margin
 from .montecarlo import McConfig, run_mc
 from .protocol import ProtocolParams
 from .receivers import (
@@ -240,7 +240,7 @@ def _cmd_plan(p: dict, as_json: bool) -> int:
         "bit_rate_hz": budget.bit_rate,
         "alice_opa_upper": margin.alice_opa.bhattacharyya_upper,
         "alice_optimum_upper": margin.alice_optimum.chernoff_upper,
-        "eve_lower": margin.eve_lower,
+        "eve_lower": margin.eve.lower_bound,
         "eve_upper": margin.eve.chernoff_upper,
         "margin_ratio": margin.margin_ratio,
         "insecure": margin.insecure,
@@ -258,9 +258,9 @@ def _cmd_plan(p: dict, as_json: bool) -> int:
             f"link: kappa = {budget.kappa:.6g}, M = {budget.m}, bit rate = {budget.bit_rate:.6g} bit/s",
             f"Alice OPA receiver:      Pr(e) <= {margin.alice_opa.bhattacharyya_upper:.9e}",
             f"Alice optimum receiver:  Pr(e) <= {margin.alice_optimum.chernoff_upper:.9e}",
-            f"Eve optimum receiver:    {margin.eve_lower:.9e} <= Pr(e) <= {margin.eve.chernoff_upper:.9e}",
+            f"Eve optimum receiver:    {margin.eve.lower_bound:.9e} <= Pr(e) <= {margin.eve.chernoff_upper:.9e}",
             f"margin: Eve lower / Alice OPA upper = {margin.margin_ratio:.6g}",
-            f"security: {'INSECURE (Eve lower bound below ' + str(margin.eve_floor) + ')' if margin.insecure else 'secure'}",
+            f"security: {'INSECURE (Eve lower bound below ' + str(EVE_FLOOR) + ')' if margin.insecure else 'secure'}",
             f"usability: {'UNUSABLE (Alice bound above target)' if margin.alice_unusable else 'ok'}",
             f"required M for Pr(e) <= {p['target']:g} with {receiver.value} receiver: {needed}",
         ],

@@ -144,10 +144,11 @@ class WilliamsonDecomposition:
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """An s-overlap value q_s = tr(rho0**s rho1**(1-s)) and the s it was taken at."""
+    """The s-minimised overlap q_s = tr(rho0**s rho1**(1-s)), its s, and q_half at s = 1/2."""
 
     q_s: float
     s: float
+    q_half: float
 
 
 @dataclass(frozen=True)
@@ -439,18 +440,6 @@ def _brent_minimize(f: Callable[[float], float], x: float, fx: float) -> tuple[f
                 v, fv = u, fu
 
 
-def _minimize(state0: GaussianState, state1: GaussianState) -> tuple[OverlapResult, float]:
-    """``minimize_overlap`` that also returns Q_{1/2}, decomposing each state once."""
-    f = _overlap_evaluator(state0, state1)
-    q_half = f(0.5)
-    if _is_parity_pair(state0, state1):
-        return OverlapResult(q_s=q_half, s=0.5), q_half
-    s_star, q_star = _brent_minimize(f, 0.5, q_half)
-    if q_half <= q_star:
-        return OverlapResult(q_s=q_half, s=0.5), q_half
-    return OverlapResult(q_s=q_star, s=s_star), q_half
-
-
 def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapResult:
     """Minimise Q_s over s in (0, 1), decomposing each state once.
 
@@ -469,8 +458,16 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     The search runs on [1e-6, 1 - 1e-6] until s* is pinned to within about
     1e-6, which takes about 10 evaluations of Q_s on mixed pairs and up to
     about 32 when the minimum sits at an end of the interval (a pure state).
+    ``q_half`` carries the Q_{1/2} the search started from.
     """
-    return _minimize(state0, state1)[0]
+    f = _overlap_evaluator(state0, state1)
+    q_half = f(0.5)
+    if _is_parity_pair(state0, state1):
+        return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
+    s_star, q_star = _brent_minimize(f, 0.5, q_half)
+    if q_half <= q_star:
+        return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
+    return OverlapResult(q_s=q_star, s=s_star, q_half=q_half)
 
 
 def error_bounds_from_overlaps(
@@ -519,5 +516,5 @@ def chernoff_bound(state0: GaussianState, state1: GaussianState, m: int) -> Erro
     ``minimize_overlap``) Q_s = Q_{1-s} and log Q_s is convex, so the
     Chernoff bound equals the Bhattacharyya bound with s* = 1/2 exactly.
     """
-    best, q_half = _minimize(state0, state1)
-    return error_bounds_from_overlaps(best.q_s, q_half, m, best.s)
+    best = minimize_overlap(state0, state1)
+    return error_bounds_from_overlaps(best.q_s, best.q_half, m, best.s)

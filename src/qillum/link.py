@@ -15,7 +15,7 @@ from enum import Enum
 
 from .gaussian import ErrorBounds
 from .protocol import ProtocolParams
-from .receivers import alice_optimum_bounds, approx_exponents, eve_optimum_bounds, opa_bhattacharyya
+from .receivers import alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
 
 __all__ = [
     "LinkBudget",
@@ -29,7 +29,8 @@ __all__ = [
 # Per-mode overlaps at least this close to 1 make any target unreachable.
 _OVERLAP_CEILING = 1.0 - 1e-15
 
-DEFAULT_EVE_FLOOR = 0.25
+# Eve's lower bound below this floor makes an operating point insecure.
+EVE_FLOOR = 0.25
 DEFAULT_ALICE_TARGET = 1e-6
 
 
@@ -40,7 +41,7 @@ class Receiver(Enum):
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Physical link description with its derived protocol quantities.
+    """The protocol quantities a fiber link implies.
 
     kappa = 10**(-length_km * loss_db_per_km / 10), m = floor(W T) (W T
     within 4 ulps of an integer counts as that integer) and
@@ -48,10 +49,6 @@ class LinkBudget:
     rejected only once protocol parameters are built from the budget.
     """
 
-    length_km: float
-    loss_db_per_km: float
-    w_hz: float
-    t_s: float
     kappa: float
     m: int
     bit_rate: float
@@ -61,24 +58,18 @@ class LinkBudget:
 class SecurityMarginReport:
     """Alice-versus-Eve bound comparison at one operating point.
 
-    ``alice_upper`` is the OPA (buildable receiver) upper bound; the ratio
-    and difference compare Eve's lower bound against it.  ``insecure``
-    flags Eve's lower bound dropping below the floor, ``alice_unusable``
-    flags Alice's bound missing her target.
+    ``margin_ratio`` is Eve's lower bound over Alice's OPA (buildable
+    receiver) Bhattacharyya upper bound.  ``insecure`` flags Eve's lower
+    bound dropping below ``EVE_FLOOR``, ``alice_unusable`` flags Alice's
+    OPA bound missing her target.
     """
 
     alice_optimum: ErrorBounds
     alice_opa: ErrorBounds
     eve: ErrorBounds
-    alice_upper: float
-    eve_lower: float
     margin_ratio: float
-    margin_difference: float
-    eve_floor: float
-    alice_target: float
     insecure: bool
     alice_unusable: bool
-    in_regime: bool
 
 
 def budget_from_fiber(
@@ -115,15 +106,7 @@ def budget_from_fiber(
     nearest = round(product)
     m = nearest if abs(product - nearest) <= 4.0 * math.ulp(product) else math.floor(product)
     kappa = 10.0 ** (-length_km * loss_db_per_km / 10.0)
-    return LinkBudget(
-        length_km=length_km,
-        loss_db_per_km=loss_db_per_km,
-        w_hz=w_hz,
-        t_s=t_s,
-        kappa=kappa,
-        m=m,
-        bit_rate=1.0 / t_s,
-    )
+    return LinkBudget(kappa=kappa, m=m, bit_rate=1.0 / t_s)
 
 
 def required_m(
@@ -166,14 +149,12 @@ def required_m(
 
 
 def security_margin(
-    params: ProtocolParams,
-    eve_floor: float = DEFAULT_EVE_FLOOR,
-    alice_target: float = DEFAULT_ALICE_TARGET,
+    params: ProtocolParams, alice_target: float = DEFAULT_ALICE_TARGET
 ) -> SecurityMarginReport:
     """Compare Alice's achievable error bound against Eve's lower bound.
 
     The operating point is insecure when Eve's lower bound falls under
-    ``eve_floor`` and unusable when Alice's OPA bound exceeds
+    ``EVE_FLOOR`` and unusable when Alice's OPA bound exceeds
     ``alice_target``.
     """
     alice_opt = alice_optimum_bounds(params)
@@ -185,13 +166,7 @@ def security_margin(
         alice_optimum=alice_opt,
         alice_opa=alice_opa,
         eve=eve,
-        alice_upper=alice_upper,
-        eve_lower=eve_lower,
         margin_ratio=eve_lower / alice_upper if alice_upper > 0.0 else math.inf,
-        margin_difference=eve_lower - alice_upper,
-        eve_floor=eve_floor,
-        alice_target=alice_target,
-        insecure=bool(eve_lower < eve_floor),
+        insecure=bool(eve_lower < EVE_FLOOR),
         alice_unusable=bool(alice_upper > alice_target),
-        in_regime=approx_exponents(params).in_regime,
     )

@@ -112,10 +112,9 @@ class HypothesisPair:
 
 @dataclass(frozen=True)
 class PhysicalityReport:
-    """Symplectic spectrum of a covariance matrix and its pass/fail verdict."""
+    """Symplectic spectrum of a covariance matrix and its verdict ``ok`` (all nu >= 1 - 1e-9)."""
 
     nu: NDArray[np.float64]
-    threshold: float
     ok: bool
 
 
@@ -214,8 +213,4 @@ def validate_physicality(cm: CovMat) -> PhysicalityReport:
     """
     unit = cm if cm.convention is Convention.UNIT_VACUUM else to_unit_vacuum(cm)
     nu = williamson(unit).nu
-    return PhysicalityReport(
-        nu=nu,
-        threshold=PHYSICALITY_THRESHOLD,
-        ok=bool(np.all(nu >= PHYSICALITY_THRESHOLD)),
-    )
+    return PhysicalityReport(nu=nu, ok=bool(np.all(nu >= PHYSICALITY_THRESHOLD)))

@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .gaussian import ErrorBounds, chernoff_bound, error_bounds_from_overlaps
+from .gaussian import ErrorBounds, OverlapResult, error_bounds_from_overlaps, minimize_overlap
 from .protocol import HypothesisPair, ProtocolParams, alice_pair, derived_coefficients, eve_pair
 
 __all__ = [
@@ -76,15 +76,15 @@ _PairBuilder = Callable[[ProtocolParams], HypothesisPair]
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_overlaps(build: _PairBuilder, knobs: tuple) -> ErrorBounds:
-    """``chernoff_bound`` at M = 1 on the pair ``build`` makes at (ns, kappa, g, nb)."""
+def _pair_overlaps(build: _PairBuilder, knobs: tuple) -> OverlapResult:
+    """``minimize_overlap`` on the pair ``build`` makes at (ns, kappa, g, nb)."""
     pair = build(ProtocolParams(*knobs, m=1))
-    return chernoff_bound(pair.state_bit0, pair.state_bit1, 1)
+    return minimize_overlap(pair.state_bit0, pair.state_bit1)
 
 
 def _optimum_bounds(build: _PairBuilder, params: ProtocolParams) -> ErrorBounds:
     one = _pair_overlaps(build, (params.ns, params.kappa, params.g, params.nb))
-    return error_bounds_from_overlaps(one.q_star, one.q_half, params.m, one.s_star)
+    return error_bounds_from_overlaps(one.q_s, one.q_half, params.m, one.s)
 
 
 def alice_optimum_bounds(params: ProtocolParams) -> ErrorBounds:

@@ -13,7 +13,6 @@ import pytest
 
 from qillum import (
     ProtocolParams,
-    Receiver,
     alice_optimum_bounds,
     alice_pair,
     approx_exponents,

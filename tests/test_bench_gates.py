@@ -56,4 +56,6 @@ def test_traced_ops_record_spans_across_layers():
         tracer.active = False
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"link.security_margin", "protocol.alice_pair", "gaussian.williamson"} <= names
+    assert {
+        "link.security_margin", "protocol.alice_pair", "gaussian.williamson", "gaussian.minimize_overlap"
+    } <= names

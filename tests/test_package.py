@@ -1,7 +1,12 @@
 """The package namespace: every module's public names, each re-exported once."""
 
+import ast
+from pathlib import Path
+
 import qillum
 from qillum import gaussian, link, montecarlo, protocol, receivers
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_package_all_is_the_union_of_the_module_alls():
@@ -12,3 +17,47 @@ def test_package_all_is_the_union_of_the_module_alls():
     for module in modules:
         for name in module.__all__:
             assert getattr(qillum, name) is getattr(module, name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads as an ``ast.Name``.
+
+    ``from __future__`` and star imports are exempt, and so is a name the
+    module lists in ``__all__`` (a re-export).
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    ]
+
+
+def test_no_file_imports_a_name_it_never_uses():
+    files = [
+        path
+        for pattern in ("src/qillum/*.py", "tests/*.py", "demos/*.py")
+        for path in sorted(ROOT.glob(pattern))
+    ]
+    assert files
+    assert [entry for path in files for entry in _unused_imports(path)] == []

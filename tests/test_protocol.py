@@ -174,7 +174,7 @@ def test_protocol_states_are_physical(headline_params):
         for state in (pair.state_bit0, pair.state_bit1):
             report = validate_physicality(state.cm)
             assert report.ok
-            assert np.all(report.nu >= report.threshold)
+            assert np.all(report.nu >= 1.0)
             # the same state handed in at quarter-vacuum scale
             quarter = validate_physicality(CovMat(0.25 * state.cm.mat, Convention.QUARTER_VACUUM))
             assert np.array_equal(quarter.nu, report.nu)

@@ -24,7 +24,7 @@ from qillum import (
     opa_model,
 )
 
-from conftest import HEADLINE, random_valid_params
+from conftest import random_valid_params
 from test_gaussian import protocol_params
 
 
