@@ -9,6 +9,7 @@ output paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .gaussian import error_bounds_from_overlaps
 from .link import EVE_FLOOR, Receiver, budget_from_fiber, required_m, security_margin
 from .montecarlo import McConfig, run_mc
 from .protocol import ProtocolParams
@@ -180,15 +180,11 @@ def _sweep_m_values(m_min: int, m_max: int, points: int, scale: str) -> list[int
 
 
 def sweep_rows(params: ProtocolParams, m_values: list[int]) -> list[tuple[int, float, float, float, float]]:
-    """Bound curves over ``m_values`` (``params.m`` is ignored); per-mode overlaps are computed once."""
-    alice = alice_optimum_bounds(params)
-    opa = opa_bhattacharyya(params)
-    eve = eve_optimum_bounds(params)
+    """Bound curves over ``m_values`` (``params.m`` is ignored); the receivers' memo evaluates each pair once."""
     rows = []
     for m in m_values:
-        a = error_bounds_from_overlaps(alice.q_star, alice.q_half, m, alice.s_star)
-        o = error_bounds_from_overlaps(opa.q_star, opa.q_half, m, opa.s_star)
-        e = error_bounds_from_overlaps(eve.q_star, eve.q_half, m, eve.s_star)
+        at_m = dataclasses.replace(params, m=m)
+        a, o, e = alice_optimum_bounds(at_m), opa_bhattacharyya(at_m), eve_optimum_bounds(at_m)
         rows.append((m, a.chernoff_upper, o.bhattacharyya_upper, e.chernoff_upper, e.lower_bound))
     return rows
 

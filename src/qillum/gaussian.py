@@ -34,15 +34,12 @@ __all__ = [
     "Convention",
     "CovMat",
     "GaussianState",
-    "WilliamsonDecomposition",
     "OverlapResult",
     "ErrorBounds",
     "IllConditionedMatrixError",
     "OMEGA",
     "to_unit_vacuum",
     "williamson",
-    "power_nu",
-    "power_trace",
     "power_cm",
     "power_overlap",
     "minimize_overlap",
@@ -135,14 +132,6 @@ class GaussianState:
 
 
 @dataclass(frozen=True)
-class WilliamsonDecomposition:
-    """Williamson normal form V = S diag(nu_1, nu_1, nu_2, nu_2) S^T."""
-
-    nu: NDArray[np.float64]
-    symplectic: NDArray[np.float64]
-
-
-@dataclass(frozen=True)
 class OverlapResult:
     """The s-minimised overlap q_s = tr(rho0**s rho1**(1-s)), its s, and q_half at s = 1/2."""
 
@@ -188,13 +177,14 @@ def _require_unit(cm: CovMat, what: str) -> None:
         raise ValueError(f"{what} requires the unit-vacuum convention")
 
 
-def williamson(cm: CovMat) -> WilliamsonDecomposition:
-    """Williamson decomposition of a unit-vacuum covariance matrix.
+def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Williamson decomposition (nu, S) of a unit-vacuum covariance matrix.
 
     Computes V = S D S^T with S symplectic and D = diag(nu_1, nu_1, nu_2,
     nu_2), nu sorted descending; values within 1e-9 below 1 are clamped
-    up to 1.  Uses the real Schur form of V^{-1/2} Omega V^{-1/2}, whose
-    antisymmetric 2x2 blocks carry 1/nu_k, from one LAPACK ``dgees`` call.
+    up to 1, so a physical state has every nu >= 1 exactly.  Uses the real
+    Schur form of V^{-1/2} Omega V^{-1/2}, whose antisymmetric 2x2 blocks
+    carry 1/nu_k, from one LAPACK ``dgees`` call.
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
@@ -233,7 +223,7 @@ def williamson(cm: CovMat) -> WilliamsonDecomposition:
     nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
     # (root @ q) @ diag(d) only adds exact zeros to (root @ q) * d.
     s = (root @ q) * (np.repeat(nu, 2) ** -0.5)
-    return WilliamsonDecomposition(nu=nu, symplectic=s)
+    return nu, s
 
 
 def _check_power(s: float) -> None:
@@ -244,8 +234,8 @@ def _check_power(s: float) -> None:
 
 
 def _check_nu_s(nu: float, s: float) -> None:
-    if not nu >= 1.0 - NU_CLAMP_TOL:
-        raise ValueError(f"symplectic eigenvalue {nu} is below 1")
+    if not 1.0 <= nu < math.inf:
+        raise ValueError(f"symplectic eigenvalue {nu} is below 1 or not finite")
     _check_power(s)
 
 
@@ -255,10 +245,12 @@ def _log_excess(nu: float) -> float | None:
 
 
 def _mode_powers(nu: float, log_excess: float | None, s: float) -> tuple[float, float]:
-    """(power_trace(nu, s), power_nu(nu, s)) from one (nu+1)**s and one (nu-1)**s.
+    """tr(rho**s) and the symplectic eigenvalue of rho**s / tr(rho**s), for a thermal mode.
 
-    ``log_excess`` is ``_log_excess(nu)``; a pure mode (None) takes the
-    closed forms, both equal to 1.  The caller checks nu and s.
+    With a = (nu+1)**s and b = (nu-1)**s these are 2**s / (a - b) and
+    (a + b) / (a - b).  ``log_excess`` is ``_log_excess(nu)``, and b is
+    exp(s ln(nu-1)); a pure mode (None) takes the closed forms, both equal
+    to 1.  The caller checks nu and s (``_check_nu_s``).
     """
     if log_excess is None:
         return 1.0, 1.0
@@ -277,48 +269,33 @@ def _scaled_gram(
     return (sp * d) @ sp.T
 
 
-def power_nu(nu: float, s: float) -> float:
-    """Symplectic eigenvalue of the normalised s-th power of a thermal state.
-
-    For a thermal mode with symplectic eigenvalue ``nu``, rho**s is again
-    thermal (up to normalisation) with eigenvalue
-
-        [(nu+1)**s + (nu-1)**s] / [(nu+1)**s - (nu-1)**s].
-
-    Returns exactly 1 at nu = 1 (pure-state fixed point); (nu-1)**s is
-    evaluated as exp(s ln(nu-1)) only when nu - 1 > 1e-12.
-    """
-    _check_nu_s(nu, s)
-    return _mode_powers(nu, _log_excess(nu), s)[1]
-
-
-def power_trace(nu: float, s: float) -> float:
-    """Trace of the s-th power of a thermal state with symplectic eigenvalue nu.
-
-    tr(rho**s) = 2**s / [(nu+1)**s - (nu-1)**s]; equal to 1 at nu = 1.
-    """
-    _check_nu_s(nu, s)
-    return _mode_powers(nu, _log_excess(nu), s)[0]
-
-
-def power_cm(decomp: WilliamsonDecomposition, s: float) -> NDArray[np.float64]:
+def power_cm(
+    decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float
+) -> NDArray[np.float64]:
     """Covariance matrix of the normalised s-th power of a Gaussian state.
 
-    Applies the symplectic functional calculus: each Williamson eigenvalue
-    nu_k is replaced by power_nu(nu_k, s) while the symplectic matrix is
-    kept, i.e. V(s) = S diag(power_nu(nu_k, s)) S^T.
+    Applies the symplectic functional calculus to the Williamson pair
+    ``decomp = (nu, S)``: each nu_k (finite, >= 1) is replaced by the
+    eigenvalue of the normalised thermal power,
+
+        nu_k(s) = [(nu_k+1)**s + (nu_k-1)**s] / [(nu_k+1)**s - (nu_k-1)**s],
+
+    exactly 1 at nu_k = 1, while S is kept: V(s) = S diag(nu_k(s)) S^T.
     """
-    scaled = np.repeat([power_nu(nu, s) for nu in decomp.nu], 2)
-    return _scaled_gram(decomp.symplectic, scaled)
+    nu, symplectic = decomp
+    for value in nu:
+        _check_nu_s(value, s)
+    scaled = np.repeat([_mode_powers(value, _log_excess(value), s)[1] for value in nu], 2)
+    return _scaled_gram(symplectic, scaled)
 
 
-def _physical_williamson(state: GaussianState, label: str) -> WilliamsonDecomposition:
-    dec = williamson(state.cm)
-    if np.any(dec.nu < 1.0 - NU_CLAMP_TOL):
-        raise ValueError(
-            f"{label} is unphysical: symplectic eigenvalues {dec.nu} below 1"
-        )
-    return dec
+def _physical_williamson(
+    state: GaussianState, label: str
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    nu, symplectic = williamson(state.cm)
+    if np.any(nu < 1.0):
+        raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
+    return nu, symplectic
 
 
 def _overlap_evaluator(
@@ -332,11 +309,10 @@ def _overlap_evaluator(
     ``power_overlap``, in the same order.  It does not check s: callers
     keep s and 1 - s inside (0, 1) (see ``_check_power``).
     """
-    dec0 = _physical_williamson(state0, "state0")
-    dec1 = _physical_williamson(state1, "state1")
-    modes0 = [(nu, _log_excess(nu)) for nu in dec0.nu.tolist()]
-    modes1 = [(nu, _log_excess(nu)) for nu in dec1.nu.tolist()]
-    sp0, sp1 = dec0.symplectic, dec1.symplectic
+    nu0, sp0 = _physical_williamson(state0, "state0")
+    nu1, sp1 = _physical_williamson(state1, "state1")
+    modes0 = [(nu, _log_excess(nu)) for nu in nu0.tolist()]
+    modes1 = [(nu, _log_excess(nu)) for nu in nu1.tolist()]
 
     def q(s: float) -> float:
         prefactor = 4.0
@@ -366,11 +342,12 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
 
     For two-mode states with Williamson spectra alpha_k, beta_k (k = 1, 2),
 
-        Q_s = 4 prod_k power_trace(alpha_k, s) power_trace(beta_k, 1-s)
-                / sqrt(det[V0(s) + V1(1-s)]),
+        Q_s = 4 prod_k t(alpha_k, s) t(beta_k, 1-s) / sqrt(det[V0(s) + V1(1-s)]),
 
-    with V(s) from the symplectic functional calculus (power_cm).  Both
-    states must be unit-vacuum and physical.
+    with t(nu, s) = tr(rho**s) = 2**s / [(nu+1)**s - (nu-1)**s] the trace of
+    a thermal mode's power (1 at nu = 1) and V(s) from the symplectic
+    functional calculus (power_cm).  Both states must be unit-vacuum and
+    physical.
     Satisfies Q_s(rho, rho) = 1 and Q_s(rho0, rho1) = Q_{1-s}(rho1, rho0).
     If rho1 = P rho0 P for a unitary P with P**2 = 1 (a parity pair, such
     as a pi phase shift on one mode), cyclicity of the trace also gives
@@ -480,7 +457,7 @@ def error_bounds_from_overlaps(
     leading-order form q_half**(2M) / 4 once q_half**(2M) < 1e-12, which
     keeps it positive far past double-precision underflow of the sqrt form.
     """
-    if m < 1 or int(m) != m:
+    if not (1 <= m < math.inf and int(m) == m):
         raise ValueError("m must be a positive integer")
     m = int(m)
     if not 0.0 < q_star <= 1.0 or not 0.0 < q_half <= 1.0:

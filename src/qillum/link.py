@@ -155,8 +155,11 @@ def security_margin(
 
     The operating point is insecure when Eve's lower bound falls under
     ``EVE_FLOOR`` and unusable when Alice's OPA bound exceeds
-    ``alice_target``.
+    ``alice_target``, which must lie in (0, 0.5] like ``required_m``'s
+    ``target_pe``.
     """
+    if not 0.0 < alice_target <= 0.5:
+        raise ValueError("alice_target must lie in (0, 0.5]")
     alice_opt = alice_optimum_bounds(params)
     alice_opa = opa_bhattacharyya(params)
     eve = eve_optimum_bounds(params)

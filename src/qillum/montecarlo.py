@@ -72,7 +72,7 @@ def ml_threshold(model: OpaReceiverModel, m: int) -> float:
     declare bit 0 iff the total count >= n*.  Raises when n0 = n1, where no
     threshold exists.
     """
-    if m < 1:
+    if not (1 <= m < math.inf and int(m) == m):
         raise ValueError("m must be a positive integer")
     if model.n0 == model.n1:
         raise ValueError("n0 = n1: the hypotheses coincide and no threshold exists")

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import NU_CLAMP_TOL, Convention, CovMat, GaussianState, to_unit_vacuum, williamson
+from .gaussian import Convention, CovMat, GaussianState, to_unit_vacuum, williamson
 
 __all__ = [
     "ProtocolParams",
     "DerivedCoefficients",
-    "HypothesisPair",
     "PhysicalityReport",
     "derived_coefficients",
     "source_cm",
@@ -34,8 +33,6 @@ __all__ = [
     "eve_pair",
     "validate_physicality",
 ]
-
-PHYSICALITY_THRESHOLD = 1.0 - NU_CLAMP_TOL
 
 
 @dataclass(frozen=True)
@@ -103,16 +100,8 @@ class DerivedCoefficients:
 
 
 @dataclass(frozen=True)
-class HypothesisPair:
-    """The two equally likely Gaussian states one observer must distinguish."""
-
-    state_bit0: GaussianState
-    state_bit1: GaussianState
-
-
-@dataclass(frozen=True)
 class PhysicalityReport:
-    """Symplectic spectrum of a covariance matrix and its verdict ``ok`` (all nu >= 1 - 1e-9)."""
+    """Symplectic spectrum of a covariance matrix and its verdict ``ok`` (all nu >= 1)."""
 
     nu: NDArray[np.float64]
     ok: bool
@@ -171,22 +160,22 @@ def source_cm(ns: float) -> CovMat:
     return _two_mode_cm(s_diag, s_diag, c_q, phase_sensitive=True)
 
 
-def alice_pair(params: ProtocolParams) -> HypothesisPair:
-    """Alice's return/idler states under Bob's bit k = 0 and k = 1.
+def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
+    """Alice's return/idler states ``(state_bit0, state_bit1)`` for Bob's bit k = 0, 1.
 
     Unit-vacuum convention, ordering (x_R, p_R, x_I, p_I): diagonal
     (a, a, s_diag, s_diag).  The correlation is phase sensitive: the x-x
     entry carries (-1)^k c_a and the p-p entry the opposite sign.
     """
     c = derived_coefficients(params)
-    return HypothesisPair(
-        state_bit0=GaussianState(_two_mode_cm(c.a, c.s_diag, c.c_a, phase_sensitive=True)),
-        state_bit1=GaussianState(_two_mode_cm(c.a, c.s_diag, -c.c_a, phase_sensitive=True)),
+    return (
+        GaussianState(_two_mode_cm(c.a, c.s_diag, c.c_a, phase_sensitive=True)),
+        GaussianState(_two_mode_cm(c.a, c.s_diag, -c.c_a, phase_sensitive=True)),
     )
 
 
-def eve_pair(params: ProtocolParams) -> HypothesisPair:
-    """Eve's tapped signal/return states under Bob's bit k = 0 and k = 1.
+def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
+    """Eve's tapped signal/return states ``(state_bit0, state_bit1)`` for Bob's bit k = 0, 1.
 
     Unit-vacuum convention, ordering (x_S', p_S', x_R', p_R') for the two
     tapped modes: diagonal (d, d, e, e).  Unlike Alice's pair the
@@ -194,9 +183,9 @@ def eve_pair(params: ProtocolParams) -> HypothesisPair:
     x-x and the p-p entry.
     """
     c = derived_coefficients(params)
-    return HypothesisPair(
-        state_bit0=GaussianState(_two_mode_cm(c.d, c.e, c.c_e, phase_sensitive=False)),
-        state_bit1=GaussianState(_two_mode_cm(c.d, c.e, -c.c_e, phase_sensitive=False)),
+    return (
+        GaussianState(_two_mode_cm(c.d, c.e, c.c_e, phase_sensitive=False)),
+        GaussianState(_two_mode_cm(c.d, c.e, -c.c_e, phase_sensitive=False)),
     )
 
 
@@ -204,13 +193,13 @@ def validate_physicality(cm: CovMat) -> PhysicalityReport:
     """Report the symplectic spectrum and whether the matrix is a physical state.
 
     Accepts either convention (quarter-vacuum input is rescaled first) and
-    does not raise on unphysical input; the verdict is
-    ``ok = all nu >= 1 - 1e-9``.
+    does not raise on unphysical input; the verdict is ``ok = all nu >= 1``,
+    where ``williamson`` has already lifted any nu within 1e-9 below 1 to 1.
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12, where the
             spectrum cannot be trusted (the source at ns above about 2.5e5).
     """
     unit = cm if cm.convention is Convention.UNIT_VACUUM else to_unit_vacuum(cm)
-    nu = williamson(unit).nu
-    return PhysicalityReport(nu=nu, ok=bool(np.all(nu >= PHYSICALITY_THRESHOLD)))
+    nu, _ = williamson(unit)
+    return PhysicalityReport(nu=nu, ok=bool(np.all(nu >= 1.0)))

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .gaussian import ErrorBounds, OverlapResult, error_bounds_from_overlaps, minimize_overlap
-from .protocol import HypothesisPair, ProtocolParams, alice_pair, derived_coefficients, eve_pair
+from .protocol import ProtocolParams, alice_pair, derived_coefficients, eve_pair
 
 __all__ = [
     "OpaReceiverModel",
@@ -72,14 +72,14 @@ class ApproxExponents:
     in_regime: bool
 
 
-_PairBuilder = Callable[[ProtocolParams], HypothesisPair]
+# alice_pair or eve_pair: knobs -> (state_bit0, state_bit1).
+_PairBuilder = Callable[[ProtocolParams], tuple]
 
 
 @functools.lru_cache(maxsize=8)
 def _pair_overlaps(build: _PairBuilder, knobs: tuple) -> OverlapResult:
     """``minimize_overlap`` on the pair ``build`` makes at (ns, kappa, g, nb)."""
-    pair = build(ProtocolParams(*knobs, m=1))
-    return minimize_overlap(pair.state_bit0, pair.state_bit1)
+    return minimize_overlap(*build(ProtocolParams(*knobs, m=1)))
 
 
 def _optimum_bounds(build: _PairBuilder, params: ProtocolParams) -> ErrorBounds:
@@ -141,8 +141,8 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
     so q stays within 2 ulps of exact and never exceeds 1, even for the
     nearly equal means of a dim source.
     """
-    if n0 < 0.0 or n1 < 0.0:
-        raise ValueError("mean photon numbers must be nonnegative")
+    if not (0.0 <= n0 < math.inf and 0.0 <= n1 < math.inf):
+        raise ValueError("mean photon numbers must be finite and nonnegative")
     if n0 == n1:
         return 1.0
     a, b = math.sqrt(n0), math.sqrt(n1)

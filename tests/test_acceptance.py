@@ -142,9 +142,9 @@ def test_criterion_07_random_parameter_physicality_sweep():
         for _ in range(1000):
             params = random_valid_params(rng)
             assert validate_physicality(source_cm(params.ns)).ok
-            for pair in (alice_pair(params), eve_pair(params)):
-                assert validate_physicality(pair.state_bit0.cm).ok
-                assert validate_physicality(pair.state_bit1.cm).ok
+            for state0, state1 in (alice_pair(params), eve_pair(params)):
+                assert validate_physicality(state0.cm).ok
+                assert validate_physicality(state1.cm).ok
 
     _, elapsed = timed(sweep)
     assert elapsed < 10.0

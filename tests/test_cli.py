@@ -300,6 +300,13 @@ def test_plan_rejects_non_finite_link_inputs(capsys, flag, value, name):
     assert f"{name} must be finite" in err
 
 
+@pytest.mark.parametrize("target", ["0.7", "nan", "0"])
+def test_plan_rejects_a_target_outside_the_unit_half_interval(capsys, target):
+    code, _, err = run_cli(capsys, "plan", *PLAN_FLAGS, "--target", target)
+    assert code == 2
+    assert "must lie in (0, 0.5]" in err
+
+
 def test_plan_json_writes_non_finite_values_as_null(capsys):
     # At M = 1e18 Alice's bound underflows to 0, so Eve / Alice is infinite.
     code, out, _ = run_cli(capsys, "plan", *PLAN_FLAGS, "--w", "1e18", "--t", "1", "--json")

@@ -21,13 +21,11 @@ from qillum import (
     alice_pair,
     minimize_overlap,
     power_cm,
-    power_nu,
     power_overlap,
-    power_trace,
     to_unit_vacuum,
     williamson,
 )
-from qillum.gaussian import NU_CLAMP_TOL, WilliamsonDecomposition
+from qillum.gaussian import NU_CLAMP_TOL, _check_nu_s, _log_excess, _mode_powers
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
@@ -105,20 +103,20 @@ def test_gaussian_state_requires_zero_mean():
 
 
 def test_symplectic_eigenvalues_of_vacuum():
-    nu = williamson(CovMat(np.eye(4), Convention.UNIT_VACUUM)).nu
+    nu, _ = williamson(CovMat(np.eye(4), Convention.UNIT_VACUUM))
     assert np.allclose(nu, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("ns", [5e-4, 0.004, 0.3])
 def test_source_state_is_pure(ns):
     # (2 ns + 1)^2 - 4 ns (ns + 1) = 1 for every ns.
-    nu = williamson(source_cm(ns)).nu
+    nu, _ = williamson(source_cm(ns))
     assert np.allclose(nu, [1.0, 1.0], atol=1e-9)
 
 
 def test_symplectic_eigenvalues_of_williamson_form_input():
     cm = CovMat(np.diag([7.0, 7.0, 3.0, 3.0]), Convention.UNIT_VACUUM)
-    assert np.allclose(williamson(cm).nu, [7.0, 3.0])
+    assert np.allclose(williamson(cm)[0], [7.0, 3.0])
 
 
 def test_symplectic_eigenvalues_requires_unit_convention():
@@ -134,33 +132,32 @@ def test_omega_is_the_two_mode_form_and_read_only():
 
 
 def williamson_invariants(cm: CovMat):
-    dec = williamson(cm)
-    sp = dec.symplectic
+    nu, sp = williamson(cm)
     assert np.max(np.abs(sp @ OMEGA @ sp.T - OMEGA)) < 1e-9
-    recon = sp @ np.diag(np.repeat(dec.nu, 2)) @ sp.T
+    recon = sp @ np.diag(np.repeat(nu, 2)) @ sp.T
     rel = np.linalg.norm(recon - cm.mat) / np.linalg.norm(cm.mat)
     assert rel < 1e-9
-    assert np.array_equal(dec.nu, williamson(cm).nu)
-    return dec
+    assert np.array_equal(nu, williamson(cm)[0])
+    return nu, sp
 
 
 def test_williamson_identity():
-    dec = williamson_invariants(CovMat(np.eye(4), Convention.UNIT_VACUUM))
-    assert np.allclose(dec.nu, [1.0, 1.0])
-    assert np.allclose(dec.symplectic.T @ dec.symplectic, np.eye(4), atol=1e-12)
+    nu, sp = williamson_invariants(CovMat(np.eye(4), Convention.UNIT_VACUUM))
+    assert np.allclose(nu, [1.0, 1.0])
+    assert np.allclose(sp.T @ sp, np.eye(4), atol=1e-12)
 
 
 def test_williamson_diagonal_input():
-    dec = williamson_invariants(CovMat(np.diag([7.0, 7.0, 3.0, 3.0]), Convention.UNIT_VACUUM))
-    assert np.allclose(dec.nu, [7.0, 3.0])
+    nu, sp = williamson_invariants(CovMat(np.diag([7.0, 7.0, 3.0, 3.0]), Convention.UNIT_VACUUM))
+    assert np.allclose(nu, [7.0, 3.0])
     # already in normal form: the symplectic factor is orthogonal
-    assert np.allclose(dec.symplectic.T @ dec.symplectic, np.eye(4), atol=1e-9)
+    assert np.allclose(sp.T @ sp, np.eye(4), atol=1e-9)
 
 
 def test_williamson_on_protocol_states():
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
-        for state in (pair.state_bit0, pair.state_bit1):
+        for state in pair:
             williamson_invariants(state.cm)
 
 
@@ -178,6 +175,20 @@ def test_williamson_rejects_ill_conditioned():
 
 # ----------------------------------------------------------------------
 # thermal power functions
+
+
+def power_nu(nu: float, s: float) -> float:
+    """The symplectic eigenvalue of a thermal mode's normalised s-th power, through ``power_cm``.
+
+    On the diagonal input (nu, I), S diag(d) S^T is exactly diag(d).
+    """
+    return float(power_cm((np.array([nu, nu]), np.eye(4)), s)[0, 0])
+
+
+def power_trace(nu: float, s: float) -> float:
+    """tr(rho**s) of a thermal mode, the factor ``power_overlap``'s prefactor multiplies in."""
+    _check_nu_s(nu, s)
+    return _mode_powers(nu, _log_excess(nu), s)[0]
 
 
 def test_power_nu_pure_fixed_point():
@@ -207,13 +218,16 @@ def test_power_functions_reject_bad_inputs(func):
         func(2.0, 0.0)
     with pytest.raises(ValueError):
         func(2.0, 1.0)
+    with pytest.raises(ValueError, match="below 1"):
+        func(math.inf, 0.5)  # (nu + 1)**s - (nu - 1)**s would be inf - inf = nan
 
 
 def test_power_cm_rejects_bad_inputs():
-    sub_vacuum = WilliamsonDecomposition(nu=np.array([1.0, 0.5]), symplectic=np.eye(4))
     with pytest.raises(ValueError, match="below 1"):
-        power_cm(sub_vacuum, 0.5)
-    thermal = WilliamsonDecomposition(nu=np.array([2.0, 1.0]), symplectic=np.eye(4))
+        power_cm((np.array([1.0, 0.5]), np.eye(4)), 0.5)
+    with pytest.raises(ValueError, match="below 1"):
+        power_cm((np.array([math.inf, 1.0]), np.eye(4)), 0.5)
+    thermal = (np.array([2.0, 1.0]), np.eye(4))
     for s in (0.0, 1.0, -0.1, math.nan, 1e-20):  # 1 - 1e-20 rounds to 1
         with pytest.raises(ValueError, match="inside"):
             power_cm(thermal, s)
@@ -224,12 +238,11 @@ def test_power_cm_at_s_one_reproduces_input():
     params = ProtocolParams(**HEADLINE)
     states = [
         random_unit_state(rng),
-        alice_pair(params).state_bit0,
-        eve_pair(params).state_bit1,
+        alice_pair(params)[0],
+        eve_pair(params)[1],
     ]
     for state in states:
-        dec = williamson(state.cm)
-        recon = power_cm(dec, 1.0 - 1e-9)
+        recon = power_cm(williamson(state.cm), 1.0 - 1e-9)
         rel = np.linalg.norm(recon - state.cm.mat) / np.linalg.norm(state.cm.mat)
         assert rel < 1e-6
 
@@ -312,10 +325,9 @@ def test_overlap_symmetry_under_s_reflection():
 def test_overlap_unimodal_on_grid():
     params = ProtocolParams(**HEADLINE)
     rng = np.random.default_rng(23)
-    alice, eve = alice_pair(params), eve_pair(params)
     pairs = [
-        (alice.state_bit0, alice.state_bit1),
-        (eve.state_bit0, eve.state_bit1),
+        alice_pair(params),
+        eve_pair(params),
         (thermal_state(0.0), thermal_state(3.0)),
         (random_unit_state(rng), random_unit_state(rng)),
     ]
@@ -332,7 +344,7 @@ def test_overlap_unimodal_on_grid():
 
 
 def test_overlap_rejects_convention_mismatch():
-    unit = alice_pair(ProtocolParams(**HEADLINE)).state_bit0
+    unit, _ = alice_pair(ProtocolParams(**HEADLINE))
     quarter = GaussianState(CovMat(0.25 * unit.cm.mat, Convention.QUARTER_VACUUM))
     with pytest.raises(ValueError, match="unit-vacuum"):
         power_overlap(quarter, unit, 0.5)
@@ -350,8 +362,7 @@ def test_overlap_rejects_unphysical_state():
 
 def test_minimize_overlap_symmetric_pairs_pick_s_half():
     params = ProtocolParams(**HEADLINE)
-    for pair in (alice_pair(params), eve_pair(params)):
-        s0, s1 = pair.state_bit0, pair.state_bit1
+    for s0, s1 in (alice_pair(params), eve_pair(params)):
         result = minimize_overlap(s0, s1)
         assert abs(result.s - 0.5) < 1e-3
         assert result.q_half == power_overlap(s0, s1, 0.5)
@@ -398,7 +409,7 @@ def test_protocol_pairs_evaluate_the_overlap_once(overlap_evaluations):
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
         overlap_evaluations.clear()
-        chernoff_bound(pair.state_bit0, pair.state_bit1, params.m)
+        chernoff_bound(*pair, params.m)
         assert overlap_evaluations == [0.5]
 
 
@@ -438,8 +449,7 @@ def unit_state_pairs(draw):
     states, with an exactly pure mode in some of them.
     """
     if draw(st.booleans()):
-        pair = draw(st.sampled_from([alice_pair, eve_pair]))(draw(protocol_params()))
-        return pair.state_bit0, pair.state_bit1
+        return draw(st.sampled_from([alice_pair, eve_pair]))(draw(protocol_params()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return tuple(random_unit_state(rng, pure_modes=draw(st.integers(0, 1))) for _ in range(2))
 
@@ -466,17 +476,18 @@ def reference_williamson(cm: CovMat):
 
 
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
-    """Q_s assembled as ``power_overlap`` documents it, from the public power functions."""
+    """Q_s assembled as ``power_overlap`` documents it, from the per-mode power functions."""
     dec0, dec1 = williamson(state0.cm), williamson(state1.cm)
     prefactor = 4.0
-    for nu in dec0.nu:
+    for nu in dec0[0]:
         prefactor *= power_trace(nu, s)
-    for nu in dec1.nu:
+    for nu in dec1[0]:
         prefactor *= power_trace(nu, 1.0 - s)
 
     def power_matrix(dec, power):
-        scaled = np.repeat([power_nu(nu, power) for nu in dec.nu], 2)
-        return dec.symplectic @ np.diag(scaled) @ dec.symplectic.T
+        nu, sp = dec
+        scaled = np.repeat([_mode_powers(v, _log_excess(v), power)[1] for v in nu], 2)
+        return sp @ np.diag(scaled) @ sp.T
 
     sigma = power_matrix(dec0, s) + power_matrix(dec1, 1.0 - s)
     return min(prefactor / math.sqrt(np.linalg.det(sigma)), 1.0)
@@ -486,10 +497,10 @@ def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) ->
 @given(pair=unit_state_pairs())
 def test_williamson_matches_schur_reference_bit_for_bit(pair):
     for state in pair:
-        dec = williamson(state.cm)
-        nu, sp = reference_williamson(state.cm)
-        assert np.array_equal(dec.nu, nu)
-        assert np.array_equal(dec.symplectic, sp)
+        nu, sp = williamson(state.cm)
+        ref_nu, ref_sp = reference_williamson(state.cm)
+        assert np.array_equal(nu, ref_nu)
+        assert np.array_equal(sp, ref_sp)
 
 
 @settings(max_examples=80, deadline=None)
@@ -502,8 +513,7 @@ def test_power_overlap_matches_documented_formula_bit_for_bit(pair, s):
 @given(params=protocol_params())
 def test_protocol_pairs_take_s_half_exactly(params):
     grid = np.linspace(0.05, 0.95, 19)
-    for pair in (alice_pair(params), eve_pair(params)):
-        s0, s1 = pair.state_bit0, pair.state_bit1
+    for s0, s1 in (alice_pair(params), eve_pair(params)):
         bounds = chernoff_bound(s0, s1, params.m)
         assert bounds.s_star == 0.5
         assert bounds.chernoff_upper == bounds.bhattacharyya_upper
@@ -539,8 +549,7 @@ def test_result_fields_are_python_floats(headline_params):
 
 
 def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
-    pair = alice_pair(ProtocolParams(**HEADLINE))
-    chernoff_bound(pair.state_bit0, pair.state_bit1, 100)
+    chernoff_bound(*alice_pair(ProtocolParams(**HEADLINE)), 100)
     assert len(williamson_calls) == 2
     williamson_calls.clear()
     bounds = chernoff_bound(thermal_state(0.0), thermal_state(3.0), 100)
@@ -563,8 +572,7 @@ def test_bound_ordering_on_protocol_pairs():
 
     for _ in range(8):
         params = random_valid_params(rng, m=int(rng.integers(1, 10**5)))
-        for pair in (alice_pair(params), eve_pair(params)):
-            s0, s1 = pair.state_bit0, pair.state_bit1
+        for s0, s1 in (alice_pair(params), eve_pair(params)):
             bounds = chernoff_bound(s0, s1, params.m)
             assert bounds.lower_bound <= bounds.chernoff_upper + 1e-15
             assert bounds.chernoff_upper <= bounds.bhattacharyya_upper + 1e-15
@@ -588,7 +596,12 @@ def test_error_bounds_lower_bound_survives_underflow():
 
 
 def test_error_bounds_validates_inputs():
-    with pytest.raises(ValueError, match="positive integer"):
-        error_bounds_from_overlaps(0.9, 0.9, 0, 0.5)
+    for m in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive integer"):
+            error_bounds_from_overlaps(0.9, 0.9, m, 0.5)
+    state0, state1 = thermal_state(0.0), thermal_state(3.0)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive integer"):
+            chernoff_bound(state0, state1, m)
     with pytest.raises(ValueError, match="overlaps"):
         error_bounds_from_overlaps(1.5, 0.9, 10, 0.5)

@@ -197,6 +197,13 @@ def test_required_m_validates_target(headline_params):
             required_m(headline_params, target, Receiver.OPA)
 
 
+def test_security_margin_validates_target(headline_params):
+    # Outside (0, 0.5] a NaN or 2.0 target once read usable and -1 unusable.
+    for target in (0.0, -1.0, 0.51, 2.0, math.nan):
+        with pytest.raises(ValueError, match=r"alice_target must lie in \(0, 0.5\]"):
+            security_margin(headline_params, alice_target=target)
+
+
 # ----------------------------------------------------------------------
 # security margin
 

@@ -57,6 +57,14 @@ def test_ml_threshold_within_mean_interval(headline_params):
     assert headline_params.m * model.n1 < threshold < headline_params.m * model.n0
 
 
+def test_ml_threshold_requires_a_positive_integer_m():
+    # A fractional, NaN or infinite m once returned a threshold (nan and inf for the last two).
+    model = OpaReceiverModel(gain_excess=0.1, n0=0.5, n1=0.4)
+    for m in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive integer"):
+            ml_threshold(model, m)
+
+
 def test_ml_threshold_rejects_degenerate_model():
     model = OpaReceiverModel(gain_excess=0.1, n0=0.5, n1=0.5)
     with pytest.raises(ValueError, match="no threshold"):

@@ -61,3 +61,41 @@ def test_no_file_imports_a_name_it_never_uses():
     ]
     assert files
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+def _module_level_private_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each private function, class or constant ``tree`` defines at module level."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        found += [(name, node.lineno) for name in targets if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def test_no_private_name_in_src_goes_unread():
+    """A helper a deletion leaves behind: defined at module level, read nowhere under src/.
+
+    A read is a loaded ``ast.Name`` or an attribute access (``module._name``)
+    in any file of the package.
+    """
+    files = sorted(ROOT.glob("src/qillum/*.py"))
+    assert files
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(name, f"{path.relative_to(ROOT)}:{line}: {name}") for name, line in _module_level_private_names(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [where for name, where in defined if name not in read] == []

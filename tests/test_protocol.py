@@ -89,13 +89,13 @@ def test_coefficient_recomputation_is_bit_identical(headline_params):
 
 def test_matrix_entries_equal_coefficients_exactly(headline_params):
     c = derived_coefficients(headline_params)
-    alice = alice_pair(headline_params)
-    mat0 = alice.state_bit0.cm.mat
+    alice0, _ = alice_pair(headline_params)
+    mat0 = alice0.cm.mat
     assert mat0[0, 0] == c.a and mat0[1, 1] == c.a
     assert mat0[2, 2] == c.s_diag and mat0[3, 3] == c.s_diag
     assert mat0[0, 2] == c.c_a and mat0[1, 3] == -c.c_a
-    eve = eve_pair(headline_params)
-    emat0 = eve.state_bit0.cm.mat
+    eve0, _ = eve_pair(headline_params)
+    emat0 = eve0.cm.mat
     assert emat0[0, 0] == c.d and emat0[2, 2] == c.e
     assert emat0[0, 2] == c.c_e and emat0[1, 3] == c.c_e
 
@@ -123,9 +123,9 @@ def test_source_cm_rejects_nonpositive_ns():
 
 
 def test_alice_pair_sign_symmetry(headline_params):
-    pair = alice_pair(headline_params)
-    m0 = pair.state_bit0.cm.mat.copy()
-    m1 = pair.state_bit1.cm.mat
+    state0, state1 = alice_pair(headline_params)
+    m0 = state0.cm.mat.copy()
+    m1 = state1.cm.mat
     # negating the correlation block of bit 0 gives bit 1
     m0[0:2, 2:4] *= -1.0
     m0[2:4, 0:2] *= -1.0
@@ -133,18 +133,18 @@ def test_alice_pair_sign_symmetry(headline_params):
 
 
 def test_alice_pair_is_phase_sensitive(headline_params):
-    mat = alice_pair(headline_params).state_bit0.cm.mat
+    mat = alice_pair(headline_params)[0].cm.mat
     assert mat[0, 2] == -mat[1, 3]  # opposite signs on x-x and p-p
 
 
 def test_eve_pair_is_phase_insensitive(headline_params):
-    mat = eve_pair(headline_params).state_bit0.cm.mat
+    mat = eve_pair(headline_params)[0].cm.mat
     assert mat[0, 2] == mat[1, 3]  # same sign on both quadratures
 
 
 def test_pairs_share_diagonal_blocks(headline_params):
-    for pair in (alice_pair(headline_params), eve_pair(headline_params)):
-        m0, m1 = pair.state_bit0.cm.mat, pair.state_bit1.cm.mat
+    for state0, state1 in (alice_pair(headline_params), eve_pair(headline_params)):
+        m0, m1 = state0.cm.mat, state1.cm.mat
         assert np.array_equal(np.diag(m0), np.diag(m1))
 
 
@@ -154,8 +154,7 @@ def test_eve_correlation_vanishes_as_kappa_to_one():
     assert c.c_e == pytest.approx(0.0, abs=1e-5)
     assert c.d == pytest.approx(1.0, abs=1e-7)
     # her two hypotheses then essentially coincide
-    pair = eve_pair(params)
-    q = power_overlap(pair.state_bit0, pair.state_bit1, 0.5)
+    q = power_overlap(*eve_pair(params), 0.5)
     assert q == pytest.approx(1.0, abs=1e-9)
 
 
@@ -171,7 +170,7 @@ def test_eve_correlation_vanishes_with_signal():
 def test_protocol_states_are_physical(headline_params):
     assert validate_physicality(source_cm(headline_params.ns)).ok
     for pair in (alice_pair(headline_params), eve_pair(headline_params)):
-        for state in (pair.state_bit0, pair.state_bit1):
+        for state in pair:
             report = validate_physicality(state.cm)
             assert report.ok
             assert np.all(report.nu >= 1.0)
@@ -206,9 +205,9 @@ def test_physicality_sweep_over_random_parameters():
     for _ in range(1000):
         params = random_valid_params(rng)
         assert validate_physicality(source_cm(params.ns)).ok
-        for pair in (alice_pair(params), eve_pair(params)):
-            assert validate_physicality(pair.state_bit0.cm).ok
-            assert validate_physicality(pair.state_bit1.cm).ok
+        for state0, state1 in (alice_pair(params), eve_pair(params)):
+            assert validate_physicality(state0.cm).ok
+            assert validate_physicality(state1.cm).ok
 
 
 def test_alice_overlap_monotone_in_signal_brightness():
@@ -216,7 +215,6 @@ def test_alice_overlap_monotone_in_signal_brightness():
     previous = 2.0
     for ns in np.logspace(-4, -2, 7):
         params = ProtocolParams(ns=float(ns), kappa=0.1, g=1e4, nb=1e4, m=1)
-        pair = alice_pair(params)
-        q = power_overlap(pair.state_bit0, pair.state_bit1, 0.5)
+        q = power_overlap(*alice_pair(params), 0.5)
         assert q <= previous + 1e-12
         previous = q

@@ -150,6 +150,12 @@ def test_geometric_overlap_equal_means_is_one():
     assert error_bounds_from_overlaps(1.0, 1.0, 100, 0.5).bhattacharyya_upper == 0.5
 
 
+@pytest.mark.parametrize("n0, n1", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (-1.0, 1.0)])
+def test_geometric_overlap_rejects_non_finite_or_negative_means(n0, n1):
+    with pytest.raises(ValueError, match="nonnegative"):
+        geometric_bhattacharyya_overlap(n0, n1)
+
+
 
 def _geometric_overlap_ulps(n0, n1):
     """Distance in ulps between the float overlap and a 60-digit evaluation at the same n0, n1."""
@@ -342,7 +348,6 @@ def test_shared_pair_evaluation_matches_fresh_chernoff_bound(params, other_m):
         at_m = ProtocolParams(ns=params.ns, kappa=params.kappa, g=params.g, nb=params.nb, m=m)
         misses = memo.cache_info().misses
         for optimum_bounds, pair in ((alice_optimum_bounds, alice_pair), (eve_optimum_bounds, eve_pair)):
-            states = pair(at_m)
-            assert optimum_bounds(at_m) == chernoff_bound(states.state_bit0, states.state_bit1, m)
+            assert optimum_bounds(at_m) == chernoff_bound(*pair(at_m), m)
         if m == other_m:
             assert memo.cache_info().misses == misses  # the second M reuses both pairs
