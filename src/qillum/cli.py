@@ -37,6 +37,9 @@ CSV_HEADER = "M,alice_qcb,alice_opa_bhatt,eve_qcb_upper,eve_lower_bound"
 
 # Links this close to lossless make the eavesdropping analysis degenerate.
 _KAPPA_PLAN_CEILING = 1.0 - 1e-5
+# Largest sweep bound: np.logspace reaches 10**log10(m_max) in floats, which
+# overflows to inf just below the largest double.
+_M_MAX = 1e308
 
 
 def _now() -> str:
@@ -170,12 +173,15 @@ def _sweep_m_values(m_min: int, m_max: int, points: int, scale: str) -> list[int
         raise ValueError("m-min must be >= 1")
     if m_max <= m_min:
         raise ValueError("m-max must exceed m-min")
+    if m_max > _M_MAX:
+        raise ValueError(f"m-max must be at most {_M_MAX:g}")
     if points < 2:
         raise ValueError("points must be >= 2")
     if scale == "log":
         grid = np.logspace(math.log10(m_min), math.log10(m_max), points)
     else:
-        grid = np.linspace(m_min, m_max, points)
+        # As floats: numpy cannot subtract integers beyond int64.
+        grid = np.linspace(float(m_min), float(m_max), points)
     return sorted({max(1, int(round(v))) for v in grid})
 
 

@@ -17,18 +17,30 @@ The discrimination engine computes ``tr(rho0**s rho1**(1-s))`` for two
 zero-mean Gaussian states from their Williamson decompositions, then turns
 the s-minimised overlap into quantum Chernoff / Bhattacharyya upper bounds
 and the matching lower bound for an M-copy binary hypothesis test.
+
+The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
+It is bound straight from scipy's compiled ``scipy.linalg._flapack``
+extension, the object ``scipy.linalg.lapack.dgees`` re-exports, without
+running the ``scipy.linalg`` package init.  That init took about two thirds
+of the CLI's import time, mostly in its array-API compatibility layer,
+which touches every numpy attribute and so imports ``numpy.f2py`` and
+``numpy.testing``.  The same compiled routine runs either way, so every
+result is bit-identical.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dgees
 
 __all__ = [
     "Convention",
@@ -86,6 +98,41 @@ OMEGA = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
 OMEGA.setflags(write=False)
 # The sign pattern of P V P, P negating both quadratures of mode 2.
 _PARITY_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
+
+
+def _load_dgees() -> Callable:
+    """LAPACK ``dgees`` from scipy's ``linalg/_flapack`` extension, loaded without ``import scipy``.
+
+    ``find_spec`` locates scipy without importing it.  The extension is not
+    left in ``sys.modules``, so a later ``import scipy.linalg`` loads its own
+    module object (over the same compiled routine).
+
+    Raises:
+        ImportError: scipy or its ``_flapack`` extension is not installed.
+    """
+    name = "scipy.linalg._flapack"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed; qillum needs its LAPACK extension")
+    dirs = [os.path.join(d, "linalg") for d in spec.submodule_search_locations]
+    for directory in dirs:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "_flapack" + suffix)
+            if os.path.isfile(path):
+                loaded_before = name in sys.modules
+                ext_spec = importlib.util.spec_from_file_location(
+                    name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
+                )
+                module = importlib.util.module_from_spec(ext_spec)
+                ext_spec.loader.exec_module(module)
+                if not loaded_before:
+                    # A single-phase extension registers itself while it initialises.
+                    sys.modules.pop(name, None)
+                return module.dgees
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {', '.join(dirs)}")
+
+
+_dgees = _load_dgees()
 
 
 def _no_sort(wr: float, wi: float) -> None:
@@ -205,7 +252,7 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     inv_root = (u / np.sqrt(lam)) @ u.T
     core = inv_root @ OMEGA @ inv_root
     core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
-    t, _, _, _, q, _, info = dgees(_no_sort, core)
+    t, _, _, _, q, _, info = _dgees(_no_sort, core)
     if info != 0:
         raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
     # Block k carries 1/nu_k in its positive off-diagonal entry; a block

@@ -34,6 +34,9 @@ __all__ = [
 
 REGIME_NS_MAX = 0.01
 REGIME_KAPPA_NB_MIN = 100.0
+# Largest photon-count mean the OPA overlap takes: beyond about 1.6e123 its
+# numerator (n0 - n1)**2 (...)(A + B + a + b) leaves the float range.
+_OPA_MEAN_MAX = 1e120
 
 
 @dataclass(frozen=True)
@@ -139,10 +142,14 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
         (n0 - n1)^2 (1/(A + a) + 1/(B + b)) (A + B + a + b) / (2 (a + b)^2 (A + B)^2),
 
     so q stays within 2 ulps of exact and never exceeds 1, even for the
-    nearly equal means of a dim source.
+    nearly equal means of a dim source.  Means above 1e120 are refused, as
+    that expression overflows beyond about 1.6e123.
     """
-    if not (0.0 <= n0 < math.inf and 0.0 <= n1 < math.inf):
-        raise ValueError("mean photon numbers must be finite and nonnegative")
+    if not (0.0 <= n0 <= _OPA_MEAN_MAX and 0.0 <= n1 <= _OPA_MEAN_MAX):
+        raise ValueError(
+            f"mean photon numbers must be nonnegative and at most {_OPA_MEAN_MAX:g}, "
+            f"got n0 = {n0!r}, n1 = {n1!r}"
+        )
     if n0 == n1:
         return 1.0
     a, b = math.sqrt(n0), math.sqrt(n1)

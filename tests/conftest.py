@@ -1,5 +1,8 @@
 """Shared fixtures and random-state generators for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -11,6 +14,15 @@ from qillum import OMEGA, Convention, CovMat, GaussianState, ProtocolParams
 # Operating point used throughout: ns = 0.004, kappa = 0.1, g = nb = 1e4,
 # M = 2e4 (the 50 km / 0.2 dB/km / 1 THz / 20 ns link).
 HEADLINE = dict(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=20000)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict[str, str]:
+    """This process's environment, with the repository's src/ first on PYTHONPATH for a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qillum.cli import CSV_HEADER, OUT_DIR_ENV, main
+
+from conftest import src_env
 
 HEADLINE_FLAGS = ["--ns", "0.004", "--kappa", "0.1", "--g", "1e4", "--nb", "1e4"]
 
@@ -42,6 +46,23 @@ def test_bounds_headline_point(capsys):
         "nb": 1e4,
         "m": 20000,
     }
+
+
+def test_cold_bounds_skips_the_scipy_linalg_package_init(capsys):
+    """A fresh ``qillum bounds`` imports no scipy.linalg package init and none of what it pulls in."""
+    argv = ["bounds", *HEADLINE_FLAGS, "--m", "20000", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qillum", *argv],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "qillum.gaussian" in imported
+    banned = ("scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.testing")
+    assert [name for name in imported if any(name == b or name.startswith(b + ".") for b in banned)] == []
+    code, record, _ = run_json(capsys, *argv[:-1])
+    assert code == 0
+    assert json.loads(proc.stdout)["outputs"] == record["outputs"]
 
 
 def test_bounds_human_output_echoes_parameters(capsys):
@@ -256,6 +277,27 @@ def test_sweep_validates_spec(capsys, tmp_path):
     assert "m-max" in err
 
 
+@pytest.mark.parametrize("scale", ["log", "linear"])
+def test_sweep_refuses_m_max_beyond_float_range(capsys, tmp_path, scale):
+    code, _, err = run_cli(
+        capsys, "sweep", *HEADLINE_FLAGS,
+        "--m-min", "1", "--m-max", "1" + "0" * 320, "--points", "3", "--scale", scale,
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "m-max must be at most 1e+308" in err
+
+
+def test_linear_sweep_takes_m_max_beyond_int64(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", *HEADLINE_FLAGS,
+        "--m-min", "1", "--m-max", str(10**20), "--points", "3", "--scale", "linear", "--out", str(out),
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[3:]] == ["1", str(5 * 10**19), str(10**20)]
+
+
 # ----------------------------------------------------------------------
 # plan
 
@@ -387,6 +429,14 @@ def test_mc_seed_defaults_to_zero(capsys):
     code, record, _ = run_json(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "20000")
     assert code == 0
     assert record["params"]["seed"] == 0
+
+
+def test_mc_refuses_opa_means_beyond_the_overlap_range(capsys):
+    code, _, err = run_cli(
+        capsys, "mc", "--ns", "1e150", "--kappa", "0.5", "--g", "1e4", "--nb", "1e4", "--m", "10", "--trials", "10"
+    )
+    assert code == 2
+    assert "at most 1e+120" in err
 
 
 def test_mc_rejects_negative_seed(capsys):

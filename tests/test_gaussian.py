@@ -1,13 +1,20 @@
 """Covariance conventions, Williamson form and the overlap/bound engine."""
 
 import dataclasses
+import importlib.machinery
+import importlib.util
+import inspect
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import schur
+from scipy.linalg.lapack import dgees
 
 from qillum import (
     OMEGA,
@@ -25,11 +32,12 @@ from qillum import (
     to_unit_vacuum,
     williamson,
 )
+from qillum import gaussian
 from qillum.gaussian import NU_CLAMP_TOL, _check_nu_s, _log_excess, _mode_powers
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
-from conftest import HEADLINE, random_unit_state, thermal_state
+from conftest import HEADLINE, random_unit_state, src_env, thermal_state
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +481,74 @@ def reference_williamson(cm: CovMat):
     nu = nu[order]
     nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
     return nu, root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
+
+
+def _schur_outputs(dgees_fn, cores: np.ndarray) -> np.ndarray:
+    """Row k: the t, q and info ``dgees_fn`` returns for ``cores[k]``, flattened."""
+    rows = []
+    for core in cores:
+        t, _, _, _, q, _, info = dgees_fn(gaussian._no_sort, core)
+        rows.append(np.concatenate([t.ravel(), q.ravel(), [info]]))
+    return np.array(rows)
+
+
+# The same rows in a fresh interpreter, from the dgees qillum binds before
+# scipy.linalg is imported, from that binding after it, and from
+# scipy.linalg.lapack.dgees; reads the cores from argv[1], saves to argv[2].
+_QILLUM_FIRST_SCHUR = """
+import sys
+import numpy as np
+from qillum import gaussian
+assert "scipy.linalg" not in sys.modules and "scipy.linalg._flapack" not in sys.modules
+{schur_outputs}
+cores = np.load(sys.argv[1])
+before = _schur_outputs(gaussian._dgees, cores)
+from scipy.linalg.lapack import dgees
+np.save(sys.argv[2], np.stack([before, _schur_outputs(gaussian._dgees, cores), _schur_outputs(dgees, cores)]))
+"""
+
+
+def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatch, tmp_path):
+    """gaussian's dgees gives scipy.linalg.lapack.dgees's bits, whichever of qillum and scipy.linalg loads first.
+
+    Cores: 200 seeded antisymmetric 4 x 4 matrices and the ones ``williamson``
+    builds for both protocol pairs at the headline knobs.
+    """
+    rng = np.random.default_rng(20090904)
+    cores = [a - a.T for a in rng.standard_normal((200, 4, 4))]
+    bound = gaussian._dgees
+
+    def recording(select, core):
+        cores.append(core.copy())
+        return bound(select, core)
+
+    monkeypatch.setattr(gaussian, "_dgees", recording)
+    params = ProtocolParams(**HEADLINE)
+    for state in (*alice_pair(params), *eve_pair(params)):
+        williamson(state.cm)
+    monkeypatch.undo()
+    assert len(cores) == 204
+    cores = np.array(cores)
+    expected = _schur_outputs(dgees, cores).tobytes()
+    assert _schur_outputs(gaussian._dgees, cores).tobytes() == expected  # scipy.linalg loaded first here
+
+    np.save(tmp_path / "cores.npy", cores)
+    script = _QILLUM_FIRST_SCHUR.format(schur_outputs=inspect.getsource(_schur_outputs))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cores.npy"), str(tmp_path / "out.npy")],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for outputs in np.load(tmp_path / "out.npy"):
+        assert outputs.tobytes() == expected
+
+
+def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        gaussian._load_dgees()
 
 
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:

@@ -156,6 +156,19 @@ def test_geometric_overlap_rejects_non_finite_or_negative_means(n0, n1):
         geometric_bhattacharyya_overlap(n0, n1)
 
 
+@pytest.mark.parametrize("n0, n1", [(1e120, 0.0), (1e120, 1.0), (1e120, 1e117), (3.0, 1e120), (1e120, 1e120 * (1 - 1e-15))])
+def test_geometric_overlap_is_accurate_up_to_its_mean_limit(n0, n1):
+    with mpmath.workdps(400):  # (n0 + 1)(n1 + 1) - n0 n1 cancels 240 digits at these means
+        a, b = mpmath.mpf(n0), mpmath.mpf(n1)
+        exact = 1 / (mpmath.sqrt((a + 1) * (b + 1)) - mpmath.sqrt(a * b))
+        assert abs(geometric_bhattacharyya_overlap(n0, n1) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("n0, n1", [(math.nextafter(1e120, math.inf), 0.0), (1.0, 1e154), (1e300, 1e299)])
+def test_geometric_overlap_refuses_means_beyond_its_float_range(n0, n1):
+    with pytest.raises(ValueError, match="at most 1e\\+120"):
+        geometric_bhattacharyya_overlap(n0, n1)
+
 
 def _geometric_overlap_ulps(n0, n1):
     """Distance in ulps between the float overlap and a 60-digit evaluation at the same n0, n1."""
