@@ -195,17 +195,11 @@ def sweep_rows(params: ProtocolParams, m_values: list[int]) -> list[tuple[int, f
     return rows
 
 
-def _output_path(path: str) -> str:
-    out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir and not os.path.isabs(path):
-        return os.path.join(out_dir, path)
-    return path
-
-
 def _cmd_sweep(p: dict, as_json: bool) -> int:
     params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=1)
     rows = sweep_rows(params, _sweep_m_values(p["m_min"], p["m_max"], p["points"], p["scale"]))
-    path = _output_path(p["out"])
+    # os.path.join keeps an absolute --out as it is, and "" adds no directory.
+    path = os.path.join(os.environ.get(OUT_DIR_ENV, ""), p["out"])
     echo_keys = {k: v for k, v in p.items() if k != "out"}
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

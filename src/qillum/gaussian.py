@@ -21,11 +21,9 @@ and the matching lower bound for an M-copy binary hypothesis test.
 The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
 It is bound straight from scipy's compiled ``scipy.linalg._flapack``
 extension, the object ``scipy.linalg.lapack.dgees`` re-exports, without
-running the ``scipy.linalg`` package init.  That init took about two thirds
-of the CLI's import time, mostly in its array-API compatibility layer,
-which touches every numpy attribute and so imports ``numpy.f2py`` and
-``numpy.testing``.  The same compiled routine runs either way, so every
-result is bit-identical.
+running the ``scipy.linalg`` package init, whose array-API layer imports
+``numpy.f2py`` and ``numpy.testing`` and took about two thirds of the CLI's
+import time.  The same compiled routine runs either way.
 """
 
 from __future__ import annotations
@@ -96,14 +94,16 @@ class Convention(Enum):
 OMEGA = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 OMEGA.setflags(write=False)
-# The sign pattern of P V P, P negating both quadratures of mode 2.
+# The sign pattern of P V P, P negating both quadratures of mode 2: the
+# symplectic matrix of a pi phase shift on that mode.
 _PARITY_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
 
 
 def _load_dgees() -> Callable:
     """LAPACK ``dgees`` from scipy's ``linalg/_flapack`` extension, loaded without ``import scipy``.
 
-    ``find_spec`` locates scipy without importing it.  The extension is not
+    ``find_spec`` locates scipy and ``PathFinder`` the extension in its
+    ``linalg`` directory, neither importing anything.  The extension is not
     left in ``sys.modules``, so a later ``import scipy.linalg`` loads its own
     module object (over the same compiled routine).
 
@@ -111,25 +111,20 @@ def _load_dgees() -> Callable:
         ImportError: scipy or its ``_flapack`` extension is not installed.
     """
     name = "scipy.linalg._flapack"
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
         raise ImportError("scipy is not installed; qillum needs its LAPACK extension")
-    dirs = [os.path.join(d, "linalg") for d in spec.submodule_search_locations]
-    for directory in dirs:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "_flapack" + suffix)
-            if os.path.isfile(path):
-                loaded_before = name in sys.modules
-                ext_spec = importlib.util.spec_from_file_location(
-                    name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
-                )
-                module = importlib.util.module_from_spec(ext_spec)
-                ext_spec.loader.exec_module(module)
-                if not loaded_before:
-                    # A single-phase extension registers itself while it initialises.
-                    sys.modules.pop(name, None)
-                return module.dgees
-    raise ImportError(f"scipy's LAPACK extension _flapack is not in {', '.join(dirs)}")
+    dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {', '.join(dirs)}")
+    loaded_before = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded_before:
+        # A single-phase extension registers itself while it initialises.
+        sys.modules.pop(name, None)
+    return module.dgees
 
 
 _dgees = _load_dgees()
@@ -194,8 +189,8 @@ class ErrorBounds:
     ``chernoff_upper`` is 0.5 * q_star**M with q_star the s-minimised
     single-copy overlap, ``bhattacharyya_upper`` the same at s = 1/2, and
     ``lower_bound`` the standard two-state lower bound
-    0.5 * (1 - sqrt(1 - q_half**(2M))).  All M-fold powers are taken in the
-    log domain.
+    0.5 * (1 - sqrt(1 - q_half**(2M))), formed without cancellation.  All
+    M-fold powers are taken in the log domain.
     """
 
     chernoff_upper: float
@@ -219,11 +214,6 @@ def to_unit_vacuum(cm: CovMat) -> CovMat:
     return CovMat(4.0 * cm.mat, Convention.UNIT_VACUUM)
 
 
-def _require_unit(cm: CovMat, what: str) -> None:
-    if cm.convention is not Convention.UNIT_VACUUM:
-        raise ValueError(f"{what} requires the unit-vacuum convention")
-
-
 def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Williamson decomposition (nu, S) of a unit-vacuum covariance matrix.
 
@@ -237,7 +227,8 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         IllConditionedMatrixError: condition number above 1e12.
         numpy.linalg.LinAlgError: dgees found no Schur form.
     """
-    _require_unit(cm, "williamson")
+    if cm.convention is not Convention.UNIT_VACUUM:
+        raise ValueError("williamson requires the unit-vacuum convention")
     v = cm.mat
     lam, u = np.linalg.eigh(v)
     # V is symmetric positive definite, so its 2-norm condition number is
@@ -306,16 +297,6 @@ def _mode_powers(nu: float, log_excess: float | None, s: float) -> tuple[float, 
     return 2.0**s / (a - b), (a + b) / (a - b)
 
 
-def _scaled_gram(
-    sp: NDArray[np.float64], d: NDArray[np.float64] | list[float]
-) -> NDArray[np.float64]:
-    """S diag(d) S^T, bit-identical to ``sp @ np.diag(d) @ sp.T``.
-
-    The diagonal matmul only adds exact zeros to ``sp * d``.
-    """
-    return (sp * d) @ sp.T
-
-
 def power_cm(
     decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float
 ) -> NDArray[np.float64]:
@@ -333,7 +314,8 @@ def power_cm(
     for value in nu:
         _check_nu_s(value, s)
     scaled = np.repeat([_mode_powers(value, _log_excess(value), s)[1] for value in nu], 2)
-    return _scaled_gram(symplectic, scaled)
+    # Bit-identical to S @ diag(scaled) @ S^T, whose diagonal matmul only adds exact zeros.
+    return (symplectic * scaled) @ symplectic.T
 
 
 def _physical_williamson(
@@ -370,18 +352,10 @@ def _overlap_evaluator(
                 trace, nu_s = _mode_powers(nu, log_excess, power)
                 prefactor *= trace
                 diag += (nu_s, nu_s)
-        sigma = _scaled_gram(sp0, diag0) + _scaled_gram(sp1, diag1)
+        sigma = (sp0 * diag0) @ sp0.T + (sp1 * diag1) @ sp1.T
         return min(prefactor / math.sqrt(np.linalg.det(sigma)), 1.0)
 
     return q
-
-
-def _is_parity_pair(state0: GaussianState, state1: GaussianState) -> bool:
-    """True when V1 = P V0 P exactly, P negating both quadratures of mode 2.
-
-    P is the symplectic matrix of a pi phase shift on that mode.
-    """
-    return bool(np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS))
 
 
 def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
@@ -486,11 +460,11 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     """
     f = _overlap_evaluator(state0, state1)
     q_half = f(0.5)
-    if _is_parity_pair(state0, state1):
-        return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
-    s_star, q_star = _brent_minimize(f, 0.5, q_half)
-    if q_half <= q_star:
-        return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
+    s_star, q_star = 0.5, q_half
+    if not np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS):
+        s, q = _brent_minimize(f, 0.5, q_half)
+        if q < q_half:
+            s_star, q_star = s, q
     return OverlapResult(q_s=q_star, s=s_star, q_half=q_half)
 
 
@@ -500,9 +474,11 @@ def error_bounds_from_overlaps(
     """Assemble M-copy error bounds from single-copy overlaps, in log domain.
 
     ``q_star`` is the s-minimised overlap, ``q_half`` the s = 1/2 overlap.
-    The lower bound 0.5 * (1 - sqrt(1 - q_half**(2M))) switches to its
-    leading-order form q_half**(2M) / 4 once q_half**(2M) < 1e-12, which
-    keeps it positive far past double-precision underflow of the sqrt form.
+    The lower bound 0.5 * (1 - sqrt(1 - q_half**(2M))) is formed as
+    exp(L) / (2 + 2 sqrt(-expm1(L))), L = 2M ln q_half, which does not
+    cancel: it is within 4 eps max(1, |L|) of exact, and equals 0.25 exp(L)
+    to the bit once q_half**(2M) < 2**-53, so it is positive until exp(L)
+    underflows.
     """
     if not (1 <= m < math.inf and int(m) == m):
         raise ValueError("m must be a positive integer")
@@ -514,10 +490,7 @@ def error_bounds_from_overlaps(
     chernoff = 0.5 * math.exp(m * log_q_star)
     bhatt = 0.5 * math.exp(m * log_q_half)
     log_q2m = 2.0 * m * log_q_half
-    if log_q2m < math.log(1e-12):
-        lower = 0.25 * math.exp(log_q2m)
-    else:
-        lower = 0.5 * (1.0 - math.sqrt(-math.expm1(log_q2m)))
+    lower = math.exp(log_q2m) / (2.0 + 2.0 * math.sqrt(-math.expm1(log_q2m)))
     return ErrorBounds(
         chernoff_upper=chernoff,
         bhattacharyya_upper=bhatt,

@@ -69,15 +69,18 @@ def ml_threshold(model: OpaReceiverModel, m: int) -> float:
 
         n* = m ln[(1 + n0) / (1 + n1)] / ln[n0 (1 + n1) / (n1 (1 + n0))];
 
-    declare bit 0 iff the total count >= n*.  Raises when n0 = n1, where no
-    threshold exists.
+    declare bit 0 iff the total count >= n*.  Both logs are taken as
+    log1p of their ratio's excess over 1, (n0 - n1) / (1 + n1) and
+    (n0 - n1) / (n1 (1 + n0)), so bright means whose ratios round to 1
+    keep their threshold.  Raises when n0 = n1, where no threshold exists.
     """
     if not (1 <= m < math.inf and int(m) == m):
         raise ValueError("m must be a positive integer")
     if model.n0 == model.n1:
         raise ValueError("n0 = n1: the hypotheses coincide and no threshold exists")
-    num = math.log((1.0 + model.n0) / (1.0 + model.n1))
-    den = math.log(model.n0 * (1.0 + model.n1) / (model.n1 * (1.0 + model.n0)))
+    diff = model.n0 - model.n1
+    num = math.log1p(diff / (1.0 + model.n1))
+    den = math.log1p(diff / (model.n1 * (1.0 + model.n0)))
     return m * num / den
 
 

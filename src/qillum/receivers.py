@@ -141,9 +141,11 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
 
         (n0 - n1)^2 (1/(A + a) + 1/(B + b)) (A + B + a + b) / (2 (a + b)^2 (A + B)^2),
 
-    so q stays within 2 ulps of exact and never exceeds 1, even for the
-    nearly equal means of a dim source.  Means above 1e120 are refused, as
-    that expression overflows beyond about 1.6e123.
+    so q never exceeds 1 and, against a 400-digit oracle, stays within
+    2 ulps of exact for the nearly equal means of a dim source and within
+    11 ulps up to the mean limit (the worst of 2e5 log-uniform draws was
+    10.05 ulps, at widely unequal means).  Means above 1e120 are refused,
+    as that expression overflows beyond about 1.6e123.
     """
     if not (0.0 <= n0 <= _OPA_MEAN_MAX and 0.0 <= n1 <= _OPA_MEAN_MAX):
         raise ValueError(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -265,6 +266,15 @@ def test_sweep_honours_output_dir_env(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "rel.csv").exists()
+    # An absolute --out is kept as it is.
+    absolute = tmp_path / "abs.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", *HEADLINE_FLAGS,
+        "--m-min", "10", "--m-max", "20", "--points", "2", "--scale", "linear",
+        "--out", str(absolute),
+    )
+    assert code == 0
+    assert absolute.exists()
 
 
 def test_sweep_validates_spec(capsys, tmp_path):
@@ -437,6 +447,15 @@ def test_mc_refuses_opa_means_beyond_the_overlap_range(capsys):
     )
     assert code == 2
     assert "at most 1e+120" in err
+
+
+def test_mc_keeps_its_threshold_at_bright_means(capsys):
+    # Both likelihood ratios of the ML threshold round to 1 at these means.
+    code, record, _ = run_json(
+        capsys, "mc", "--ns", "0.004", "--kappa", "0.1", "--g", "1e30", "--nb", "1e30", "--m", "20", "--trials", "100"
+    )
+    assert code == 0
+    assert math.isfinite(record["outputs"]["threshold"])
 
 
 def test_mc_rejects_negative_seed(capsys):

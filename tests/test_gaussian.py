@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -544,11 +545,13 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
 
 
 def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
+    """A scipy without ``linalg/_flapack`` names the directory searched; no scipy says so."""
     scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     scipy_spec.submodule_search_locations = [str(tmp_path)]
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
-        gaussian._load_dgees()
+    for found, message in ((scipy_spec, re.escape(str(tmp_path / "linalg"))), (None, "scipy is not installed")):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, found=found: found)
+        with pytest.raises(ImportError, match=message):
+            gaussian._load_dgees()
 
 
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
@@ -663,12 +666,37 @@ def test_error_bounds_log_domain_survives_large_m():
 
 
 def test_error_bounds_lower_bound_survives_underflow():
-    # q^(2M) underflows the sqrt form; the leading-order branch keeps it positive
+    # 1 - q^(2M) rounds to 1 here, and the lower bound is q^(2M) / 4
     bounds = error_bounds_from_overlaps(0.99, 0.99, 10**4, 0.5)
     assert 0.0 < bounds.lower_bound < bounds.chernoff_upper
     assert bounds.lower_bound == pytest.approx(
         0.25 * math.exp(2 * 10**4 * math.log(0.99)), rel=1e-12
     )
+
+
+def test_error_bounds_lower_bound_matches_an_oracle_without_cancellation():
+    """Within 4 eps max(1, |L|) of 0.5 (1 - sqrt(1 - q**(2M))), L = 2M ln q, at the same float q and M.
+
+    The oracle evaluates that textbook form with 50 digits more than
+    1 - sqrt(1 - e**L) cancels.  Where q**(2M) < 2**-53 the bound is
+    0.25 e**L to the bit, down into the subnormal range.
+    """
+    rng = np.random.default_rng(2009)
+    eps = sys.float_info.epsilon
+    for i in range(1500):
+        m = int(10.0 ** rng.uniform(0.0, 6.0))
+        log_q2m = -(10.0 ** rng.uniform(-6.0, math.log10(700.0))) if i % 3 else -rng.uniform(36.8, 745.0)
+        q = math.exp(log_q2m / (2 * m))
+        lower = error_bounds_from_overlaps(q, q, m, 0.5).lower_bound
+        float_log = 2.0 * m * math.log(q)
+        if float_log < -53.0 * math.log(2.0):
+            assert lower == 0.25 * math.exp(float_log)
+        if float_log < -700.0:
+            continue
+        with mpmath.workdps(50 + int(-float_log / math.log(10.0))):
+            exact_log = 2 * m * mpmath.log(mpmath.mpf(q))
+            exact = (1 - mpmath.sqrt(1 - mpmath.exp(exact_log))) / 2
+            assert abs(lower - exact) <= 4 * eps * max(1.0, -float(exact_log)) * exact
 
 
 def test_error_bounds_validates_inputs():

@@ -1,7 +1,9 @@
 """Monte Carlo of the OPA receiver: threshold test, sampler checks, bound validity."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -55,6 +57,20 @@ def test_ml_threshold_within_mean_interval(headline_params):
     model = opa_model(headline_params)
     threshold = ml_threshold(model, headline_params.m)
     assert headline_params.m * model.n1 < threshold < headline_params.m * model.n0
+
+
+@pytest.mark.parametrize("g, nb, m", [(1e4, 1e4, 2000), (1e4, 1e4, 20000), (1e30, 1e30, 20)])
+def test_ml_threshold_matches_a_50_digit_oracle(g, nb, m):
+    """Within 8 eps of the threshold formula at the same float n0, n1.
+
+    At nb = 1e30 both likelihood ratios round to 1 unless each log is taken
+    through log1p of its excess; the direct logs then divided 0 by 0.
+    """
+    model = opa_model(ProtocolParams(ns=0.004, kappa=0.1, g=g, nb=nb, m=m))
+    with mpmath.workdps(50):
+        n0, n1 = mpmath.mpf(model.n0), mpmath.mpf(model.n1)
+        exact = m * mpmath.log((1 + n0) / (1 + n1)) / mpmath.log(n0 * (1 + n1) / (n1 * (1 + n0)))
+        assert abs(ml_threshold(model, m) - exact) <= 8 * sys.float_info.epsilon * exact
 
 
 def test_ml_threshold_requires_a_positive_integer_m():

@@ -1,6 +1,7 @@
 """The package namespace: every module's public names, each re-exported once."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qillum
@@ -99,3 +100,37 @@ def test_no_private_name_in_src_goes_unread():
                 read.add(node.attr)
     assert defined
     assert [where for name, where in defined if name not in read] == []
+
+
+def _one_statement_helpers_with_one_caller(files: list[Path]) -> list[str]:
+    """Module-level, undecorated private functions worth inlining.
+
+    Each one's body, apart from its docstring, is one statement, and the
+    files call it from exactly one place (a call of ``_name`` or of
+    ``module._name``).
+    """
+    helpers: dict[str, str] = {}
+    calls: Counter[str] = Counter()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and not node.decorator_list
+                and len(node.body) - (ast.get_docstring(node) is not None) == 1
+            ):
+                helpers[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls[node.func.id] += 1
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls[node.func.attr] += 1
+    return [where for name, where in helpers.items() if calls[name] == 1]
+
+
+def test_no_one_statement_private_helper_has_a_single_caller():
+    """A one-statement wrapper with one call site reads better inlined at that site."""
+    files = sorted(ROOT.glob("src/qillum/*.py"))
+    assert files
+    assert _one_statement_helpers_with_one_caller(files) == []

@@ -171,8 +171,12 @@ def test_geometric_overlap_refuses_means_beyond_its_float_range(n0, n1):
 
 
 def _geometric_overlap_ulps(n0, n1):
-    """Distance in ulps between the float overlap and a 60-digit evaluation at the same n0, n1."""
-    with mpmath.workdps(60):
+    """Distance in ulps between the float overlap and a 400-digit evaluation at the same n0, n1.
+
+    The oracle's difference of square roots cancels about as many digits as
+    the means have, hence 400 digits for means up to 1e120.
+    """
+    with mpmath.workdps(400):
         a, b = mpmath.mpf(n0), mpmath.mpf(n1)
         exact = 1 / (mpmath.sqrt((a + 1) * (b + 1)) - mpmath.sqrt(a * b))
         q = geometric_bhattacharyya_overlap(n0, n1)
@@ -189,6 +193,21 @@ def test_geometric_overlap_matches_mpmath_oracle(seed, log_ns):
     q, ulps = _geometric_overlap_ulps(model.n0, model.n1)
     assert q <= 1.0
     assert ulps <= 2.0
+
+
+def test_geometric_overlap_is_within_11_ulps_up_to_its_mean_limit():
+    """Log-uniform means from 1e-13 to 1e120, equal to widely unequal, and one of them 0."""
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for i in range(2000):
+        n0 = min(10.0 ** rng.uniform(-13.0, 120.0), 1e120)
+        n1 = 0.0 if i % 5 == 0 else n0 * 10.0 ** rng.uniform(-40.0, 0.0)
+        if i % 2:
+            n0, n1 = n1, n0
+        q, ulps = _geometric_overlap_ulps(n0, n1)
+        assert q <= 1.0
+        worst = max(worst, ulps)
+    assert worst <= 11.0
 
 
 def test_geometric_overlap_stays_below_one_for_a_dim_source():
