@@ -70,8 +70,9 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace, params: tuple[_Param, ...]) -> dict:
     """Merge flags over config-file values over built-in defaults.
 
-    argparse has already cast and checked the flags; config values get the
-    same cast and choices check here, and an error names the key.
+    argparse passes flag values through as strings, so every value, from a
+    flag, the config file or a default, gets the one cast and choices check
+    here, and an error names the key.
     """
     config = _read_config(args.config) if args.config else {}
     out = {}
@@ -128,7 +129,7 @@ def _emit(command: str, params: dict, outputs: dict, as_json: bool, lines: list[
 # bounds
 
 
-def _cmd_bounds(p: dict, as_json: bool) -> int:
+def _cmd_bounds(p: dict) -> tuple[dict, list[str]]:
     params = ProtocolParams(**p)
     alice = alice_optimum_bounds(params)
     opa = opa_bhattacharyya(params)
@@ -146,21 +147,14 @@ def _cmd_bounds(p: dict, as_json: bool) -> int:
         "approx_exponent_alice_opa": approx.alice_opa,
         "in_low_brightness_high_noise_regime": approx.in_regime,
     }
-    _emit(
-        "bounds",
-        p,
-        outputs,
-        as_json,
-        [
-            f"Alice optimum receiver:  Pr(e) <= {alice.chernoff_upper:.9e}  (s* = {alice.s_star:.6f})",
-            f"Alice OPA receiver:      Pr(e) <= {opa.bhattacharyya_upper:.9e}",
-            f"Eve optimum receiver:    {eve.lower_bound:.9e} <= Pr(e) <= {eve.chernoff_upper:.9e}  (s* = {eve.s_star:.6f})",
-            f"approx per-mode exponents: alice_opt={approx.alice_opt:.6e} "
-            f"eve_opt={approx.eve_opt:.6e} alice_opa={approx.alice_opa:.6e}",
-            f"low-brightness high-noise regime: {approx.in_regime}",
-        ],
-    )
-    return 0
+    return outputs, [
+        f"Alice optimum receiver:  Pr(e) <= {alice.chernoff_upper:.9e}  (s* = {alice.s_star:.6f})",
+        f"Alice OPA receiver:      Pr(e) <= {opa.bhattacharyya_upper:.9e}",
+        f"Eve optimum receiver:    {eve.lower_bound:.9e} <= Pr(e) <= {eve.chernoff_upper:.9e}  (s* = {eve.s_star:.6f})",
+        f"approx per-mode exponents: alice_opt={approx.alice_opt:.6e} "
+        f"eve_opt={approx.eve_opt:.6e} alice_opa={approx.alice_opa:.6e}",
+        f"low-brightness high-noise regime: {approx.in_regime}",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +189,7 @@ def sweep_rows(params: ProtocolParams, m_values: list[int]) -> list[tuple[int, f
     return rows
 
 
-def _cmd_sweep(p: dict, as_json: bool) -> int:
+def _cmd_sweep(p: dict) -> tuple[dict, list[str]]:
     params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=1)
     rows = sweep_rows(params, _sweep_m_values(p["m_min"], p["m_max"], p["points"], p["scale"]))
     # os.path.join keeps an absolute --out as it is, and "" adds no directory.
@@ -209,17 +203,15 @@ def _cmd_sweep(p: dict, as_json: bool) -> int:
             for m, a_qcb, a_opa, e_up, e_lo in rows:
                 handle.write(f"{m},{a_qcb:.8e},{a_opa:.8e},{e_up:.8e},{e_lo:.8e}\n")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 3
-    _emit("sweep", p, {"path": path, "rows": len(rows)}, as_json, [f"wrote {len(rows)} rows to {path}"])
-    return 0
+        raise OSError(f"cannot write {path}: {exc}") from None
+    return {"path": path, "rows": len(rows)}, [f"wrote {len(rows)} rows to {path}"]
 
 
 # ----------------------------------------------------------------------
 # plan
 
 
-def _cmd_plan(p: dict, as_json: bool) -> int:
+def _cmd_plan(p: dict) -> tuple[dict, list[str]]:
     budget = budget_from_fiber(p["km"], p["db_per_km"], p["w"], p["t"])
     if budget.kappa > _KAPPA_PLAN_CEILING:
         raise ValueError(
@@ -245,30 +237,23 @@ def _cmd_plan(p: dict, as_json: bool) -> int:
         "target": p["target"],
         "receiver": receiver.value,
     }
-    _emit(
-        "plan",
-        p,
-        outputs,
-        as_json,
-        [
-            f"link: kappa = {budget.kappa:.6g}, M = {budget.m}, bit rate = {budget.bit_rate:.6g} bit/s",
-            f"Alice OPA receiver:      Pr(e) <= {margin.alice_opa.bhattacharyya_upper:.9e}",
-            f"Alice optimum receiver:  Pr(e) <= {margin.alice_optimum.chernoff_upper:.9e}",
-            f"Eve optimum receiver:    {margin.eve.lower_bound:.9e} <= Pr(e) <= {margin.eve.chernoff_upper:.9e}",
-            f"margin: Eve lower / Alice OPA upper = {margin.margin_ratio:.6g}",
-            f"security: {'INSECURE (Eve lower bound below ' + str(EVE_FLOOR) + ')' if margin.insecure else 'secure'}",
-            f"usability: {'UNUSABLE (Alice bound above target)' if margin.alice_unusable else 'ok'}",
-            f"required M for Pr(e) <= {p['target']:g} with {receiver.value} receiver: {needed}",
-        ],
-    )
-    return 0
+    return outputs, [
+        f"link: kappa = {budget.kappa:.6g}, M = {budget.m}, bit rate = {budget.bit_rate:.6g} bit/s",
+        f"Alice OPA receiver:      Pr(e) <= {margin.alice_opa.bhattacharyya_upper:.9e}",
+        f"Alice optimum receiver:  Pr(e) <= {margin.alice_optimum.chernoff_upper:.9e}",
+        f"Eve optimum receiver:    {margin.eve.lower_bound:.9e} <= Pr(e) <= {margin.eve.chernoff_upper:.9e}",
+        f"margin: Eve lower / Alice OPA upper = {margin.margin_ratio:.6g}",
+        f"security: {'INSECURE (Eve lower bound below ' + str(EVE_FLOOR) + ')' if margin.insecure else 'secure'}",
+        f"usability: {'UNUSABLE (Alice bound above target)' if margin.alice_unusable else 'ok'}",
+        f"required M for Pr(e) <= {p['target']:g} with {receiver.value} receiver: {needed}",
+    ]
 
 
 # ----------------------------------------------------------------------
 # mc
 
 
-def _cmd_mc(p: dict, as_json: bool) -> int:
+def _cmd_mc(p: dict) -> tuple[dict, list[str]]:
     params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=p["m"])
     mc_config = McConfig(trials=p["trials"], seed=p["seed"], params=params)
     bound = opa_bhattacharyya(params).bhattacharyya_upper
@@ -292,15 +277,13 @@ def _cmd_mc(p: dict, as_json: bool) -> int:
         "n1": model.n1,
         "warnings": [str(w.message) for w in caught],
     }
-    lines = [
+    return outputs, [
         f"OPA photon statistics: n0 = {model.n0:.9e}, n1 = {model.n1:.9e}, "
         f"threshold = {result.threshold:.6f}",
         f"empirical error: {result.empirical_error:.6e} "
         f"(Wilson 95% CI [{result.wilson_ci95[0]:.6e}, {result.wilson_ci95[1]:.6e}])",
         f"analytic Bhattacharyya bound: {bound:.6e}",
     ] + warning_lines
-    _emit("mc", p, outputs, as_json, lines)
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +312,8 @@ _M = _Param("m", int, "signal-idler mode pairs per bit")
 
 # Each subcommand's runner, --help line and parameters in echo order: the one
 # place a parameter is stated.  build_parser makes the flags from it and main
-# resolves the values against it.
+# resolves the values against it.  A runner takes the resolved values and
+# returns its outputs and human-readable lines; main alone prints them.
 _SUBCOMMANDS = {
     "bounds": (_cmd_bounds, "error-probability bounds at one operating point", (_NS, _KAPPA, _G, _NB, _M)),
     "sweep": (
@@ -385,20 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, summary, params) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(command, help=summary)
         for param in params:
-            sub.add_argument(param.flag, type=param.cast, choices=param.choices, help=param.help)
+            # No type= or choices=: _resolve casts and checks every value, and
+            # the metavar keeps the help text argparse prints for choices.
+            metavar = "{" + ",".join(param.choices) + "}" if param.choices else None
+            sub.add_argument(param.flag, metavar=metavar, help=param.help)
         sub.add_argument("--config", help="flat 'key = value' config file; flags override it")
         sub.add_argument("--json", action="store_true", help="emit a JSON run record")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and print its record; exit 2 on invalid input, 3 on an I/O failure."""
     args = build_parser().parse_args(argv)
+    run, _, params = _SUBCOMMANDS[args.command]
     try:
-        run, _, params = _SUBCOMMANDS[args.command]
-        return run(_resolve(args, params), args.json)
-    except ValueError as exc:
+        resolved = _resolve(args, params)
+        outputs, lines = run(resolved)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3
+    _emit(args.command, resolved, outputs, args.json, lines)
+    return 0
 
 
 def entrypoint() -> None:

@@ -97,6 +97,7 @@ OMEGA.setflags(write=False)
 # The sign pattern of P V P, P negating both quadratures of mode 2: the
 # symplectic matrix of a pi phase shift on that mode.
 _PARITY_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
+_PARITY_SIGNS.setflags(write=False)
 
 
 def _load_dgees() -> Callable:
@@ -271,12 +272,6 @@ def _check_power(s: float) -> None:
             raise ValueError(f"power s = {power} must lie strictly inside (0, 1)")
 
 
-def _check_nu_s(nu: float, s: float) -> None:
-    if not 1.0 <= nu < math.inf:
-        raise ValueError(f"symplectic eigenvalue {nu} is below 1 or not finite")
-    _check_power(s)
-
-
 def _log_excess(nu: float) -> float | None:
     """ln(nu - 1), or None for a pure mode (nu - 1 <= NU_PURE_TOL)."""
     return math.log(nu - 1.0) if nu - 1.0 > NU_PURE_TOL else None
@@ -288,7 +283,7 @@ def _mode_powers(nu: float, log_excess: float | None, s: float) -> tuple[float, 
     With a = (nu+1)**s and b = (nu-1)**s these are 2**s / (a - b) and
     (a + b) / (a - b).  ``log_excess`` is ``_log_excess(nu)``, and b is
     exp(s ln(nu-1)); a pure mode (None) takes the closed forms, both equal
-    to 1.  The caller checks nu and s (``_check_nu_s``).
+    to 1.  The caller checks nu and s (as ``power_cm`` does).
     """
     if log_excess is None:
         return 1.0, 1.0
@@ -312,7 +307,9 @@ def power_cm(
     """
     nu, symplectic = decomp
     for value in nu:
-        _check_nu_s(value, s)
+        if not 1.0 <= value < math.inf:
+            raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
+    _check_power(s)
     scaled = np.repeat([_mode_powers(value, _log_excess(value), s)[1] for value in nu], 2)
     # Bit-identical to S @ diag(scaled) @ S^T, whose diagonal matmul only adds exact zeros.
     return (symplectic * scaled) @ symplectic.T

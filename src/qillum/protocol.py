@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import Convention, CovMat, GaussianState, to_unit_vacuum, williamson
+from .gaussian import Convention, CovMat, GaussianState, IllConditionedMatrixError, to_unit_vacuum, williamson
 
 __all__ = [
     "ProtocolParams",
@@ -197,9 +197,16 @@ def validate_physicality(cm: CovMat) -> PhysicalityReport:
     where ``williamson`` has already lifted any nu within 1e-9 below 1 to 1.
 
     Raises:
-        IllConditionedMatrixError: condition number above 1e12, where the
-            spectrum cannot be trusted (the source at ns above about 2.5e5).
+        IllConditionedMatrixError: condition number above 1e7, where the
+            spectrum is too inexact for that verdict (the source from about
+            ns = 800 up).
     """
     unit = cm if cm.convention is Convention.UNIT_VACUUM else to_unit_vacuum(cm)
+    lo, hi = np.linalg.eigvalsh(unit.mat)[[0, -1]].tolist()
+    cond = hi / lo if lo > 0.0 else math.inf
+    # williamson's own limit is 1e12, but from about 1.7e7 (the source at ns
+    # about 1e3) the pure source's spectrum reads nu < 1 beyond its 1e-9 lift.
+    if not cond <= 1e7:
+        raise IllConditionedMatrixError(f"covariance matrix condition number {cond:.3e} exceeds 1e7")
     nu, _ = williamson(unit)
     return PhysicalityReport(nu=nu, ok=bool(np.all(nu >= 1.0)))

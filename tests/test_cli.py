@@ -101,10 +101,13 @@ def test_bounds_missing_parameter(capsys):
 
 def test_config_file_supplies_parameters(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("ns = 0.004\nkappa = 0.1\ng = 1e4\nnb = 1e4\nm = 100\n")
-    code, record, _ = run_json(capsys, "bounds", "--config", str(cfg))
-    assert code == 0
-    assert record["params"]["m"] == 100
+    body = "ns = 0.004\nkappa = 0.1\ng = 1e4\nnb = 1e4\nm = 100\n"
+    # Blank and comment-only lines are skipped, and a trailing comment is cut.
+    for text in (body, "# headline link\n\n" + body.replace("m = 100", "m = 100  # modes per bit")):
+        cfg.write_text(text)
+        code, record, _ = run_json(capsys, "bounds", "--config", str(cfg))
+        assert code == 0
+        assert record["params"]["m"] == 100
 
 
 def test_flags_override_config(capsys, tmp_path):
@@ -278,13 +281,18 @@ def test_sweep_honours_output_dir_env(capsys, tmp_path, monkeypatch):
 
 
 def test_sweep_validates_spec(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "sweep", *HEADLINE_FLAGS,
-        "--m-min", "100", "--m-max", "50", "--points", "10", "--scale", "log",
-        "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    assert "m-max" in err
+    for m_min, m_max, points, message in (
+        ("100", "50", "10", "m-max must exceed m-min"),
+        ("0", "50", "10", "m-min must be >= 1"),
+        ("1", "50", "1", "points must be >= 2"),
+    ):
+        code, _, err = run_cli(
+            capsys, "sweep", *HEADLINE_FLAGS,
+            "--m-min", m_min, "--m-max", m_max, "--points", points, "--scale", "log",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert message in err
 
 
 @pytest.mark.parametrize("scale", ["log", "linear"])
@@ -465,7 +473,10 @@ def test_mc_rejects_negative_seed(capsys):
 
 
 # ----------------------------------------------------------------------
-# config values are cast and checked like flags, and errors name the key
+# flag and config values get one cast and check, and errors name the key
+
+
+SWEEP_SPEC = ["--m-min", "10", "--m-max", "20", "--points", "2", "--out", "x.csv"]
 
 
 @pytest.mark.parametrize(
@@ -473,17 +484,17 @@ def test_mc_rejects_negative_seed(capsys):
     [
         (["plan", *PLAN_FLAGS], "receiver = bogus", "receiver must be one of optimum, opa, got 'bogus'"),
         (["bounds", *HEADLINE_FLAGS], "m = 2.5", "m must be int, got '2.5'"),
-        (
-            ["sweep", *HEADLINE_FLAGS, "--m-min", "10", "--m-max", "20", "--points", "2", "--out", "x.csv"],
-            "scale = cubic",
-            "scale must be one of log, linear, got 'cubic'",
-        ),
+        (["sweep", *HEADLINE_FLAGS, *SWEEP_SPEC], "scale = cubic", "scale must be one of log, linear, got 'cubic'"),
+        (["plan", *PLAN_FLAGS, "--receiver", "bogus"], "", "receiver must be one of optimum, opa, got 'bogus'"),
+        (["bounds", *HEADLINE_FLAGS, "--m", "2.5"], "", "m must be int, got '2.5'"),
+        (["sweep", *HEADLINE_FLAGS, *SWEEP_SPEC, "--scale", "cubic"], "", "scale must be one of log, linear, got 'cubic'"),
     ],
-    ids=["receiver", "m", "scale"],
+    ids=["receiver", "m", "scale", "receiver-flag", "m-flag", "scale-flag"],
 )
 def test_bad_config_value_names_its_key(capsys, tmp_path, argv, line, message):
+    """A bad value fails the same way from the config file and from a flag: exit 2, the key named."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 2
-    assert message in err
+    assert out == "" and err == f"error: {message}\n"

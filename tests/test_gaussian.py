@@ -34,7 +34,7 @@ from qillum import (
     williamson,
 )
 from qillum import gaussian
-from qillum.gaussian import NU_CLAMP_TOL, _check_nu_s, _log_excess, _mode_powers
+from qillum.gaussian import NU_CLAMP_TOL, _log_excess, _mode_powers
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
@@ -78,6 +78,8 @@ def test_covmat_validates_symmetry_and_positivity():
         bad[i, j] = bad[j, i] = value
         with pytest.raises(ValueError, match="finite"):
             CovMat(bad, Convention.UNIT_VACUUM)  # 1e308 would overflow the symmetrisation
+    with pytest.raises(ValueError, match="Convention member"):
+        CovMat(np.eye(4), "unit_vacuum")
 
 
 @pytest.mark.parametrize("dim", [2, 6])
@@ -195,8 +197,11 @@ def power_nu(nu: float, s: float) -> float:
 
 
 def power_trace(nu: float, s: float) -> float:
-    """tr(rho**s) of a thermal mode, the factor ``power_overlap``'s prefactor multiplies in."""
-    _check_nu_s(nu, s)
+    """tr(rho**s) of a thermal mode, the factor ``power_overlap``'s prefactor multiplies in.
+
+    ``power_cm`` on the same diagonal input makes the checks of nu and s.
+    """
+    power_cm((np.array([nu, nu]), np.eye(4)), s)
     return _mode_powers(nu, _log_excess(nu), s)[0]
 
 

@@ -1,8 +1,12 @@
 """The package namespace: every module's public names, each re-exported once."""
 
 import ast
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import qillum
 from qillum import gaussian, link, montecarlo, protocol, receivers
@@ -18,6 +22,23 @@ def test_package_all_is_the_union_of_the_module_alls():
     for module in modules:
         for name in module.__all__:
             assert getattr(qillum, name) is getattr(module, name)
+
+
+def test_every_module_level_array_is_read_only():
+    """A writable module-level array is state that any caller can change for every later call."""
+    modules = [qillum] + [
+        importlib.import_module(f"qillum.{info.name}")
+        for info in pkgutil.iter_modules(qillum.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    arrays = [
+        (f"{module.__name__}.{name}", value)
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, np.ndarray)
+    ]
+    assert arrays
+    assert [name for name, value in arrays if value.flags.writeable] == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -187,11 +187,31 @@ def test_source_physicality_reports_pure_spectrum():
 
 @pytest.mark.parametrize("ns", [1e6, 1e8])
 def test_source_physicality_refuses_ill_conditioned_source(ns):
-    # Condition number (2 ns + 1 + 2 sqrt(ns (ns + 1)))**2 ~ 16 ns**2 > 1e12,
+    # Condition number (2 ns + 1 + 2 sqrt(ns (ns + 1)))**2 ~ 16 ns**2 > 1e7,
     # where a float eigen-solve misreads the pure source (nu = 0.99984 at
     # ns = 1e6, nu ~ 2.09 at ns = 1e8): refused rather than reported.
     with pytest.raises(IllConditionedMatrixError):
         validate_physicality(source_cm(ns))
+
+
+def test_source_physicality_never_gives_a_wrong_verdict():
+    """The pure source over ns in [1e-9, 1e8] is reported ok or refused, never unphysical.
+
+    Refused means an IllConditionedMatrixError from validate_physicality
+    (condition number above 1e7, from ns about 794), or, from ns about 2.5e7,
+    source_cm's own ValueError once the matrix rounds to singular.
+    """
+    grid = np.logspace(-9, 8, 3401)
+    verdicts = []
+    for ns in grid:
+        try:
+            verdicts.append(validate_physicality(source_cm(float(ns))).ok)
+        except ValueError:
+            verdicts.append(None)
+    assert False not in verdicts
+    first_refusal = verdicts.index(None)
+    assert 700 < grid[first_refusal] < 900
+    assert set(verdicts[first_refusal:]) == {None}
 
 
 def test_sub_vacuum_matrix_fails_without_raising():
