@@ -388,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3
+    except MemoryError as exc:
+        print(f"error: the run needs more memory than can be allocated: {exc}", file=sys.stderr)
+        return 2
     _emit(args.command, resolved, outputs, args.json, lines)
     return 0
 

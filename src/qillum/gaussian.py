@@ -272,23 +272,19 @@ def _check_power(s: float) -> None:
             raise ValueError(f"power s = {power} must lie strictly inside (0, 1)")
 
 
-def _log_excess(nu: float) -> float | None:
-    """ln(nu - 1), or None for a pure mode (nu - 1 <= NU_PURE_TOL)."""
-    return math.log(nu - 1.0) if nu - 1.0 > NU_PURE_TOL else None
-
-
-def _mode_powers(nu: float, log_excess: float | None, s: float) -> tuple[float, float]:
+def _mode_powers(nu: float, s: float) -> tuple[float, float]:
     """tr(rho**s) and the symplectic eigenvalue of rho**s / tr(rho**s), for a thermal mode.
 
     With a = (nu+1)**s and b = (nu-1)**s these are 2**s / (a - b) and
-    (a + b) / (a - b).  ``log_excess`` is ``_log_excess(nu)``, and b is
-    exp(s ln(nu-1)); a pure mode (None) takes the closed forms, both equal
-    to 1.  The caller checks nu and s (as ``power_cm`` does).
+    (a + b) / (a - b), with b formed as exp(s ln(nu-1)).  A pure mode
+    (nu - 1 <= NU_PURE_TOL) takes the closed forms, both equal to 1.  The
+    caller checks nu and s (as ``power_cm`` does).
     """
-    if log_excess is None:
+    excess = nu - 1.0
+    if excess <= NU_PURE_TOL:
         return 1.0, 1.0
     a = (nu + 1.0) ** s
-    b = math.exp(s * log_excess)
+    b = math.exp(s * math.log(excess))
     return 2.0**s / (a - b), (a + b) / (a - b)
 
 
@@ -310,18 +306,9 @@ def power_cm(
         if not 1.0 <= value < math.inf:
             raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
     _check_power(s)
-    scaled = np.repeat([_mode_powers(value, _log_excess(value), s)[1] for value in nu], 2)
+    scaled = np.repeat([_mode_powers(value, s)[1] for value in nu], 2)
     # Bit-identical to S @ diag(scaled) @ S^T, whose diagonal matmul only adds exact zeros.
     return (symplectic * scaled) @ symplectic.T
-
-
-def _physical_williamson(
-    state: GaussianState, label: str
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    nu, symplectic = williamson(state.cm)
-    if np.any(nu < 1.0):
-        raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
-    return nu, symplectic
 
 
 def _overlap_evaluator(
@@ -330,27 +317,28 @@ def _overlap_evaluator(
     """Decompose each state once and return the evaluator s -> Q_s.
 
     Runs every state check of ``power_overlap`` (unit-vacuum convention,
-    conditioning, physicality) up front and takes ln(nu - 1) of each mode
-    once; the evaluator then does only the per-s arithmetic of
-    ``power_overlap``, in the same order.  It does not check s: callers
-    keep s and 1 - s inside (0, 1) (see ``_check_power``).
+    conditioning, physicality) up front; the evaluator then does only the
+    per-s arithmetic of ``power_overlap``, in the same order.  It does not
+    check s: callers keep s and 1 - s inside (0, 1) (see ``_check_power``).
     """
-    nu0, sp0 = _physical_williamson(state0, "state0")
-    nu1, sp1 = _physical_williamson(state1, "state1")
-    modes0 = [(nu, _log_excess(nu)) for nu in nu0.tolist()]
-    modes1 = [(nu, _log_excess(nu)) for nu in nu1.tolist()]
+    decomps = []
+    for label, state in (("state0", state0), ("state1", state1)):
+        nu, symplectic = williamson(state.cm)
+        if np.any(nu < 1.0):
+            raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
+        decomps.append((nu.tolist(), symplectic))
 
     def q(s: float) -> float:
         prefactor = 4.0
-        diag0: list[float] = []
-        diag1: list[float] = []
-        for modes, power, diag in ((modes0, s, diag0), (modes1, 1.0 - s, diag1)):
-            for nu, log_excess in modes:
-                trace, nu_s = _mode_powers(nu, log_excess, power)
+        terms = []
+        for (nus, symplectic), power in zip(decomps, (s, 1.0 - s)):
+            diag: list[float] = []
+            for nu in nus:
+                trace, nu_s = _mode_powers(nu, power)
                 prefactor *= trace
                 diag += (nu_s, nu_s)
-        sigma = (sp0 * diag0) @ sp0.T + (sp1 * diag1) @ sp1.T
-        return min(prefactor / math.sqrt(np.linalg.det(sigma)), 1.0)
+            terms.append((symplectic * diag) @ symplectic.T)
+        return min(prefactor / math.sqrt(np.linalg.det(terms[0] + terms[1])), 1.0)
 
     return q
 

@@ -127,19 +127,13 @@ def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     )
 
 
-def _two_mode_cm(
-    diag_a: float, diag_b: float, corr: float, phase_sensitive: bool
-) -> CovMat:
-    """Two-mode unit-vacuum CM with x-x correlation +corr.
-
-    The p-p correlation is -corr when ``phase_sensitive`` and +corr otherwise.
-    """
-    corr_p = -corr if phase_sensitive else corr
+def _two_mode_cm(diag_a: float, diag_b: float, corr_x: float, corr_p: float) -> CovMat:
+    """Two-mode unit-vacuum CM with x-x correlation ``corr_x`` and p-p correlation ``corr_p``."""
     mat = np.array(
         [
-            [diag_a, 0.0, corr, 0.0],
+            [diag_a, 0.0, corr_x, 0.0],
             [0.0, diag_a, 0.0, corr_p],
-            [corr, 0.0, diag_b, 0.0],
+            [corr_x, 0.0, diag_b, 0.0],
             [0.0, corr_p, 0.0, diag_b],
         ]
     )
@@ -157,7 +151,7 @@ def source_cm(ns: float) -> CovMat:
         raise ValueError("ns must be positive and finite")
     s_diag = 2.0 * ns + 1.0
     c_q = 2.0 * math.sqrt(ns * (ns + 1.0))
-    return _two_mode_cm(s_diag, s_diag, c_q, phase_sensitive=True)
+    return _two_mode_cm(s_diag, s_diag, c_q, -c_q)
 
 
 def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -168,10 +162,7 @@ def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     entry carries (-1)^k c_a and the p-p entry the opposite sign.
     """
     c = derived_coefficients(params)
-    return (
-        GaussianState(_two_mode_cm(c.a, c.s_diag, c.c_a, phase_sensitive=True)),
-        GaussianState(_two_mode_cm(c.a, c.s_diag, -c.c_a, phase_sensitive=True)),
-    )
+    return tuple(GaussianState(_two_mode_cm(c.a, c.s_diag, k * c.c_a, -k * c.c_a)) for k in (1.0, -1.0))
 
 
 def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -183,10 +174,7 @@ def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     x-x and the p-p entry.
     """
     c = derived_coefficients(params)
-    return (
-        GaussianState(_two_mode_cm(c.d, c.e, c.c_e, phase_sensitive=False)),
-        GaussianState(_two_mode_cm(c.d, c.e, -c.c_e, phase_sensitive=False)),
-    )
+    return tuple(GaussianState(_two_mode_cm(c.d, c.e, k * c.c_e, k * c.c_e)) for k in (1.0, -1.0))
 
 
 def validate_physicality(cm: CovMat) -> PhysicalityReport:

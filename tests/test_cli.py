@@ -152,6 +152,22 @@ def test_config_may_hold_other_subcommands_keys(capsys, tmp_path):
     assert code == 0
     assert record["outputs"]["kappa"] == 0.1  # from the link budget, not the file
 
+
+# 10**15 elements is an 8 PB request, beyond the x86-64 user address space,
+# so numpy refuses it before any memory is touched.
+@pytest.mark.parametrize("argv", [
+    ["mc", *HEADLINE_FLAGS, "--m", "2000", "--trials", str(10**15)],
+    ["sweep", *HEADLINE_FLAGS, "--m-min", "1000", "--m-max", "100000", "--points", str(10**15),
+     "--scale", "log", "--out", "curves.csv"],
+], ids=["mc", "sweep"])
+def test_run_too_large_to_allocate_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the run needs more memory than can be allocated: ")
+
+
 # ----------------------------------------------------------------------
 # sweep
 

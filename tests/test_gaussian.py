@@ -34,7 +34,7 @@ from qillum import (
     williamson,
 )
 from qillum import gaussian
-from qillum.gaussian import NU_CLAMP_TOL, _log_excess, _mode_powers
+from qillum.gaussian import NU_CLAMP_TOL, _mode_powers
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
@@ -202,7 +202,7 @@ def power_trace(nu: float, s: float) -> float:
     ``power_cm`` on the same diagonal input makes the checks of nu and s.
     """
     power_cm((np.array([nu, nu]), np.eye(4)), s)
-    return _mode_powers(nu, _log_excess(nu), s)[0]
+    return _mode_powers(nu, s)[0]
 
 
 def test_power_nu_pure_fixed_point():
@@ -364,10 +364,13 @@ def test_overlap_rejects_convention_mismatch():
         power_overlap(quarter, unit, 0.5)
 
 
-def test_overlap_rejects_unphysical_state():
+@pytest.mark.parametrize("position", [0, 1], ids=["state0", "state1"])
+def test_overlap_rejects_unphysical_state(position):
     sub_vacuum = GaussianState(CovMat(0.5 * np.eye(4), Convention.UNIT_VACUUM))
-    with pytest.raises(ValueError, match="unphysical"):
-        power_overlap(sub_vacuum, thermal_state(1.0), 0.5)
+    states = [thermal_state(1.0), thermal_state(1.0)]
+    states[position] = sub_vacuum
+    with pytest.raises(ValueError, match=f"state{position} is unphysical"):
+        power_overlap(*states, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +573,7 @@ def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) ->
 
     def power_matrix(dec, power):
         nu, sp = dec
-        scaled = np.repeat([_mode_powers(v, _log_excess(v), power)[1] for v in nu], 2)
+        scaled = np.repeat([_mode_powers(v, power)[1] for v in nu], 2)
         return sp @ np.diag(scaled) @ sp.T
 
     sigma = power_matrix(dec0, s) + power_matrix(dec1, 1.0 - s)

@@ -122,8 +122,9 @@ def test_source_cm_rejects_nonpositive_ns():
 # hypothesis pairs
 
 
-def test_alice_pair_sign_symmetry(headline_params):
-    state0, state1 = alice_pair(headline_params)
+@pytest.mark.parametrize("pair", [alice_pair, eve_pair], ids=lambda f: f.__name__)
+def test_pair_sign_symmetry(headline_params, pair):
+    state0, state1 = pair(headline_params)
     m0 = state0.cm.mat.copy()
     m1 = state1.cm.mat
     # negating the correlation block of bit 0 gives bit 1
