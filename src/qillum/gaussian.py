@@ -139,7 +139,7 @@ def _no_sort(wr: float, wi: float) -> None:
 class CovMat:
     """A real, symmetric, positive-definite two-mode quadrature covariance matrix.
 
-    Construction validates shape (4 x 4), finite entries, symmetry to within
+    Construction validates real 4 x 4 input, finite entries, symmetry to within
     1e-12 absolute and positive definiteness, then freezes the underlying
     array.  Physicality (symplectic eigenvalues >= 1) is *not* enforced here;
     diagnostics on unphysical matrices must stay possible.
@@ -149,6 +149,8 @@ class CovMat:
     convention: Convention
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.mat):
+            raise ValueError("covariance matrix must be real, not complex")
         m = np.array(self.mat, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4 x 4 (two modes), not shape {m.shape}")
@@ -272,25 +274,29 @@ def _check_power(s: float) -> None:
             raise ValueError(f"power s = {power} must lie strictly inside (0, 1)")
 
 
-def _mode_powers(nu: float, s: float) -> tuple[float, float]:
-    """tr(rho**s) and the symplectic eigenvalue of rho**s / tr(rho**s), for a thermal mode.
+def _thermal_modes(nu) -> list[tuple[float, float]]:
+    """(nu_k, ln(nu_k - 1)) per mode, a pure mode (nu_k - 1 <= NU_PURE_TOL) as (1, -inf)."""
+    return [(v, math.log(v - 1.0)) if v - 1.0 > NU_PURE_TOL else (1.0, -math.inf) for v in np.asarray(nu).tolist()]
 
-    With a = (nu+1)**s and b = (nu-1)**s these are 2**s / (a - b) and
-    (a + b) / (a - b), with b formed as exp(s ln(nu-1)).  A pure mode
-    (nu - 1 <= NU_PURE_TOL) takes the closed forms, both equal to 1.  The
-    caller checks nu and s (as ``power_cm`` does).
+
+def _power_modes(modes: list, symplectic: NDArray, s: float, prefactor: float) -> tuple[float, NDArray]:
+    """prefactor times each mode's tr(rho**s), and V(s) = S diag(nu_k(s)) S^T, from ``_thermal_modes``.
+
+    With a = (nu+1)**s and b = (nu-1)**s = exp(s ln(nu-1)), a mode has
+    tr(rho**s) = 2**s / (a - b) and nu(s) = (a + b) / (a - b); a pure mode,
+    (1, -inf), has b = 0 and so exactly 1 for both.  Callers check nu and s.
     """
-    excess = nu - 1.0
-    if excess <= NU_PURE_TOL:
-        return 1.0, 1.0
-    a = (nu + 1.0) ** s
-    b = math.exp(s * math.log(excess))
-    return 2.0**s / (a - b), (a + b) / (a - b)
+    diag: list[float] = []
+    for nu, log_excess in modes:
+        a = (nu + 1.0) ** s
+        b = math.exp(s * log_excess)
+        prefactor *= 2.0**s / (a - b)
+        diag += ((a + b) / (a - b),) * 2
+    # Bit-identical to S @ diag(d) @ S^T, whose diagonal matmul only adds exact zeros.
+    return prefactor, (symplectic * diag) @ symplectic.T
 
 
-def power_cm(
-    decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float
-) -> NDArray[np.float64]:
+def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) -> NDArray[np.float64]:
     """Covariance matrix of the normalised s-th power of a Gaussian state.
 
     Applies the symplectic functional calculus to the Williamson pair
@@ -300,45 +306,35 @@ def power_cm(
         nu_k(s) = [(nu_k+1)**s + (nu_k-1)**s] / [(nu_k+1)**s - (nu_k-1)**s],
 
     exactly 1 at nu_k = 1, while S is kept: V(s) = S diag(nu_k(s)) S^T.
+    The overlap evaluator forms its V(s) through the same private builder.
     """
     nu, symplectic = decomp
     for value in nu:
         if not 1.0 <= value < math.inf:
             raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
     _check_power(s)
-    scaled = np.repeat([_mode_powers(value, s)[1] for value in nu], 2)
-    # Bit-identical to S @ diag(scaled) @ S^T, whose diagonal matmul only adds exact zeros.
-    return (symplectic * scaled) @ symplectic.T
+    return _power_modes(_thermal_modes(nu), symplectic, s, 1.0)[1]
 
 
-def _overlap_evaluator(
-    state0: GaussianState, state1: GaussianState
-) -> Callable[[float], float]:
+def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> Callable[[float], float]:
     """Decompose each state once and return the evaluator s -> Q_s.
 
     Runs every state check of ``power_overlap`` (unit-vacuum convention,
-    conditioning, physicality) up front; the evaluator then does only the
-    per-s arithmetic of ``power_overlap``, in the same order.  It does not
-    check s: callers keep s and 1 - s inside (0, 1) (see ``_check_power``).
+    conditioning, physicality) and takes each ln(nu_k - 1) up front; the
+    evaluator then forms Q_s through ``power_cm``'s V(s) builder, unchecked:
+    callers keep s and 1 - s inside (0, 1) (see ``_check_power``).
     """
-    decomps = []
+    states = []
     for label, state in (("state0", state0), ("state1", state1)):
         nu, symplectic = williamson(state.cm)
         if np.any(nu < 1.0):
             raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
-        decomps.append((nu.tolist(), symplectic))
+        states.append((_thermal_modes(nu), symplectic))
 
     def q(s: float) -> float:
-        prefactor = 4.0
-        terms = []
-        for (nus, symplectic), power in zip(decomps, (s, 1.0 - s)):
-            diag: list[float] = []
-            for nu in nus:
-                trace, nu_s = _mode_powers(nu, power)
-                prefactor *= trace
-                diag += (nu_s, nu_s)
-            terms.append((symplectic * diag) @ symplectic.T)
-        return min(prefactor / math.sqrt(np.linalg.det(terms[0] + terms[1])), 1.0)
+        prefactor, v0 = _power_modes(*states[0], s, 4.0)
+        prefactor, v1 = _power_modes(*states[1], 1.0 - s, prefactor)
+        return min(prefactor / math.sqrt(np.linalg.det(v0 + v1)), 1.0)
 
     return q
 

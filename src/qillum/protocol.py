@@ -16,6 +16,7 @@ goes to the engine as it is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """The five protocol knobs.
+    """The five protocol knobs: real numbers, not bools; ns, kappa, g and nb are stored as float.
 
     ns:    mean signal (and idler) photon number per mode, > 0
     kappa: one-way channel transmissivity, strictly inside (0, 1)
@@ -55,8 +56,10 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         for name in ("ns", "kappa", "g", "nb"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(value))
         if self.ns <= 0:
             raise ValueError("ns must be positive")
         if not 0.0 < self.kappa < 1.0:
@@ -73,7 +76,8 @@ class ProtocolParams:
             )
         if self.g == 1.0 and self.nb != 0.0:
             raise ValueError("nb must be 0 when g = 1 (no amplifier, no added noise)")
-        if not (1 <= self.m < math.inf and int(self.m) == self.m):
+        real = type(self.m) is int or isinstance(self.m, numbers.Real) and not isinstance(self.m, bool)
+        if not (real and 1 <= self.m < math.inf and int(self.m) == self.m):
             raise ValueError("m must be an integer >= 1")
         object.__setattr__(self, "m", int(self.m))
 

@@ -34,7 +34,7 @@ from qillum import (
     williamson,
 )
 from qillum import gaussian
-from qillum.gaussian import NU_CLAMP_TOL, _mode_powers
+from qillum.gaussian import NU_CLAMP_TOL, NU_PURE_TOL
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
@@ -80,6 +80,8 @@ def test_covmat_validates_symmetry_and_positivity():
             CovMat(bad, Convention.UNIT_VACUUM)  # 1e308 would overflow the symmetrisation
     with pytest.raises(ValueError, match="Convention member"):
         CovMat(np.eye(4), "unit_vacuum")
+    with pytest.raises(ValueError, match="real, not complex"):
+        CovMat(np.eye(4) * (1 + 1j), Convention.UNIT_VACUUM)  # was cast to its real part
 
 
 @pytest.mark.parametrize("dim", [2, 6])
@@ -196,13 +198,27 @@ def power_nu(nu: float, s: float) -> float:
     return float(power_cm((np.array([nu, nu]), np.eye(4)), s)[0, 0])
 
 
+def thermal_power(nu: float, s: float) -> tuple[float, float]:
+    """tr(rho**s) and nu(s) of a thermal mode, written out as ``power_overlap`` and ``power_cm`` document them.
+
+    With a = (nu+1)**s and b = (nu-1)**s, formed as exp(s ln(nu-1)), these
+    are 2**s / (a - b) and (a + b) / (a - b); a pure mode
+    (nu - 1 <= NU_PURE_TOL) has 1 for both.
+    """
+    if nu - 1.0 <= NU_PURE_TOL:
+        return 1.0, 1.0
+    a = (nu + 1.0) ** s
+    b = math.exp(s * math.log(nu - 1.0))
+    return 2.0**s / (a - b), (a + b) / (a - b)
+
+
 def power_trace(nu: float, s: float) -> float:
     """tr(rho**s) of a thermal mode, the factor ``power_overlap``'s prefactor multiplies in.
 
     ``power_cm`` on the same diagonal input makes the checks of nu and s.
     """
     power_cm((np.array([nu, nu]), np.eye(4)), s)
-    return _mode_powers(nu, s)[0]
+    return thermal_power(nu, s)[0]
 
 
 def test_power_nu_pure_fixed_point():
@@ -563,7 +579,7 @@ def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
 
 
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
-    """Q_s assembled as ``power_overlap`` documents it, from the per-mode power functions."""
+    """Q_s assembled as ``power_overlap`` documents it, from the per-mode formulas of ``thermal_power``."""
     dec0, dec1 = williamson(state0.cm), williamson(state1.cm)
     prefactor = 4.0
     for nu in dec0[0]:
@@ -573,7 +589,7 @@ def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) ->
 
     def power_matrix(dec, power):
         nu, sp = dec
-        scaled = np.repeat([_mode_powers(v, power)[1] for v in nu], 2)
+        scaled = np.repeat([thermal_power(v, power)[1] for v in nu], 2)
         return sp @ np.diag(scaled) @ sp.T
 
     sigma = power_matrix(dec0, s) + power_matrix(dec1, 1.0 - s)
@@ -594,6 +610,29 @@ def test_williamson_matches_schur_reference_bit_for_bit(pair):
 @given(pair=unit_state_pairs(), s=st.floats(1e-6, 1.0 - 1e-6))
 def test_power_overlap_matches_documented_formula_bit_for_bit(pair, s):
     assert power_overlap(*pair, s) == reference_overlap(*pair, s)
+
+
+def test_overlap_evaluations_take_no_logarithm(monkeypatch):
+    """ln(nu - 1) is taken once per mode when the evaluator is set up, not at each Q_s."""
+    logs = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            logs.append(x)
+            return math.log(x)
+
+    rng = np.random.default_rng(16)
+    state0, state1 = random_unit_state(rng), random_unit_state(rng)
+    monkeypatch.setattr(gaussian, "math", CountingMath())
+    q = gaussian._overlap_evaluator(state0, state1)
+    assert len(logs) == 4  # two mixed modes per state
+    values = [q(s) for s in (0.1, 0.37, 0.5, 0.9)]
+    assert len(logs) == 4
+    monkeypatch.undo()
+    assert values == [power_overlap(state0, state1, s) for s in (0.1, 0.37, 0.5, 0.9)]
 
 
 @settings(max_examples=60, deadline=None)

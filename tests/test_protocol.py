@@ -1,5 +1,7 @@
 """Protocol parameter validation and covariance-matrix construction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ def test_valid_params_accepted(headline_params):
         (dict(ns=float("nan")), "finite"),
         (dict(m=float("inf")), "m"),
         (dict(m=float("nan")), "m"),
+        (dict(ns=True), "ns must be a finite number"),
+        (dict(ns=np.True_), "ns must be a finite number"),
+        (dict(kappa="0.1"), "kappa must be a finite number"),
+        (dict(g=None), "g must be a finite number"),
+        (dict(m=True), "m must be an integer"),
+        (dict(m="20000"), "m must be an integer"),
     ],
 )
 def test_invalid_params_rejected_with_named_invariant(overrides, fragment):
@@ -49,6 +57,14 @@ def test_invalid_params_rejected_with_named_invariant(overrides, fragment):
     with pytest.raises(ValueError, match=None) as excinfo:
         ProtocolParams(**values)
     assert fragment in str(excinfo.value)
+
+
+def test_params_accept_real_knobs_and_store_python_numbers():
+    params = ProtocolParams(ns=np.float32(0.004), kappa=np.float64(0.1), g=10000, nb=Fraction(10000), m=np.int64(20000))
+    assert [type(getattr(params, name)) for name in ("ns", "kappa", "g", "nb", "m")] == [float] * 4 + [int]
+    assert (params.ns, params.kappa, params.g, params.nb, params.m) == (float(np.float32(0.004)), 0.1, 1e4, 1e4, 20000)
+    as_numpy = ProtocolParams(**{name: np.float64(value) for name, value in HEADLINE.items()})
+    assert derived_coefficients(as_numpy) == derived_coefficients(ProtocolParams(**HEADLINE))
 
 
 def test_no_amplifier_limit():
