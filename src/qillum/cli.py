@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .link import EVE_FLOOR, Receiver, budget_from_fiber, required_m, security_margin
+from .link import DEFAULT_ALICE_TARGET, EVE_FLOOR, Receiver, budget_from_fiber, required_m, security_margin
 from .montecarlo import McConfig, run_mc
 from .protocol import ProtocolParams
 from .receivers import (
@@ -337,10 +337,11 @@ _SUBCOMMANDS = {
             _Param("w", float, "source phase-matching bandwidth in Hz"),
             _Param("t", float, "bit duration in seconds"),
             _NS, _G, _NB,
-            _Param("target", float, "target error probability (default 1e-6)", 1e-6),
-            _Param(
-                "receiver", str, "receiver for required-M sizing (default opa)", "opa", ("optimum", "opa")
-            ),
+            # Python writes 1e-6 as 1e-06; the help keeps the short exponent.
+            _Param("target", float, f"target error probability (default {DEFAULT_ALICE_TARGET:g})".replace("e-0", "e-"),
+                   DEFAULT_ALICE_TARGET),
+            _Param("receiver", str, f"receiver for required-M sizing (default {Receiver.OPA.value})",
+                   Receiver.OPA.value, tuple(r.value for r in Receiver)),
         ),
     ),
     "mc": (

@@ -31,6 +31,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from collections.abc import Callable
@@ -267,6 +268,30 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return nu, s
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float: a real number, not a bool, finite as a float (an int beyond its range is not)."""
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a finite number")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int: an integral real, not a bool, from ``least`` (0 or 1) up to 1.8e308, the float range."""
+    if type(value) is not int and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer")
+    # int() only below inf; the cap is then compared as an int, which numpy cannot round.
+    if not (least <= value < math.inf and value == (count := int(value)) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+    return count
+
+
 def _check_power(s: float) -> None:
     """Reject s unless s and 1 - s, the two powers Q_s takes, lie strictly inside (0, 1)."""
     for power in (s, 1.0 - s):
@@ -454,16 +479,16 @@ def error_bounds_from_overlaps(
 ) -> ErrorBounds:
     """Assemble M-copy error bounds from single-copy overlaps, in log domain.
 
-    ``q_star`` is the s-minimised overlap, ``q_half`` the s = 1/2 overlap.
+    ``q_star`` is the s-minimised overlap at ``s_star`` in (0, 1), ``q_half`` the s = 1/2 overlap.
     The lower bound 0.5 * (1 - sqrt(1 - q_half**(2M))) is formed as
     exp(L) / (2 + 2 sqrt(-expm1(L))), L = 2M ln q_half, which does not
     cancel: it is within 4 eps max(1, |L|) of exact, and equals 0.25 exp(L)
     to the bit once q_half**(2M) < 2**-53, so it is positive until exp(L)
     underflows.
     """
-    if not (1 <= m < math.inf and int(m) == m):
-        raise ValueError("m must be a positive integer")
-    m = int(m)
+    m = _count("m", m)
+    s_star = _real("s_star", s_star)
+    _check_power(s_star)
     if not 0.0 < q_star <= 1.0 or not 0.0 < q_half <= 1.0:
         raise ValueError("overlaps must lie in (0, 1]")
     log_q_star = math.log(q_star)

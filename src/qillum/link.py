@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .gaussian import ErrorBounds
+from .gaussian import ErrorBounds, _real
 from .protocol import ProtocolParams
 from .receivers import alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
 
@@ -77,22 +77,17 @@ def budget_from_fiber(
 ) -> LinkBudget:
     """Build a link budget from fiber length, loss rate, bandwidth and bit time.
 
-    Requires finite inputs and a finite W T >= 1 (at least one full mode
+    Requires finite real inputs and a finite W T >= 1 (at least one full mode
     pair per bit); fractional mode pairs are truncated, which is
     conservative for error probability.  A W T within 4 ulps of an integer
     counts as that integer, so that products of decimal inputs such as
-    1e11 * 3e-8 are not truncated by their rounding error.
+    1e11 * 3e-8 are not truncated by their rounding error.  W T and kappa
+    are formed from the inputs as given, so integers beyond 2**53 count exactly.
     """
+    for name, value in (("length_km", length_km), ("loss_db_per_km", loss_db_per_km), ("w_hz", w_hz), ("t_s", t_s)):
+        _real(name, value)
     product = w_hz * t_s
-    for name, value in (
-        ("length_km", length_km),
-        ("loss_db_per_km", loss_db_per_km),
-        ("w_hz", w_hz),
-        ("t_s", t_s),
-        ("W T", product),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _real("W T", product)
     if length_km < 0.0 or loss_db_per_km < 0.0:
         raise ValueError("length_km and loss_db_per_km must be nonnegative")
     if w_hz <= 0.0 or t_s <= 0.0:

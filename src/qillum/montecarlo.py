@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import _count
 from .protocol import ProtocolParams
 from .receivers import OpaReceiverModel, opa_bhattacharyya, opa_model
 
@@ -43,12 +44,8 @@ class McConfig:
     params: ProtocolParams
 
     def __post_init__(self) -> None:
-        if not (1 <= self.trials < math.inf and int(self.trials) == self.trials):
-            raise ValueError("trials must be a positive integer")
-        if not (0 <= self.seed < math.inf and int(self.seed) == self.seed):
-            raise ValueError("seed must be a non-negative integer")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", _count("trials", self.trials))
+        object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,7 @@ def ml_threshold(model: OpaReceiverModel, m: int) -> float:
     (n0 - n1) / (n1 (1 + n0)), so bright means whose ratios round to 1
     keep their threshold.  Raises when n0 = n1, where no threshold exists.
     """
-    if not (1 <= m < math.inf and int(m) == m):
-        raise ValueError("m must be a positive integer")
+    m = _count("m", m)
     if model.n0 == model.n1:
         raise ValueError("n0 = n1: the hypotheses coincide and no threshold exists")
     diff = model.n0 - model.n1

@@ -16,13 +16,12 @@ goes to the engine as it is.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import Convention, CovMat, GaussianState, IllConditionedMatrixError, to_unit_vacuum, williamson
+from .gaussian import Convention, CovMat, GaussianState, IllConditionedMatrixError, _count, _real, to_unit_vacuum, williamson
 
 __all__ = [
     "ProtocolParams",
@@ -38,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """The five protocol knobs: real numbers, not bools; ns, kappa, g and nb are stored as float.
+    """The five protocol knobs: ns, kappa, g and nb stored as float, m as int (see ``gaussian._real``, ``_count``).
 
     ns:    mean signal (and idler) photon number per mode, > 0
     kappa: one-way channel transmissivity, strictly inside (0, 1)
@@ -55,11 +54,7 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         for name in ("ns", "kappa", "g", "nb"):
-            value = getattr(self, name)
-            real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.ns <= 0:
             raise ValueError("ns must be positive")
         if not 0.0 < self.kappa < 1.0:
@@ -76,10 +71,7 @@ class ProtocolParams:
             )
         if self.g == 1.0 and self.nb != 0.0:
             raise ValueError("nb must be 0 when g = 1 (no amplifier, no added noise)")
-        real = type(self.m) is int or isinstance(self.m, numbers.Real) and not isinstance(self.m, bool)
-        if not (real and 1 <= self.m < math.inf and int(self.m) == self.m):
-            raise ValueError("m must be an integer >= 1")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _count("m", self.m))
 
 
 @dataclass(frozen=True)
@@ -151,8 +143,8 @@ def source_cm(ns: float) -> CovMat:
     s_diag = 2 ns + 1 with phase-sensitive corners +/- c_q.  The state is
     pure: both symplectic eigenvalues equal 1.
     """
-    if not (isinstance(ns, (int, float)) and math.isfinite(ns) and ns > 0):
-        raise ValueError("ns must be positive and finite")
+    if (ns := _real("ns", ns)) <= 0.0:
+        raise ValueError("ns must be positive")
     s_diag = 2.0 * ns + 1.0
     c_q = 2.0 * math.sqrt(ns * (ns + 1.0))
     return _two_mode_cm(s_diag, s_diag, c_q, -c_q)

@@ -482,6 +482,21 @@ def test_mc_keeps_its_threshold_at_bright_means(capsys):
     assert math.isfinite(record["outputs"]["threshold"])
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bounds", *HEADLINE_FLAGS, "--m", "1" + "0" * 400], "m"),
+        (["mc", *HEADLINE_FLAGS, "--m", "20", "--trials", "1" + "0" * 400], "trials"),
+    ],
+    ids=["bounds-m", "mc-trials"],
+)
+def test_a_count_beyond_the_float_range_exits_2_naming_its_key(capsys, argv, name):
+    """A count too large for a float is bad input (exit 2), not an OverflowError traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == f"error: {name} must be a positive integer\n"
+
+
 def test_mc_rejects_negative_seed(capsys):
     code, _, err = run_cli(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "100", "--seed", "-1")
     assert code == 2

@@ -756,3 +756,7 @@ def test_error_bounds_validates_inputs():
             chernoff_bound(state0, state1, m)
     with pytest.raises(ValueError, match="overlaps"):
         error_bounds_from_overlaps(1.5, 0.9, 10, 0.5)
+    with pytest.raises(ValueError, match="inside"):
+        error_bounds_from_overlaps(0.9, 0.9, 10, 2.0)
+    with pytest.raises(ValueError, match="s_star must be a finite number"):
+        error_bounds_from_overlaps(0.9, 0.9, 10, "x")

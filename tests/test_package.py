@@ -155,3 +155,18 @@ def test_no_one_statement_private_helper_has_a_single_caller():
     files = sorted(ROOT.glob("src/qillum/*.py"))
     assert files
     assert _one_statement_helpers_with_one_caller(files) == []
+
+
+def test_only_gaussian_imports_numbers():
+    """``numbers`` serves the one type rule for counts and reals, ``gaussian._real`` and ``_count``.
+
+    Another module importing it is a second copy of that rule in the making.
+    """
+    importers = [
+        path.name
+        for path in sorted(ROOT.glob("src/qillum/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+    ]
+    assert importers == ["gaussian.py"]

@@ -49,6 +49,7 @@ def test_valid_params_accepted(headline_params):
         (dict(g=None), "g must be a finite number"),
         (dict(m=True), "m must be an integer"),
         (dict(m="20000"), "m must be an integer"),
+        (dict(g=10**400, nb=10**401), "g must be finite"),
     ],
 )
 def test_invalid_params_rejected_with_named_invariant(overrides, fragment):
