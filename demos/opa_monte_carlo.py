@@ -9,7 +9,7 @@ suspiciously far below bound/20 (which would point at broken sampling).
 Run: python demos/opa_monte_carlo.py
 """
 
-from qillum import McConfig, ProtocolParams, ml_threshold, opa_bhattacharyya, opa_model, run_mc
+from qillum import McConfig, ProtocolParams, run_mc
 
 TRIALS = 1_000_000
 SEED = 20260808
@@ -17,15 +17,13 @@ SEED = 20260808
 print(f"{'M':>6}  {'bound':>10}  {'empirical':>10}  {'Wilson 95% CI':>24}")
 for m in (500, 1000, 2000):
     params = ProtocolParams(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=m)
-    bound = opa_bhattacharyya(params).bhattacharyya_upper
     result = run_mc(McConfig(trials=TRIALS, seed=SEED, params=params))
     lo, hi = result.wilson_ci95
-    print(f"{m:>6}  {bound:>10.4f}  {result.empirical_error:>10.4f}  [{lo:.4f}, {hi:.4f}]")
+    print(f"{m:>6}  {result.analytic_bound:>10.4f}  {result.empirical_error:>10.4f}  [{lo:.4f}, {hi:.4f}]")
 
+# The last run, at M = 2000, also reports the count model and its threshold.
 print()
-params = ProtocolParams(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=2000)
-model = opa_model(params)
-print(f"at M = 2000: n0 = {model.n0:.5f}, n1 = {model.n1:.5f}, "
-      f"ML threshold = {ml_threshold(model, 2000):.2f} counts")
+print(f"at M = 2000: n0 = {result.model.n0:.5f}, n1 = {result.model.n1:.5f}, "
+      f"ML threshold = {result.threshold:.2f} counts")
 print("fewer modes per bit -> less information -> the empirical error climbs,")
 print("always staying under the bound.")

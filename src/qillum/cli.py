@@ -24,13 +24,7 @@ from . import __version__
 from .link import DEFAULT_ALICE_TARGET, EVE_FLOOR, Receiver, budget_from_fiber, required_m, security_margin
 from .montecarlo import McConfig, run_mc
 from .protocol import ProtocolParams
-from .receivers import (
-    alice_optimum_bounds,
-    approx_exponents,
-    eve_optimum_bounds,
-    opa_bhattacharyya,
-    opa_model,
-)
+from .receivers import approx_exponents
 
 OUT_DIR_ENV = "QILLUM_OUT_DIR"
 CSV_HEADER = "M,alice_qcb,alice_opa_bhatt,eve_qcb_upper,eve_lower_bound"
@@ -131,9 +125,8 @@ def _emit(command: str, params: dict, outputs: dict, as_json: bool, lines: list[
 
 def _cmd_bounds(p: dict) -> tuple[dict, list[str]]:
     params = ProtocolParams(**p)
-    alice = alice_optimum_bounds(params)
-    opa = opa_bhattacharyya(params)
-    eve = eve_optimum_bounds(params)
+    margin = security_margin(params)
+    alice, opa, eve = margin.alice_optimum, margin.alice_opa, margin.eve
     approx = approx_exponents(params)
     outputs = {
         "alice_chernoff_upper": alice.chernoff_upper,
@@ -171,22 +164,23 @@ def _sweep_m_values(m_min: int, m_max: int, points: int, scale: str) -> list[int
         raise ValueError(f"m-max must be at most {_M_MAX:g}")
     if points < 2:
         raise ValueError("points must be >= 2")
-    if scale == "log":
-        grid = np.logspace(math.log10(m_min), math.log10(m_max), points)
-    else:
-        # As floats: numpy cannot subtract integers beyond int64.
-        grid = np.linspace(float(m_min), float(m_max), points)
+    try:
+        if scale == "log":
+            grid = np.logspace(math.log10(m_min), math.log10(m_max), points)
+        else:
+            # As floats: numpy cannot subtract integers beyond int64.
+            grid = np.linspace(float(m_min), float(m_max), points)
+    except ValueError:
+        # numpy refuses an array beyond its size limit, in words that name no key.
+        raise ValueError("points is too large for numpy to allocate the grid") from None
     return sorted({max(1, int(round(v))) for v in grid})
 
 
 def sweep_rows(params: ProtocolParams, m_values: list[int]) -> list[tuple[int, float, float, float, float]]:
     """Bound curves over ``m_values`` (``params.m`` is ignored); the receivers' memo evaluates each pair once."""
-    rows = []
-    for m in m_values:
-        at_m = dataclasses.replace(params, m=m)
-        a, o, e = alice_optimum_bounds(at_m), opa_bhattacharyya(at_m), eve_optimum_bounds(at_m)
-        rows.append((m, a.chernoff_upper, o.bhattacharyya_upper, e.chernoff_upper, e.lower_bound))
-    return rows
+    margins = (security_margin(dataclasses.replace(params, m=m)) for m in m_values)
+    return [(m, r.alice_optimum.chernoff_upper, r.alice_opa.bhattacharyya_upper, r.eve.chernoff_upper, r.eve.lower_bound)
+            for m, r in zip(m_values, margins)]
 
 
 def _cmd_sweep(p: dict) -> tuple[dict, list[str]]:
@@ -255,18 +249,13 @@ def _cmd_plan(p: dict) -> tuple[dict, list[str]]:
 
 def _cmd_mc(p: dict) -> tuple[dict, list[str]]:
     params = ProtocolParams(ns=p["ns"], kappa=p["kappa"], g=p["g"], nb=p["nb"], m=p["m"])
-    mc_config = McConfig(trials=p["trials"], seed=p["seed"], params=params)
-    bound = opa_bhattacharyya(params).bhattacharyya_upper
-    model = opa_model(params)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_mc(mc_config)
-    warning_lines = [f"WARNING: {w.message}" for w in caught]
+        result = run_mc(McConfig(trials=p["trials"], seed=p["seed"], params=params))
+    model, bound = result.model, result.analytic_bound
+    notes = [str(w.message) for w in caught]
     if result.empirical_error > bound:
-        warning_lines.append(
-            f"WARNING: empirical error {result.empirical_error:.6e} exceeds the "
-            f"analytic bound {bound:.6e}"
-        )
+        notes.append(f"empirical error {result.empirical_error:.6e} exceeds the analytic bound {bound:.6e}")
     outputs = {
         "empirical_error": result.empirical_error,
         "wilson_ci95": list(result.wilson_ci95),
@@ -275,7 +264,7 @@ def _cmd_mc(p: dict) -> tuple[dict, list[str]]:
         "analytic_bound": bound,
         "n0": model.n0,
         "n1": model.n1,
-        "warnings": [str(w.message) for w in caught],
+        "warnings": notes,
     }
     return outputs, [
         f"OPA photon statistics: n0 = {model.n0:.9e}, n1 = {model.n1:.9e}, "
@@ -283,7 +272,7 @@ def _cmd_mc(p: dict) -> tuple[dict, list[str]]:
         f"empirical error: {result.empirical_error:.6e} "
         f"(Wilson 95% CI [{result.wilson_ci95[0]:.6e}, {result.wilson_ci95[1]:.6e}])",
         f"analytic Bhattacharyya bound: {bound:.6e}",
-    ] + warning_lines
+    ] + [f"WARNING: {note}" for note in notes]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .gaussian import ErrorBounds, _real
 from .protocol import ProtocolParams
 from .receivers import alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
@@ -80,28 +82,30 @@ def budget_from_fiber(
     Requires finite real inputs and a finite W T >= 1 (at least one full mode
     pair per bit); fractional mode pairs are truncated, which is
     conservative for error probability.  A W T within 4 ulps of an integer
-    counts as that integer, so that products of decimal inputs such as
-    1e11 * 3e-8 are not truncated by their rounding error.  W T and kappa
-    are formed from the inputs as given, so integers beyond 2**53 count exactly.
+    (ulps of the coarser float format of W and T) counts as that integer, so
+    decimal inputs such as 1e11 * 3e-8 are not truncated by rounding.  All is
+    formed in Python floats, but two Python ints give W T exactly.
     """
-    for name, value in (("length_km", length_km), ("loss_db_per_km", loss_db_per_km), ("w_hz", w_hz), ("t_s", t_s)):
-        _real(name, value)
-    product = w_hz * t_s
+    names = ("length_km", "loss_db_per_km", "w_hz", "t_s")
+    length_km, loss_db_per_km, w, t = map(_real, names, (length_km, loss_db_per_km, w_hz, t_s))
+    product = w_hz * t_s if isinstance(w_hz, int) and isinstance(t_s, int) else w * t
     _real("W T", product)
     if length_km < 0.0 or loss_db_per_km < 0.0:
         raise ValueError("length_km and loss_db_per_km must be nonnegative")
-    if w_hz <= 0.0 or t_s <= 0.0:
+    if w <= 0.0 or t <= 0.0:
         raise ValueError("w_hz and t_s must be positive")
     if product < 1.0:
         raise ValueError(
             f"W T = {product:.3g} < 1: the bit interval holds no full mode pair"
         )
-    # A product within a few ulps of an integer is that integer (1e11 * 3e-8
-    # is 2999.9999999999995 in floats); anything further off is truncated.
+    # A product within 4 ulps of an integer is that integer (1e11 * 3e-8 is
+    # 2999.9999999999995); anything further off is truncated.  The ulps are the
+    # coarsest input format's: 2**29 times a double's for float32.
+    coarser = [2.0 ** (52 - np.finfo(v.dtype).nmant) for v in (w_hz, t_s) if isinstance(v, np.floating)]
     nearest = round(product)
-    m = nearest if abs(product - nearest) <= 4.0 * math.ulp(product) else math.floor(product)
+    m = nearest if abs(product - nearest) <= 4.0 * math.ulp(product) * max([1.0, *coarser]) else math.floor(product)
     kappa = 10.0 ** (-length_km * loss_db_per_km / 10.0)
-    return LinkBudget(kappa=kappa, m=m, bit_rate=1.0 / t_s)
+    return LinkBudget(kappa=kappa, m=m, bit_rate=1.0 / t)
 
 
 def required_m(

@@ -4,8 +4,8 @@ Each trial draws a uniformly random bit, samples the receiver's total
 photon count over the bit's M modes and applies the maximum-likelihood
 threshold test.  Since the per-mode counts are iid geometric, the total is
 negative binomial, which is what gets sampled (one draw per trial instead
-of M).  The empirical error rate, with a Wilson 95% interval, is compared
-against the analytic Bhattacharyya bound by the caller.
+of M).  The run reports the empirical error rate, with a Wilson 95%
+interval, next to the analytic Bhattacharyya bound it validates.
 
 Randomness comes from ``numpy.random.Generator`` seeded with PCG64, so a
 fixed seed reproduces results bit for bit.
@@ -50,12 +50,14 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Empirical error rate with its Wilson 95% interval and the test threshold."""
+    """Empirical error rate with its Wilson 95% interval and test threshold, beside the OPA model and bound."""
 
     empirical_error: float
     wilson_ci95: tuple[float, float]
     threshold: float
     trials_used: int
+    model: OpaReceiverModel
+    analytic_bound: float
 
 
 def ml_threshold(model: OpaReceiverModel, m: int) -> float:
@@ -69,7 +71,8 @@ def ml_threshold(model: OpaReceiverModel, m: int) -> float:
     declare bit 0 iff the total count >= n*.  Both logs are taken as
     log1p of their ratio's excess over 1, (n0 - n1) / (1 + n1) and
     (n0 - n1) / (n1 (1 + n0)), so bright means whose ratios round to 1
-    keep their threshold.  Raises when n0 = n1, where no threshold exists.
+    keep their threshold.  Raises when n0 = n1, where no threshold exists,
+    and when it leaves the float range, as n1 (1 + n0) does beyond 1.3e154.
     """
     m = _count("m", m)
     if model.n0 == model.n1:
@@ -77,7 +80,9 @@ def ml_threshold(model: OpaReceiverModel, m: int) -> float:
     diff = model.n0 - model.n1
     num = math.log1p(diff / (1.0 + model.n1))
     den = math.log1p(diff / (model.n1 * (1.0 + model.n0)))
-    return m * num / den
+    if not den > 0.0 or not math.isfinite(threshold := m * num / den):
+        raise ValueError(f"the ML threshold overflows the float range at n0 = {model.n0!r}, n1 = {model.n1!r}")
+    return threshold
 
 
 def _wilson_ci95(errors: int, trials: int) -> tuple[float, float]:
@@ -94,15 +99,16 @@ def run_mc(config: McConfig) -> McResult:
 
     Per trial: draw the bit, draw the total count from the negative
     binomial with mean m * n_bit, threshold, record the outcome.  Ties at
-    exactly the threshold are declared bit 0.
+    exactly the threshold are declared bit 0.  The bound, returned with the
+    model, is formed first, so it refuses means beyond 1e120 by name.
 
     Output is fully determined by ``config.seed``.
     """
     params = config.params
+    bound = opa_bhattacharyya(params).bhattacharyya_upper
     model = opa_model(params)
     m = params.m
     threshold = ml_threshold(model, m)
-    bound = opa_bhattacharyya(params).bhattacharyya_upper
     if config.trials < RECOMMENDED_MIN_TRIALS or config.trials * min(bound, 1.0) < 10.0:
         warnings.warn(
             f"low statistical power: {config.trials} trials against an error bound "
@@ -121,4 +127,6 @@ def run_mc(config: McConfig) -> McResult:
         wilson_ci95=_wilson_ci95(errors, config.trials),
         threshold=threshold,
         trials_used=config.trials,
+        model=model,
+        analytic_bound=bound,
     )

@@ -332,6 +332,18 @@ def test_linear_sweep_takes_m_max_beyond_int64(capsys, tmp_path):
     assert [line.split(",")[0] for line in out.read_text().splitlines()[3:]] == ["1", str(5 * 10**19), str(10**20)]
 
 
+@pytest.mark.parametrize("points", [10**20, 10**400], ids=["1e20", "1e400"])
+@pytest.mark.parametrize("scale", ["log", "linear"])
+def test_sweep_refuses_points_beyond_numpy_arrays_by_name(capsys, tmp_path, points, scale):
+    """numpy's own refusal, ``Maximum allowed size exceeded``, names no key."""
+    code, out, err = run_cli(
+        capsys, "sweep", *HEADLINE_FLAGS,
+        "--m-min", "1", "--m-max", "10", "--points", str(points), "--scale", scale, "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: points is too large for numpy to allocate the grid\n"
+
+
 # ----------------------------------------------------------------------
 # plan
 
@@ -501,6 +513,20 @@ def test_mc_rejects_negative_seed(capsys):
     code, _, err = run_cli(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "100", "--seed", "-1")
     assert code == 2
     assert "seed must be a non-negative integer" in err
+
+
+def test_mc_json_lists_every_warning_the_text_prints(capsys):
+    # 20 trials at M = 1 err 12 times against a bound of 0.4997.
+    argv = ["mc", *HEADLINE_FLAGS, "--m", "1", "--trials", "20", "--seed", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    printed = [line.removeprefix("WARNING: ") for line in out.splitlines() if line.startswith("WARNING: ")]
+    assert printed == [
+        "low statistical power: 20 trials against an error bound of 4.997e-01; expect a noisy estimate",
+        "empirical error 6.000000e-01 exceeds the analytic bound 4.996552e-01",
+    ]
+    _, record, _ = run_json(capsys, *argv)
+    assert record["outputs"]["warnings"] == printed
 
 
 # ----------------------------------------------------------------------

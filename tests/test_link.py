@@ -93,6 +93,28 @@ def test_budget_counts_mode_pairs_without_overcounting(w_hz, t_s, m):
     assert budget_from_fiber(50.0, 0.2, w_hz, t_s).m == m
 
 
+def test_budget_forms_kappa_from_floats_and_w_t_exactly_from_two_ints():
+    # 10**300 km at 10**10 dB/km once overflowed converting the int product.
+    assert budget_from_fiber(10**300, 10**10, 1, 1).kappa == 0.0 == budget_from_fiber(1e4, 1.0, 1, 1).kappa
+    # Two Python ints multiply exactly, beyond 2**53; numpy ints go through floats and cannot wrap.
+    assert budget_from_fiber(50, 0.2, 10**20 + 1, 3).m == 3 * 10**20 + 3
+    assert budget_from_fiber(50, 0.2, np.int64(10**18), np.int64(100)).m == 10**20
+
+
+def test_budget_from_float32_inputs_holds_python_floats():
+    budget = budget_from_fiber(np.float32(5), np.float32(1), 1, np.float32(5))
+    assert type(budget.kappa) is float and type(budget.bit_rate) is float
+    assert budget == budget_from_fiber(5.0, 1.0, 1, 5.0)
+
+
+def test_budget_takes_float32_rounding_of_w_and_t_as_float32_ulps():
+    # float32 1e11 and 3e-8 multiply to 2999.99983, within one float32 ulp (2.4e-4) of 3000.
+    assert budget_from_fiber(50.0, 0.2, np.float32(1e11), np.float32(3e-8)).m == 3000
+    assert budget_from_fiber(50.0, 0.2, np.float32(1e11), 3e-8).m == 3000
+    assert budget_from_fiber(50.0, 0.2, np.float32(1e9), np.float32(2.9999e-9)).m == 2
+    assert budget_from_fiber(50.0, 0.2, np.longdouble(1e11), np.longdouble(3e-8)).m == 3000
+
+
 def test_kappa_round_trips_to_db():
     rng = np.random.default_rng(13)
     for _ in range(50):

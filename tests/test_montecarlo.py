@@ -87,6 +87,20 @@ def test_ml_threshold_rejects_degenerate_model():
         ml_threshold(model, 10)
 
 
+@pytest.mark.parametrize(
+    "model, m",
+    [
+        # n1 (1 + n0) overflows to inf, so the denominator's log is 0.
+        (OpaReceiverModel(gain_excess=1.0, n0=3.6783694757324204e301, n1=3.3955267632578014e301), 10),
+        (OpaReceiverModel(gain_excess=1.0, n0=100.0, n1=1.0), 10**308),
+    ],
+    ids=["bright-means", "huge-m"],
+)
+def test_ml_threshold_refuses_a_threshold_beyond_the_float_range(model, m):
+    with pytest.raises(ValueError, match="threshold overflows the float range"):
+        ml_threshold(model, m)
+
+
 # ----------------------------------------------------------------------
 # sampler calibration
 
@@ -146,6 +160,21 @@ def test_run_mc_error_grows_as_m_shrinks():
 def test_run_mc_warns_on_low_statistical_power():
     with pytest.warns(UserWarning, match="low statistical power"):
         run_mc(make_config(m=2000, trials=100))
+
+
+def test_run_mc_reports_the_model_and_bound_it_validates():
+    config = make_config(m=2000, trials=100)
+    with pytest.warns(UserWarning, match="low statistical power"):
+        result = run_mc(config)
+    assert result.model == opa_model(config.params)
+    assert result.analytic_bound == opa_bhattacharyya(config.params).bhattacharyya_upper
+
+
+def test_run_mc_refuses_opa_means_beyond_the_overlap_range():
+    # The means are about 3.7e301; the bound refuses them before the threshold overflows.
+    params = ProtocolParams(ns=1e150, kappa=0.5, g=1e4, nb=1e4, m=10)
+    with pytest.raises(ValueError, match=r"at most 1e\+120"):
+        run_mc(McConfig(trials=10, seed=0, params=params))
 
 
 def test_mc_config_validation():

@@ -170,3 +170,16 @@ def test_only_gaussian_imports_numbers():
         or isinstance(node, ast.ImportFrom) and node.module == "numbers"
     ]
     assert importers == ["gaussian.py"]
+
+
+def test_cli_forms_no_receiver_bound_or_model():
+    """The CLI presents library results: ``security_margin`` and ``run_mc`` form every bound and model it prints.
+
+    A receivers function that forms a bound or a model, named in cli.py, is
+    the CLI re-deriving a result the library already returns.
+    """
+    tree = ast.parse((ROOT / "src/qillum/cli.py").read_text())
+    named = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert named & {"alice_optimum_bounds", "eve_optimum_bounds", "opa_bhattacharyya", "opa_model"} == set()
