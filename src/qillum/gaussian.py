@@ -304,21 +304,22 @@ def _thermal_modes(nu) -> list[tuple[float, float]]:
     return [(v, math.log(v - 1.0)) if v - 1.0 > NU_PURE_TOL else (1.0, -math.inf) for v in np.asarray(nu).tolist()]
 
 
-def _power_modes(modes: list, symplectic: NDArray, s: float, prefactor: float) -> tuple[float, NDArray]:
-    """prefactor times each mode's tr(rho**s), and V(s) = S diag(nu_k(s)) S^T, from ``_thermal_modes``.
+def _power_modes(modes: list, symplectic: NDArray, s: float) -> tuple[list[float], NDArray]:
+    """Each mode's tr(rho**s), and V(s) = S diag(nu_k(s)) S^T, from ``_thermal_modes``.
 
     With a = (nu+1)**s and b = (nu-1)**s = exp(s ln(nu-1)), a mode has
     tr(rho**s) = 2**s / (a - b) and nu(s) = (a + b) / (a - b); a pure mode,
     (1, -inf), has b = 0 and so exactly 1 for both.  Callers check nu and s.
     """
+    traces: list[float] = []
     diag: list[float] = []
     for nu, log_excess in modes:
         a = (nu + 1.0) ** s
         b = math.exp(s * log_excess)
-        prefactor *= 2.0**s / (a - b)
+        traces.append(2.0**s / (a - b))
         diag += ((a + b) / (a - b),) * 2
     # Bit-identical to S @ diag(d) @ S^T, whose diagonal matmul only adds exact zeros.
-    return prefactor, (symplectic * diag) @ symplectic.T
+    return traces, (symplectic * diag) @ symplectic.T
 
 
 def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) -> NDArray[np.float64]:
@@ -338,27 +339,40 @@ def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) 
         if not 1.0 <= value < math.inf:
             raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
     _check_power(s)
-    return _power_modes(_thermal_modes(nu), symplectic, s, 1.0)[1]
+    return _power_modes(_thermal_modes(nu), symplectic, s)[1]
 
 
-def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> Callable[[float], float]:
+def _overlap_evaluator(state0: GaussianState, state1: GaussianState | None) -> Callable[[float], float]:
     """Decompose each state once and return the evaluator s -> Q_s.
 
     Runs every state check of ``power_overlap`` (unit-vacuum convention,
     conditioning, physicality) and takes each ln(nu_k - 1) up front; the
     evaluator then forms Q_s through ``power_cm``'s V(s) builder, unchecked:
     callers keep s and 1 - s inside (0, 1) (see ``_check_power``).
+
+    ``state1 = None`` stands for P state0 P, the state1 of a parity pair
+    (see ``minimize_overlap``), and a parity pair's state1 is never
+    decomposed: P is a diagonal +-1 symplectic, so its Williamson pair is
+    state0's with mode 2's rows of S negated, its traces are state0's and
+    V1(1 - s) = P V0(1 - s) P, at s = 1/2 the V0(1/2) already formed.
     """
     states = []
     for label, state in (("state0", state0), ("state1", state1)):
+        if state is None:
+            break
         nu, symplectic = williamson(state.cm)
         if np.any(nu < 1.0):
             raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
         states.append((_thermal_modes(nu), symplectic))
 
     def q(s: float) -> float:
-        prefactor, v0 = _power_modes(*states[0], s, 4.0)
-        prefactor, v1 = _power_modes(*states[1], 1.0 - s, prefactor)
+        traces0, v0 = _power_modes(*states[0], s)
+        if state1 is None:
+            traces1, v1 = (traces0, v0) if s == 0.5 else _power_modes(*states[0], 1.0 - s)
+            v1 = v1 * _PARITY_SIGNS
+        else:
+            traces1, v1 = _power_modes(*states[1], 1.0 - s)
+        prefactor = math.prod(traces0 + traces1, start=4.0)  # 4 t0 t1 t0' t1', multiplied left to right
         return min(prefactor / math.sqrt(np.linalg.det(v0 + v1)), 1.0)
 
     return q
@@ -445,12 +459,14 @@ def _brent_minimize(f: Callable[[float], float], x: float, fx: float) -> tuple[f
 
 
 def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapResult:
-    """Minimise Q_s over s in (0, 1), decomposing each state once.
+    """Minimise Q_s over s in (0, 1), decomposing each state at most once.
 
-    Parity pairs (V1 = P V0 P exactly, P negating both quadratures of
-    mode 2, as in every protocol pair) return s = 1/2 without a search:
-    Q_s = Q_{1-s} for them and log Q_s is convex in s, so the minimum sits
-    exactly at s = 1/2.  Other pairs use Brent's bounded minimiser
+    Parity pairs (V1 = P V0 P exactly, in one convention, P negating both
+    quadratures of mode 2, as in every protocol pair) return s = 1/2
+    without a search: Q_s = Q_{1-s} for them and log Q_s is convex in s, so
+    the minimum sits exactly at s = 1/2.  A parity pair's state1 is never
+    decomposed: its Williamson pair is state0's mirrored by P (see
+    ``_overlap_evaluator``).  Other pairs use Brent's bounded minimiser
     (parabolic interpolation with a golden-section fallback) started at
     s = 1/2 from the Q_{1/2} already computed; log Q_s is convex and smooth
     on the search interval, so the parabolic steps converge superlinearly
@@ -464,10 +480,13 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     about 32 when the minimum sits at an end of the interval (a pure state).
     ``q_half`` carries the Q_{1/2} the search started from.
     """
-    f = _overlap_evaluator(state0, state1)
+    parity = state1.cm.convention is state0.cm.convention and np.array_equal(
+        state1.cm.mat, state0.cm.mat * _PARITY_SIGNS
+    )
+    f = _overlap_evaluator(state0, None if parity else state1)
     q_half = f(0.5)
     s_star, q_star = 0.5, q_half
-    if not np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS):
+    if not parity:
         s, q = _brent_minimize(f, 0.5, q_half)
         if q < q_half:
             s_star, q_star = s, q
@@ -515,9 +534,10 @@ def chernoff_bound(state0: GaussianState, state1: GaussianState, m: int) -> Erro
     the matching lower bound; see ``error_bounds_from_overlaps`` for the
     exact expressions.  Identical states give 1/2 for all three.
 
-    Each state is decomposed once.  For parity pairs (see
-    ``minimize_overlap``) Q_s = Q_{1-s} and log Q_s is convex, so the
-    Chernoff bound equals the Bhattacharyya bound with s* = 1/2 exactly.
+    Each state is decomposed at most once, and a parity pair's state1 is
+    never decomposed.  For parity pairs (see ``minimize_overlap``)
+    Q_s = Q_{1-s} and log Q_s is convex, so the Chernoff bound equals the
+    Bhattacharyya bound with s* = 1/2 exactly.
     """
     best = minimize_overlap(state0, state1)
     return error_bounds_from_overlaps(best.q_s, best.q_half, m, best.s)

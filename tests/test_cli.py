@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from qillum import ProtocolParams, alice_pair, eve_pair
 from qillum.cli import CSV_HEADER, OUT_DIR_ENV, main
 
-from conftest import src_env
+from conftest import HEADLINE, src_env
 
 HEADLINE_FLAGS = ["--ns", "0.004", "--kappa", "0.1", "--g", "1e4", "--nb", "1e4"]
 
@@ -47,6 +48,16 @@ def test_bounds_headline_point(capsys):
         "nb": 1e4,
         "m": 20000,
     }
+
+
+def test_bounds_decomposes_two_matrices(capsys, williamson_calls):
+    """An in-process ``qillum bounds`` decomposes bit 0 of Alice's pair and of Eve's: bit 1 is each one's mirror."""
+    code, _, _ = run_cli(capsys, "bounds", *HEADLINE_FLAGS, "--m", "20000")
+    assert code == 0
+    params = ProtocolParams(**HEADLINE)
+    bit0 = [pair(params)[0].cm.mat for pair in (alice_pair, eve_pair)]
+    assert len(williamson_calls) == 2
+    assert all(np.array_equal(cm.mat, mat) for cm, mat in zip(williamson_calls, bit0))
 
 
 def test_cold_bounds_skips_the_scipy_linalg_package_init(capsys):

@@ -38,7 +38,7 @@ from qillum.gaussian import NU_CLAMP_TOL, NU_PURE_TOL
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
-from conftest import HEADLINE, random_unit_state, src_env, thermal_state
+from conftest import HEADLINE, random_unit_state, random_valid_params, src_env, thermal_state
 
 
 # ----------------------------------------------------------------------
@@ -674,9 +674,44 @@ def test_result_fields_are_python_floats(headline_params):
     assert type(power_overlap(s0, s1, 0.3)) is float
 
 
+def test_headline_q_half_is_pinned_to_the_bit(headline_params):
+    """Alice's and Eve's headline Q_1/2 as float hex: the README sweep's optimum columns are formed from these."""
+    assert alice_optimum_bounds(headline_params).q_half.hex() == "0x1.ff45c1119940cp-1"
+    assert eve_optimum_bounds(headline_params).q_half.hex() == "0x1.ffff54a2c94b9p-1"
+
+
+def test_parity_path_agrees_with_decomposing_both_states():
+    """Q_1/2 from bit 0 alone is power_overlap's, which decomposes both states: to 1e-9 on draws, to the bit at the headline."""
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        params = random_valid_params(rng)
+        for pair in (alice_pair(params), eve_pair(params)):
+            assert minimize_overlap(*pair).q_half == pytest.approx(power_overlap(*pair, 0.5), rel=1e-9, abs=0.0)
+    params = ProtocolParams(**HEADLINE)
+    for pair in (alice_pair(params), eve_pair(params)):
+        assert minimize_overlap(*pair).q_half == power_overlap(*pair, 0.5)
+
+
+def test_mirrored_evaluator_matches_power_overlap_at_any_s(headline_params):
+    """With state1 = None the evaluator takes V1(1 - s) = P V0(1 - s) P, off s = 1/2 too."""
+    for pair in (alice_pair(headline_params), eve_pair(headline_params)):
+        q = gaussian._overlap_evaluator(pair[0], None)
+        for s in (0.2, 0.5, 0.7):
+            assert q(s) == pytest.approx(power_overlap(*pair, s), rel=1e-12, abs=0.0)
+
+
+def test_a_mirror_in_another_convention_is_not_a_parity_pair():
+    state0, state1 = alice_pair(ProtocolParams(**HEADLINE))
+    quarter = GaussianState(CovMat(state1.cm.mat, Convention.QUARTER_VACUUM))
+    with pytest.raises(ValueError, match="unit-vacuum"):
+        minimize_overlap(state0, quarter)
+
+
 def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
-    chernoff_bound(*alice_pair(ProtocolParams(**HEADLINE)), 100)
-    assert len(williamson_calls) == 2
+    """A parity pair decomposes state0 alone; any other pair decomposes both states once."""
+    state0, _ = pair = alice_pair(ProtocolParams(**HEADLINE))
+    chernoff_bound(*pair, 100)
+    assert len(williamson_calls) == 1 and williamson_calls[0] is state0.cm
     williamson_calls.clear()
     bounds = chernoff_bound(thermal_state(0.0), thermal_state(3.0), 100)
     assert bounds.s_star < 0.01  # the search ran

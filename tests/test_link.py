@@ -269,9 +269,9 @@ def test_single_mode_pair_is_unusable():
 
 def test_planner_decomposes_each_state_once(williamson_calls, headline_params):
     security_margin(headline_params)
-    assert len(williamson_calls) == 4  # Alice's pair and Eve's pair
+    assert len(williamson_calls) == 2  # bit 0 of Alice's pair and of Eve's: bit 1 is its mirror
     williamson_calls.clear()
     required_m(headline_params, 1e-6, Receiver.OPTIMUM)
     assert len(williamson_calls) == 0  # Alice's pair from security_margin
     required_m(ProtocolParams(**{**HEADLINE, "ns": 0.005}), 1e-6, Receiver.OPTIMUM)
-    assert len(williamson_calls) == 2  # fresh knobs: Alice's pair only
+    assert len(williamson_calls) == 1  # fresh knobs: bit 0 of Alice's pair only

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qillum import (
     IllConditionedMatrixError,
@@ -15,7 +17,7 @@ from qillum import (
     source_cm,
     validate_physicality,
 )
-from qillum.gaussian import Convention, CovMat
+from qillum.gaussian import _PARITY_SIGNS, Convention, CovMat
 
 from conftest import HEADLINE, random_valid_params
 
@@ -140,14 +142,28 @@ def test_source_cm_rejects_nonpositive_ns():
 
 
 @pytest.mark.parametrize("pair", [alice_pair, eve_pair], ids=lambda f: f.__name__)
-def test_pair_sign_symmetry(headline_params, pair):
-    state0, state1 = pair(headline_params)
-    m0 = state0.cm.mat.copy()
-    m1 = state1.cm.mat
-    # negating the correlation block of bit 0 gives bit 1
-    m0[0:2, 2:4] *= -1.0
-    m0[2:4, 0:2] *= -1.0
-    assert np.array_equal(m0, m1)
+@settings(max_examples=100, deadline=None)
+@given(
+    log_ns=st.floats(-7.0, 0.0),
+    kappa=st.floats(0.01, 0.99),
+    log_g=st.floats(0.0, 6.0),
+    nb_fraction=st.floats(0.0, 1.0),
+)
+@example(log_ns=-7.0, kappa=0.5, log_g=3.0, nb_fraction=0.5)
+@example(log_ns=-2.0, kappa=0.3, log_g=0.0, nb_fraction=0.0)  # g = 1, nb = 0
+def test_pair_sign_symmetry(pair, log_ns, kappa, log_g, nb_fraction):
+    """Bit 1 is bit 0 mirrored by P, bit for bit, over the documented box with ns down to 1e-7.
+
+    The engine decomposes only bit 0 of such a pair (``gaussian.minimize_overlap``).
+    """
+    g = 10.0**log_g
+    nb_lo = max(g - 1.0, 0.0)
+    try:
+        params = ProtocolParams(ns=10.0**log_ns, kappa=kappa, g=g, nb=nb_lo + nb_fraction * (1e6 - nb_lo), m=1)
+    except ValueError:
+        assume(False)
+    state0, state1 = pair(params)
+    assert np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS)
 
 
 def test_alice_pair_is_phase_sensitive(headline_params):
