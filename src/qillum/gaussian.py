@@ -67,6 +67,7 @@ NU_CLAMP_TOL = 1e-9
 NU_PURE_TOL = 1e-12
 
 _SYMMETRY_ATOL = 1e-12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _ENTRY_MAX = float(np.finfo(float).max) / 2.0  # so that m + m.T cannot overflow
 # The s-search bracket, kept 1e-6 inside (0, 1) where Q_s is singular for
 # mixed states, and the absolute part of its stopping tolerance (see
@@ -169,6 +170,21 @@ class CovMat:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
+    def _parity_mirror(self) -> CovMat:
+        """P V P = V * ``_PARITY_SIGNS`` in the same convention, wrapped without a second validation.
+
+        An exact sign flip keeps every property checked above (real, 4 x 4,
+        finite, symmetric, positive definite), so the mirror skips the copy,
+        the symmetry check and the Cholesky; its matrix is a new read-only
+        array.
+        """
+        mirrored = self.mat * _PARITY_SIGNS
+        mirrored.setflags(write=False)
+        cm = object.__new__(CovMat)
+        object.__setattr__(cm, "mat", mirrored)
+        object.__setattr__(cm, "convention", self.convention)
+        return cm
+
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -222,10 +238,12 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Williamson decomposition (nu, S) of a unit-vacuum covariance matrix.
 
     Computes V = S D S^T with S symplectic and D = diag(nu_1, nu_1, nu_2,
-    nu_2), nu sorted descending; values within 1e-9 below 1 are clamped
-    up to 1, so a physical state has every nu >= 1 exactly.  Uses the real
-    Schur form of V^{-1/2} Omega V^{-1/2}, whose antisymmetric 2x2 blocks
-    carry 1/nu_k, from one LAPACK ``dgees`` call.
+    nu_2), nu sorted descending, with two equal values in the swapped order
+    of the Schur blocks (as ``np.argsort(nu)[::-1]`` orders them); values
+    within 1e-9 below 1 are clamped up to 1, so a physical state has every
+    nu >= 1 exactly.  Uses the real Schur form of V^{-1/2} Omega V^{-1/2},
+    whose antisymmetric 2x2 blocks carry 1/nu_k, from one LAPACK ``dgees``
+    call; the bookkeeping on the two blocks is done in Python floats.
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
@@ -238,7 +256,7 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     # V is symmetric positive definite, so its 2-norm condition number is
     # lam[-1] / lam[0] (eigh sorts ascending).  A subnormal lam[0] counts as
     # ill-conditioned: it would overflow V^{-1/2} Omega V^{-1/2} below.
-    cond = lam[-1] / lam[0] if lam[0] >= np.finfo(float).tiny else math.inf
+    cond = lam[-1] / lam[0] if lam[0] >= _TINY else math.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise IllConditionedMatrixError(
             f"covariance matrix condition number {cond:.3e} exceeds 1e12"
@@ -253,19 +271,20 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     # Block k carries 1/nu_k in its positive off-diagonal entry; a block
     # whose upper-right entry came out negative has its two columns of q
     # swapped, which flips the block's orientation.
-    flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(2)]
-    nu = np.array([
-        1.0 / (t[2 * k + 1, 2 * k] if flip else t[2 * k, 2 * k + 1])
-        for k, flip in enumerate(flipped)
-    ])
-    order = np.argsort(nu)[::-1]
-    cols = [2 * k + j for k in order for j in ((1, 0) if flipped[k] else (0, 1))]
-    q = q[:, cols]
-    nu = nu[order]
-    nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
+    t = t.tolist()
+    modes = [
+        (1.0 / t[1][0], (1, 0)) if t[0][1] < 0.0 else (1.0 / t[0][1], (0, 1)),
+        (1.0 / t[3][2], (3, 2)) if t[2][3] < 0.0 else (1.0 / t[2][3], (2, 3)),
+    ]
+    if not modes[0][0] > modes[1][0]:  # descending; a tie swaps the modes too
+        modes.reverse()
+    (nu0, cols0), (nu1, cols1) = modes
+    nu0, nu1 = (1.0 if 1.0 - NU_CLAMP_TOL <= v < 1.0 else v for v in (nu0, nu1))
+    # Gathering rows of q.T keeps q's column-major layout for the matmul.
+    q = q.T.take(cols0 + cols1, axis=0).T
     # (root @ q) @ diag(d) only adds exact zeros to (root @ q) * d.
-    s = (root @ q) * (np.repeat(nu, 2) ** -0.5)
-    return nu, s
+    s = (root @ q) * (np.array([nu0, nu0, nu1, nu1]) ** -0.5)
+    return np.array([nu0, nu1]), s
 
 
 def _real(name: str, value) -> float:
@@ -498,7 +517,8 @@ def error_bounds_from_overlaps(
 ) -> ErrorBounds:
     """Assemble M-copy error bounds from single-copy overlaps, in log domain.
 
-    ``q_star`` is the s-minimised overlap at ``s_star`` in (0, 1), ``q_half`` the s = 1/2 overlap.
+    ``q_star`` is the s-minimised overlap at ``s_star`` in (0, 1), ``q_half`` the s = 1/2 overlap;
+    both lie in (0, 1] and q_star <= q_half, or a ValueError names the one refused.
     The lower bound 0.5 * (1 - sqrt(1 - q_half**(2M))) is formed as
     exp(L) / (2 + 2 sqrt(-expm1(L))), L = 2M ln q_half, which does not
     cancel: it is within 4 eps max(1, |L|) of exact, and equals 0.25 exp(L)
@@ -506,10 +526,13 @@ def error_bounds_from_overlaps(
     underflows.
     """
     m = _count("m", m)
-    s_star = _real("s_star", s_star)
+    q_star, q_half, s_star = _real("q_star", q_star), _real("q_half", q_half), _real("s_star", s_star)
     _check_power(s_star)
-    if not 0.0 < q_star <= 1.0 or not 0.0 < q_half <= 1.0:
-        raise ValueError("overlaps must lie in (0, 1]")
+    for name, q in (("q_star", q_star), ("q_half", q_half)):
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"overlaps must lie in (0, 1], got {name} = {q!r}")
+    if q_star > q_half:
+        raise ValueError(f"q_star = {q_star!r} exceeds q_half = {q_half!r}: the s-minimised overlap is the smaller")
     log_q_star = math.log(q_star)
     log_q_half = math.log(q_half)
     chernoff = 0.5 * math.exp(m * log_q_star)

@@ -16,8 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .gaussian import ErrorBounds, _real
-from .protocol import ProtocolParams
-from .receivers import alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
+from .protocol import ProtocolParams, alice_pair
+from .receivers import (_pair_overlaps, alice_optimum_bounds, eve_optimum_bounds, geometric_bhattacharyya_overlap,
+                        opa_bhattacharyya, opa_model)
 
 __all__ = [
     "LinkBudget",
@@ -113,21 +114,30 @@ def required_m(
 ) -> int:
     """Smallest mode-pair number M whose upper bound meets ``target_pe``.
 
-    ``params.m`` is ignored; the per-mode overlap is fixed by the other
+    ``params.m`` is ignored; the per-mode overlap q is fixed by the other
     four knobs and the bound 0.5 * q**M is monotone in M, so the answer is
     the closed-form estimate ceil(log(2 target) / log q), stepped up or
-    down to the smallest M that meets the target in floating point.  The optimum
-    receiver's pair evaluation is shared per (ns, kappa, g, nb).
+    down to the smallest M that meets the target in floating point.  q is
+    read directly, with no ``ErrorBounds`` formed: the OPA receiver's
+    geometric Bhattacharyya coefficient, or the optimum receiver's
+    s-minimised overlap from the pair evaluation shared per
+    (ns, kappa, g, nb).
 
     Raises:
-        ValueError: target outside (0, 0.5], or per-mode overlap within
-            1e-15 of 1 (target unreachable).  Below that ceiling the
-            answer is at most about 6.8e17, even for a target of 5e-324.
+        ValueError: target outside (0, 0.5], per-mode overlap outside
+            (0, 1], or within 1e-15 of 1 (target unreachable).  Below that
+            ceiling the answer is at most about 6.8e17, even for a target
+            of 5e-324.
     """
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
-    per_mode = opa_bhattacharyya if receiver is Receiver.OPA else alice_optimum_bounds
-    q = per_mode(params).q_star
+    if receiver is Receiver.OPA:
+        model = opa_model(params)
+        q = geometric_bhattacharyya_overlap(model.n0, model.n1)
+    else:
+        q = _pair_overlaps(alice_pair, (params.ns, params.kappa, params.g, params.nb)).q_s
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"per-mode overlap {q!r} must lie in (0, 1]")
     if q >= _OVERLAP_CEILING:
         raise ValueError(
             f"per-mode overlap {q!r} is too close to 1: target unreachable"

@@ -155,10 +155,13 @@ def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
 
     Unit-vacuum convention, ordering (x_R, p_R, x_I, p_I): diagonal
     (a, a, s_diag, s_diag).  The correlation is phase sensitive: the x-x
-    entry carries (-1)^k c_a and the p-p entry the opposite sign.
+    entry carries (-1)^k c_a and the p-p entry the opposite sign.  Only bit
+    0's matrix is built and validated; bit 1's is bit 0's mirrored by P
+    (both idler quadratures negated), exactly V0 * ``_PARITY_SIGNS``.
     """
     c = derived_coefficients(params)
-    return tuple(GaussianState(_two_mode_cm(c.a, c.s_diag, k * c.c_a, -k * c.c_a)) for k in (1.0, -1.0))
+    bit0 = _two_mode_cm(c.a, c.s_diag, c.c_a, -c.c_a)
+    return GaussianState(bit0), GaussianState(bit0._parity_mirror())
 
 
 def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -167,10 +170,13 @@ def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     Unit-vacuum convention, ordering (x_S', p_S', x_R', p_R') for the two
     tapped modes: diagonal (d, d, e, e).  Unlike Alice's pair the
     correlation here is phase insensitive: (-1)^k c_e multiplies both the
-    x-x and the p-p entry.
+    x-x and the p-p entry.  Only bit 0's matrix is built and validated; bit
+    1's is bit 0's mirrored by P (both return quadratures negated), exactly
+    V0 * ``_PARITY_SIGNS``.
     """
     c = derived_coefficients(params)
-    return tuple(GaussianState(_two_mode_cm(c.d, c.e, k * c.c_e, k * c.c_e)) for k in (1.0, -1.0))
+    bit0 = _two_mode_cm(c.d, c.e, c.c_e, c.c_e)
+    return GaussianState(bit0), GaussianState(bit0._parity_mirror())
 
 
 def validate_physicality(cm: CovMat) -> PhysicalityReport:

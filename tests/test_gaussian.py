@@ -12,9 +12,9 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dgees
 
 from qillum import (
@@ -606,6 +606,106 @@ def test_williamson_matches_schur_reference_bit_for_bit(pair):
         assert np.array_equal(sp, ref_sp)
 
 
+def argsort_williamson(cm: CovMat):
+    """``williamson`` with numpy bookkeeping on the two Schur blocks: list comprehensions, argsort, a column list, a mask.
+
+    Reads the Schur form from ``gaussian._dgees`` at call time, as ``williamson``
+    does, so a patched solver reaches both.
+    """
+    lam, u = np.linalg.eigh(cm.mat)
+    root = (u * np.sqrt(lam)) @ u.T
+    inv_root = (u / np.sqrt(lam)) @ u.T
+    core = inv_root @ OMEGA @ inv_root
+    core = (core - core.T) / 2.0
+    t, _, _, _, q, _, info = gaussian._dgees(gaussian._no_sort, core)
+    assert info == 0
+    flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(2)]
+    nu = np.array([1.0 / (t[2 * k + 1, 2 * k] if flip else t[2 * k, 2 * k + 1]) for k, flip in enumerate(flipped)])
+    order = np.argsort(nu)[::-1]
+    q = q[:, [2 * k + j for k in order for j in ((1, 0) if flipped[k] else (0, 1))]]
+    nu = nu[order]
+    nu[(nu >= 1.0 - NU_CLAMP_TOL) & (nu < 1.0)] = 1.0
+    return nu, (root @ q) * (np.repeat(nu, 2) ** -0.5)
+
+
+def oriented_dgees(upper_signs):
+    """``gaussian._dgees``, with Schur block k turned so that its upper-right entry has the sign ``upper_signs[k]``.
+
+    Turning block k swaps rows and columns 2k, 2k + 1 of T and columns
+    2k, 2k + 1 of Q, so Q T Q^T is still the input; Q keeps its
+    column-major layout.
+    """
+    solve = gaussian._dgees
+
+    def dgees(select, core):
+        t, sdim, wr, wi, q, work, info = solve(select, core)
+        perm = [0, 1, 2, 3]
+        for k, sign in enumerate(upper_signs):
+            if math.copysign(1.0, t[2 * k, 2 * k + 1]) != sign:
+                perm[2 * k : 2 * k + 2] = [2 * k + 1, 2 * k]
+        return t[np.ix_(perm, perm)], sdim, wr, wi, np.asfortranarray(q[:, perm]), work, info
+
+    return dgees
+
+
+def tied_thermal_state(nu: float, seed: int) -> CovMat:
+    """thermal(nu) x thermal(nu) under a seeded random symplectic exp(Omega H), H symmetric."""
+    h = np.random.default_rng(seed).normal(size=(4, 4))
+    sp = expm(OMEGA @ (0.3 * (h + h.T) / 2.0))
+    v = nu * (sp @ sp.T)
+    return CovMat((v + v.T) / 2.0, Convention.UNIT_VACUUM)
+
+
+@st.composite
+def williamson_inputs(draw):
+    """A random physical state (some with a pure mode), a tied thermal pair under a random symplectic, or a protocol state."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["random", "tied", "protocol"]))
+    if kind == "random":
+        return random_unit_state(np.random.default_rng(seed), pure_modes=draw(st.integers(0, 2))).cm
+    if kind == "tied":
+        return tied_thermal_state(draw(st.floats(1.0, 4.0)), seed)
+    pair = draw(st.sampled_from([alice_pair, eve_pair]))(draw(protocol_params()))
+    return pair[draw(st.integers(0, 1))].cm
+
+
+UPPER_SIGNS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+
+
+@pytest.mark.parametrize("upper_signs", UPPER_SIGNS, ids=lambda signs: "".join("+-"[sign < 0] for sign in signs))
+@settings(max_examples=60, deadline=None)
+@given(cm=williamson_inputs())
+@example(cm=CovMat(np.eye(4), Convention.UNIT_VACUUM))  # the vacuum: nu = (1, 1)
+@example(cm=CovMat(2.5 * np.eye(4), Convention.UNIT_VACUUM))  # thermal x thermal, exactly tied
+@example(cm=tied_thermal_state(2.5, 7))
+def test_williamson_bookkeeping_matches_argsort_reference_bit_for_bit(upper_signs, cm):
+    """(nu, S) is bit-equal to the argsort bookkeeping in either orientation of each Schur block, ties included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaussian, "_dgees", oriented_dgees(upper_signs))
+        nu, sp = williamson(cm)
+        ref_nu, ref_sp = argsort_williamson(cm)
+    assert nu.tobytes() == ref_nu.tobytes()
+    assert sp.tobytes() == ref_sp.tobytes()
+    # The turned Schur form is still a Williamson decomposition of the input.
+    assert np.max(np.abs(sp @ OMEGA @ sp.T - OMEGA)) < 1e-9
+    assert np.linalg.norm(sp @ np.diag(np.repeat(nu, 2)) @ sp.T - cm.mat) < 1e-9 * np.linalg.norm(cm.mat)
+
+
+@pytest.mark.parametrize("upper_signs", UPPER_SIGNS, ids=lambda signs: "".join("+-"[sign < 0] for sign in signs))
+def test_williamson_swaps_tied_modes_as_argsort_does(upper_signs):
+    """A tie takes the swapped block order, argsort(nu)[::-1] of two equal values."""
+    for cm in (CovMat(np.eye(4), Convention.UNIT_VACUUM), CovMat(2.5 * np.eye(4), Convention.UNIT_VACUUM)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian, "_dgees", oriented_dgees(upper_signs))
+            nu, sp = williamson(cm)
+            _, _, _, _, q, _, _ = gaussian._dgees(gaussian._no_sort, OMEGA / cm.mat[0, 0])
+        assert nu[0] == nu[1]
+        # V = nu I: V^{1/2} = sqrt(nu) I, so S is Q with its blocks in the swapped order.
+        first = [3, 2] if upper_signs[1] < 0 else [2, 3]
+        second = [1, 0] if upper_signs[0] < 0 else [0, 1]
+        assert np.allclose(sp, q[:, first + second], rtol=0.0, atol=1e-12)
+
+
 @settings(max_examples=80, deadline=None)
 @given(pair=unit_state_pairs(), s=st.floats(1e-6, 1.0 - 1e-6))
 def test_power_overlap_matches_documented_formula_bit_for_bit(pair, s):
@@ -795,3 +895,7 @@ def test_error_bounds_validates_inputs():
         error_bounds_from_overlaps(0.9, 0.9, 10, 2.0)
     with pytest.raises(ValueError, match="s_star must be a finite number"):
         error_bounds_from_overlaps(0.9, 0.9, 10, "x")
+    # A Chernoff overlap above the Bhattacharyya one gave a "Chernoff" bound
+    # of 0.174 above a Bhattacharyya bound of 4.9e-4.
+    with pytest.raises(ValueError, match=r"q_star = 0\.9 exceeds q_half = 0\.5"):
+        error_bounds_from_overlaps(0.9, 0.5, 10, 0.3)

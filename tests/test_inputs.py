@@ -39,6 +39,10 @@ ENTRIES = [
     ("McConfig", "trials", "count", 5, lambda value: McConfig(trials=value, seed=1, params=PARAMS).trials),
     ("McConfig", "seed", "count", 5, lambda value: McConfig(trials=5, seed=value, params=PARAMS).seed),
     ("error_bounds_from_overlaps", "m", "count", 5, lambda value: error_bounds_from_overlaps(0.9, 0.9, value, 0.5).m),
+    ("error_bounds_from_overlaps", "q_star", "real", 0.5,
+     lambda value: error_bounds_from_overlaps(value, 0.9, 5, 0.5).q_star),
+    ("error_bounds_from_overlaps", "q_half", "real", 0.5,
+     lambda value: error_bounds_from_overlaps(0.25, value, 5, 0.5).q_half),
     ("chernoff_bound", "m", "count", 5, lambda value: chernoff_bound(*PAIR, value).m),
     ("ml_threshold", "m", "count", 5, lambda value: ml_threshold(MODEL, value)),
     ("source_cm", "ns", "real", 1, lambda value: source_cm(value).mat.tolist()),

@@ -20,6 +20,9 @@ from qillum import (
     security_margin,
 )
 
+from qillum import gaussian, link, receivers
+from qillum.gaussian import OverlapResult
+
 from conftest import HEADLINE, random_valid_params
 
 
@@ -211,6 +214,48 @@ def test_required_m_opa_degenerates_without_gain():
     params = ProtocolParams(ns=1e-16, kappa=0.1, g=1e4, nb=1e4, m=1)
     with pytest.raises(ValueError, match="target unreachable"):
         required_m(params, 1e-6, Receiver.OPA)
+
+
+def test_required_m_reads_the_overlap_without_error_bounds(monkeypatch):
+    """The M the ErrorBounds.q_star route gives, for both receivers, with no ErrorBounds formed."""
+    rng = np.random.default_rng(1977)
+    draws = [random_valid_params(rng) for _ in range(40)]
+    draws += [ProtocolParams(ns=10.0**log_ns, kappa=0.1, g=1e4, nb=1e4, m=1) for log_ns in (-16, -13, -9)]
+    per_mode = {Receiver.OPA: opa_bhattacharyya, Receiver.OPTIMUM: alice_optimum_bounds}
+    overlaps = {(params, receiver): per_mode[receiver](params).q_star for params in draws for receiver in Receiver}
+    receivers._pair_overlaps.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("required_m formed an ErrorBounds")
+
+    monkeypatch.setattr(gaussian, "error_bounds_from_overlaps", forbidden)
+    monkeypatch.setattr(receivers, "error_bounds_from_overlaps", forbidden)
+    refused = 0
+    for (params, receiver), q in overlaps.items():
+        for target in (1e-6, 1e-300):
+            if q >= 1.0 - 1e-15:
+                refused += 1
+                with pytest.raises(ValueError, match="target unreachable"):
+                    required_m(params, target, receiver)
+                continue
+            m = required_m(params, target, receiver)
+            assert 0.5 * math.exp(m * math.log(q)) <= target, (params, receiver, target)
+            assert m == 1 or 0.5 * math.exp((m - 1) * math.log(q)) > target, (params, receiver, target)
+    assert refused
+
+
+@pytest.mark.parametrize("receiver", list(Receiver), ids=lambda r: r.value)
+@pytest.mark.parametrize(
+    "q, message",
+    [(1.0 - 5e-16, "target unreachable"), (1.0, "target unreachable"),
+     (0.0, r"must lie in \(0, 1\]"), (1.5, r"must lie in \(0, 1\]"), (math.nan, r"must lie in \(0, 1\]")],
+)
+def test_required_m_refuses_an_overlap_at_or_outside_the_ceiling(monkeypatch, headline_params, receiver, q, message):
+    """An overlap within 1e-15 of 1, or outside (0, 1], is a ValueError whichever receiver reads it."""
+    monkeypatch.setattr(link, "geometric_bhattacharyya_overlap", lambda n0, n1: q)
+    monkeypatch.setattr(link, "_pair_overlaps", lambda build, knobs: OverlapResult(q_s=q, s=0.5, q_half=q))
+    with pytest.raises(ValueError, match=message):
+        required_m(headline_params, 1e-6, receiver)
 
 
 def test_required_m_validates_target(headline_params):

@@ -17,7 +17,8 @@ from qillum import (
     source_cm,
     validate_physicality,
 )
-from qillum.gaussian import _PARITY_SIGNS, Convention, CovMat
+from qillum.gaussian import _PARITY_SIGNS, Convention, CovMat, GaussianState, minimize_overlap
+from qillum.protocol import _two_mode_cm
 
 from conftest import HEADLINE, random_valid_params
 
@@ -164,6 +165,50 @@ def test_pair_sign_symmetry(pair, log_ns, kappa, log_g, nb_fraction):
         assume(False)
     state0, state1 = pair(params)
     assert np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS)
+
+
+# Bit 1's matrix as a separately validated CovMat builds it from the (..., -c) entries.
+VALIDATED_BIT1 = {
+    alice_pair: lambda c: _two_mode_cm(c.a, c.s_diag, -c.c_a, c.c_a),
+    eve_pair: lambda c: _two_mode_cm(c.d, c.e, -c.c_e, -c.c_e),
+}
+
+
+@pytest.mark.parametrize("pair", [alice_pair, eve_pair], ids=lambda f: f.__name__)
+def test_pair_validates_one_matrix_and_mirrors_it(pair, monkeypatch, headline_params):
+    """One CovMat validation per pair; bit 1 is a new read-only array equal to the validated (..., -c) matrix."""
+    validated = []
+    original = CovMat.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        original(self)
+
+    monkeypatch.setattr(CovMat, "__post_init__", counting)
+    state0, state1 = pair(headline_params)
+    assert len(validated) == 1 and validated[0] is state0.cm
+    monkeypatch.undo()
+    mat0, mat1 = state0.cm.mat, state1.cm.mat
+    assert not mat1.flags.writeable and not np.shares_memory(mat0, mat1)
+    assert state1.cm.convention is state0.cm.convention
+    with pytest.raises(ValueError):
+        mat1[0, 0] = 2.0
+    # Equal as values: the mirror's zeros off the diagonal blocks are -0.0.
+    assert np.array_equal(mat1, VALIDATED_BIT1[pair](derived_coefficients(headline_params)).mat)
+
+
+@pytest.mark.parametrize("pair", [alice_pair, eve_pair], ids=lambda f: f.__name__)
+def test_mirrored_pair_overlaps_as_the_validated_pair(pair):
+    """minimize_overlap gives the same floats, to the bit, on the mirrored and the separately validated bit 1."""
+    rng = np.random.default_rng(2009)
+    for _ in range(40):
+        params = random_valid_params(rng)
+        state0, state1 = pair(params)
+        validated = GaussianState(VALIDATED_BIT1[pair](derived_coefficients(params)))
+        mirrored, separate = minimize_overlap(state0, state1), minimize_overlap(state0, validated)
+        assert [float(v).hex() for v in (mirrored.q_s, mirrored.s, mirrored.q_half)] == [
+            float(v).hex() for v in (separate.q_s, separate.s, separate.q_half)
+        ], params
 
 
 def test_alice_pair_is_phase_sensitive(headline_params):
