@@ -1,10 +1,12 @@
 """Validate the OPA receiver's Bhattacharyya bound by direct simulation.
 
-The receiver's per-mode counts are geometric, so each trial draws the
-M-mode total from the matching negative binomial, applies the
-maximum-likelihood threshold and scores the decision.  The empirical error
-must sit below the analytic bound (it is an upper bound) but not
-suspiciously far below bound/20 (which would point at broken sampling).
+The receiver's per-mode counts are geometric, so each trial's M-mode
+total is negative binomial.  A run draws how many of its trials sent bit 0,
+then each bit's totals as one batch (exact, since the trials are iid),
+applies the maximum-likelihood threshold to every total and scores the
+decisions.  The empirical error must sit below the analytic bound (it is
+an upper bound) but not suspiciously far below bound/20 (which would point
+at broken sampling).
 
 Run: python demos/opa_monte_carlo.py
 """

@@ -1,11 +1,11 @@
 """Monte Carlo validation of the OPA receiver's error bound.
 
-Each trial draws a uniformly random bit, samples the receiver's total
-photon count over the bit's M modes and applies the maximum-likelihood
-threshold test.  Since the per-mode counts are iid geometric, the total is
-negative binomial, which is what gets sampled (one draw per trial instead
-of M).  The run reports the empirical error rate, with a Wilson 95%
-interval, next to the analytic Bhattacharyya bound it validates.
+Each trial sends a uniformly random bit, samples the receiver's total
+photon count over the bit's M modes (iid geometric counts, so a negative
+binomial total) and applies the maximum-likelihood threshold test.  The
+trials are iid, so the run draws how many sent bit 0, then each bit's
+totals as one batch (see ``run_mc``), and reports the empirical error rate,
+with a Wilson 95% interval, next to the analytic Bhattacharyya bound.
 
 Randomness comes from ``numpy.random.Generator`` seeded with PCG64, so a
 fixed seed reproduces results bit for bit.
@@ -44,7 +44,9 @@ class McConfig:
     params: ProtocolParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", _count("trials", self.trials))
+        if (trials := _count("trials", self.trials)) > np.iinfo(np.int64).max:
+            raise ValueError("trials must be at most 2**63 - 1, the largest count numpy samples")
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
 
 
@@ -97,10 +99,12 @@ def _wilson_ci95(errors: int, trials: int) -> tuple[float, float]:
 def run_mc(config: McConfig) -> McResult:
     """Simulate the OPA receiver and measure its empirical bit-error rate.
 
-    Per trial: draw the bit, draw the total count from the negative
-    binomial with mean m * n_bit, threshold, record the outcome.  Ties at
-    exactly the threshold are declared bit 0.  The bound, returned with the
-    model, is formed first, so it refuses means beyond 1e120 by name.
+    Draws sent0 ~ Binomial(trials, 1/2), then sent0 bit-0 and
+    trials - sent0 bit-1 totals in that order, each batch negative binomial
+    at its bit's scalar p = 1 / (1 + n_bit) and thresholded, ties to bit 0.
+    The trials are iid, so (sent0, errors) has exactly the law of a loop
+    drawing bit then total per trial.  The bound, returned with the model,
+    is formed first, so it refuses means beyond 1e120 by name.
 
     Output is fully determined by ``config.seed``.
     """
@@ -117,11 +121,10 @@ def run_mc(config: McConfig) -> McResult:
         )
 
     rng = np.random.default_rng(config.seed)
-    bits = rng.integers(0, 2, size=config.trials)
-    means = np.where(bits == 0, model.n0, model.n1)
-    totals = rng.negative_binomial(m, 1.0 / (1.0 + means))
-    decided_bit0 = totals >= threshold
-    errors = int(np.count_nonzero(decided_bit0 != (bits == 0)))
+    sent0 = int(rng.binomial(config.trials, 0.5))
+    errors = int(np.count_nonzero(rng.negative_binomial(m, 1.0 / (1.0 + model.n0), size=sent0) < threshold))
+    totals1 = rng.negative_binomial(m, 1.0 / (1.0 + model.n1), size=config.trials - sent0)
+    errors += int(np.count_nonzero(totals1 >= threshold))
     return McResult(
         empirical_error=errors / config.trials,
         wilson_ci95=_wilson_ci95(errors, config.trials),

@@ -520,6 +520,13 @@ def test_a_count_beyond_the_float_range_exits_2_naming_its_key(capsys, argv, nam
     assert out == "" and err == f"error: {name} must be a positive integer\n"
 
 
+def test_mc_refuses_trials_beyond_int64_by_name(capsys):
+    """numpy samples at most 2**63 - 1 trials; a larger count is refused by name, not by numpy's OverflowError."""
+    code, out, err = run_cli(capsys, "mc", *HEADLINE_FLAGS, "--m", "20", "--trials", str(10**22))
+    assert code == 2
+    assert out == "" and err == "error: trials must be at most 2**63 - 1, the largest count numpy samples\n"
+
+
 def test_mc_rejects_negative_seed(capsys):
     code, _, err = run_cli(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "100", "--seed", "-1")
     assert code == 2

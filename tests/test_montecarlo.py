@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -152,6 +153,47 @@ def test_run_mc_respects_bhattacharyya_bound():
     assert lo <= result.empirical_error <= hi
 
 
+@pytest.mark.parametrize("m", [500, 1000, 2000, 5000])
+def test_run_mc_matches_the_exact_error_of_its_threshold_test(m):
+    """Within 4 sigma of Pr(e) = [F0(t - 1) + 1 - F1(t - 1)] / 2, F the negative-binomial CDF.
+
+    A bit-0 total errs below the threshold and a bit-1 total at or above it,
+    so with t = ceil(threshold) both errors turn on the count t - 1.
+    """
+    trials = 10**6
+    result = run_mc(make_config(m=m, trials=trials, seed=20260808))
+    model, t = result.model, math.ceil(result.threshold)
+    f0, f1 = (stats.nbinom(m, 1.0 / (1.0 + mean)).cdf(t - 1) for mean in (model.n0, model.n1))
+    exact = 0.5 * (f0 + 1.0 - f1)
+    if m == 2000:
+        assert exact == pytest.approx(4.8322029e-2, rel=1e-7)
+    assert abs(result.empirical_error - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+def test_run_mc_stream_is_pinned():
+    """Seed 7's 4815 errors in 1e5 trials at M = 2000 (the CLI tests' MC_FLAGS point).
+
+    They change whenever the order of the draws does, which must then be deliberate.
+    """
+    result = run_mc(make_config(m=2000, trials=100_000))
+    assert result.empirical_error == 0.04815
+    assert result.wilson_ci95 == (0.046840392454996944, 0.04949432147484436)
+
+
+def test_run_mc_holds_no_array_per_trial_beyond_its_counts():
+    # The two by-bit batches hold about 4.8 B per trial at peak; per-trial bit, mean and p arrays take 40 B.
+    trials = 200_000
+    config = make_config(m=2000, trials=trials)
+    run_mc(config)  # warm: first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_mc(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * trials
+
+
 def test_run_mc_error_grows_as_m_shrinks():
     errors = [run_mc(make_config(m=m, trials=200_000)).empirical_error for m in (2000, 1000, 500)]
     assert errors[0] < errors[1] < errors[2]
@@ -179,9 +221,10 @@ def test_run_mc_refuses_opa_means_beyond_the_overlap_range():
 
 def test_mc_config_validation():
     params = ProtocolParams(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=100)
-    for trials in (0, math.inf, math.nan):
+    for trials in (0, math.inf, math.nan, 2**63, 10**22):
         with pytest.raises(ValueError, match="trials"):
             McConfig(trials=trials, seed=1, params=params)
+    assert McConfig(trials=2**63 - 1, seed=1, params=params).trials == 2**63 - 1
     for seed in (1.5, -1, math.inf, math.nan):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             McConfig(trials=100, seed=seed, params=params)
