@@ -16,7 +16,12 @@ so every matrix carries an explicit tag:
 The discrimination engine computes ``tr(rho0**s rho1**(1-s))`` for two
 zero-mean Gaussian states from their Williamson decompositions, then turns
 the s-minimised overlap into quantum Chernoff / Bhattacharyya upper bounds
-and the matching lower bound for an M-copy binary hypothesis test.
+and the matching lower bound for an M-copy binary hypothesis test.  For two
+decomposed states, the determinant in that overlap is a polynomial in the
+four powered symplectic eigenvalues whose 19 nonnegative coefficients
+(Cauchy-Binet) are formed once per pair, so each evaluation during the
+s-search is arithmetic on Python floats; a parity pair, whose state1 is
+state0 mirrored, takes LAPACK's determinant of the 4 x 4 sum.
 
 The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
 It is bound straight from scipy's compiled ``scipy.linalg._flapack``
@@ -28,8 +33,10 @@ import time.  The same compiled routine runs either way.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import numbers
 import os
@@ -323,22 +330,82 @@ def _thermal_modes(nu) -> list[tuple[float, float]]:
     return [(v, math.log(v - 1.0)) if v - 1.0 > NU_PURE_TOL else (1.0, -math.inf) for v in np.asarray(nu).tolist()]
 
 
-def _power_modes(modes: list, symplectic: NDArray, s: float) -> tuple[list[float], NDArray]:
-    """Each mode's tr(rho**s), and V(s) = S diag(nu_k(s)) S^T, from ``_thermal_modes``.
+def _mode_powers(modes: list, s: float) -> tuple[list[float], list[float]]:
+    """Each mode's tr(rho**s) and nu(s), from ``_thermal_modes``.
 
     With a = (nu+1)**s and b = (nu-1)**s = exp(s ln(nu-1)), a mode has
     tr(rho**s) = 2**s / (a - b) and nu(s) = (a + b) / (a - b); a pure mode,
     (1, -inf), has b = 0 and so exactly 1 for both.  Callers check nu and s.
     """
     traces: list[float] = []
-    diag: list[float] = []
+    nus: list[float] = []
     for nu, log_excess in modes:
         a = (nu + 1.0) ** s
         b = math.exp(s * log_excess)
         traces.append(2.0**s / (a - b))
-        diag += ((a + b) / (a - b),) * 2
+        nus.append((a + b) / (a - b))
+    return traces, nus
+
+
+def _power_modes(modes: list, symplectic: NDArray, s: float) -> tuple[list[float], NDArray]:
+    """Each mode's tr(rho**s), and V(s) = S diag(nu_k(s)) S^T, from ``_thermal_modes``."""
+    traces, (nu0, nu1) = _mode_powers(modes, s)
     # Bit-identical to S @ diag(d) @ S^T, whose diagonal matmul only adds exact zeros.
-    return traces, (symplectic * diag) @ symplectic.T
+    return traces, (symplectic * [nu0, nu0, nu1, nu1]) @ symplectic.T
+
+
+@functools.cache
+def _cauchy_binet_tables() -> tuple:
+    """Index tables for det(W C W^T), W = [S0 | S1] a 4 x 8 matrix and C diagonal with one entry per column pair.
+
+    Cauchy-Binet gives det = sum over the 70 column sets J of det(W_J)**2
+    prod_{j in J} c_j, and column j belongs to mode block j // 2, whose two
+    columns share one c.  Returns, as read-only arrays: the entries
+    (r, i), (r + 1, j), (r, j), (r + 1, i) of row-major W for the 2 x 2
+    minor of each column pair i < j, rows (0, 1) then rows (2, 3); per J,
+    the indices of the top and bottom minors of the 6 terms of det(W_J)'s
+    Laplace expansion along rows (0, 1), and the terms' signs; each J's
+    monomial.  Then the 19 monomials as a tuple of the four blocks'
+    exponents (each 0 to 2, summing to 4).  Built at the first general
+    pair, so an import or a parity-pair evaluation does not pay for it.
+    """
+    pairs = list(itertools.combinations(range(8), 2))
+    splits = list(itertools.combinations(range(4), 2))
+    exponents = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 4]
+    first, second = zip(*pairs)
+    entries = [[8 * (r + dr) + col for r in (0, 2) for col in cols]
+               for dr, cols in ((0, first), (1, second), (0, second), (1, first))]
+    pair_index = {pair: k for k, pair in enumerate(pairs)}
+    top, bottom, monomial = [], [], []
+    for cols in itertools.combinations(range(8), 4):
+        # Positions (i, j) of J go to the top minor, the other two to the bottom one.
+        top.append([pair_index[cols[i], cols[j]] for i, j in splits])
+        bottom.append([len(pairs) + pair_index[tuple(c for c in cols if c not in (cols[i], cols[j]))] for i, j in splits])
+        blocks = [c // 2 for c in cols]
+        monomial.append(exponents.index(tuple(map(blocks.count, range(4)))))
+    # (-1)**(1 + 2 + (i + 1) + (j + 1)) for rows (0, 1) and positions (i, j) of J.
+    signs = [(-1.0) ** (i + j + 1) for i, j in splits]
+    tables = [np.array(t) for t in (entries, (top, bottom), signs, monomial)]
+    for table in tables:
+        table.setflags(write=False)
+    return (*tables, tuple(exponents))
+
+
+def _cauchy_binet_terms(symplectic0: NDArray, symplectic1: NDArray) -> list[tuple[float, tuple[int, ...]]]:
+    """det[S0 diag(x0, x0, x1, x1) S0^T + S1 diag(y0, y0, y1, y1) S1^T] as 19 (coefficient, (a, b, c, e)) terms.
+
+    Term (coef, (a, b, c, e)) is coef x0**a x1**b y0**c y1**e.  By
+    Cauchy-Binet coef is the sum of det(W_J)**2 over the column sets J of
+    W = [S0 | S1] that take a, b, c and e columns from the four blocks, so
+    each is a sum of squares and no term of the determinant cancels
+    another.  The 70 maximal minors det(W_J) come from the 2 x 2 minors of
+    rows (0, 1) and of rows (2, 3) by Laplace expansion.
+    """
+    entries, laplace, signs, monomial, exponents = _cauchy_binet_tables()
+    a, b, c, d = np.concatenate((symplectic0, symplectic1), axis=1).ravel().take(entries)
+    top, bottom = (a * b - c * d).take(laplace)
+    minors = (top * bottom) @ signs
+    return list(zip(np.bincount(monomial, minors * minors, minlength=len(exponents)).tolist(), exponents))
 
 
 def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) -> NDArray[np.float64]:
@@ -351,7 +418,8 @@ def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) 
         nu_k(s) = [(nu_k+1)**s + (nu_k-1)**s] / [(nu_k+1)**s - (nu_k-1)**s],
 
     exactly 1 at nu_k = 1, while S is kept: V(s) = S diag(nu_k(s)) S^T.
-    The overlap evaluator forms its V(s) through the same private builder.
+    The overlap evaluator takes nu_k(s) and the traces from the same
+    private per-mode builder.
     """
     nu, symplectic = decomp
     for value in nu:
@@ -366,14 +434,22 @@ def _overlap_evaluator(state0: GaussianState, state1: GaussianState | None) -> C
 
     Runs every state check of ``power_overlap`` (unit-vacuum convention,
     conditioning, physicality) and takes each ln(nu_k - 1) up front; the
-    evaluator then forms Q_s through ``power_cm``'s V(s) builder, unchecked:
-    callers keep s and 1 - s inside (0, 1) (see ``_check_power``).
+    evaluator is unchecked: callers keep s and 1 - s inside (0, 1) (see
+    ``_check_power``).
+
+    For two states, the 19 coefficients of det[V0(s) + V1(1 - s)] as a
+    polynomial in the four powered eigenvalues nu_k(s) are formed once
+    (``_cauchy_binet_terms``), and each Q_s is then scalar
+    arithmetic in Python floats: the per-mode traces and nu_k(s), and the
+    sum of 19 nonnegative terms for the determinant.
 
     ``state1 = None`` stands for P state0 P, the state1 of a parity pair
     (see ``minimize_overlap``), and a parity pair's state1 is never
     decomposed: P is a diagonal +-1 symplectic, so its Williamson pair is
     state0's with mode 2's rows of S negated, its traces are state0's and
     V1(1 - s) = P V0(1 - s) P, at s = 1/2 the V0(1/2) already formed.
+    This evaluator forms V0(s) through ``power_cm``'s builder and takes
+    LAPACK's determinant of the 4 x 4 sum.
     """
     states = []
     for label, state in (("state0", state0), ("state1", state1)):
@@ -384,15 +460,26 @@ def _overlap_evaluator(state0: GaussianState, state1: GaussianState | None) -> C
             raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
         states.append((_thermal_modes(nu), symplectic))
 
-    def q(s: float) -> float:
-        traces0, v0 = _power_modes(*states[0], s)
-        if state1 is None:
+    if state1 is None:
+
+        def q(s: float) -> float:
+            traces0, v0 = _power_modes(*states[0], s)
             traces1, v1 = (traces0, v0) if s == 0.5 else _power_modes(*states[0], 1.0 - s)
-            v1 = v1 * _PARITY_SIGNS
-        else:
-            traces1, v1 = _power_modes(*states[1], 1.0 - s)
+            prefactor = math.prod(traces0 + traces1, start=4.0)  # 4 t0 t1 t0' t1', multiplied left to right
+            return min(prefactor / math.sqrt(np.linalg.det(v0 + v1 * _PARITY_SIGNS)), 1.0)
+
+        return q
+
+    (modes0, symplectic0), (modes1, symplectic1) = states
+    terms = _cauchy_binet_terms(symplectic0, symplectic1)
+
+    def q(s: float) -> float:
+        traces0, nus0 = _mode_powers(modes0, s)
+        traces1, nus1 = _mode_powers(modes1, 1.0 - s)
+        x0, x1, y0, y1 = ((1.0, nu, nu * nu) for nu in nus0 + nus1)
+        det = sum(coef * x0[a] * x1[b] * y0[c] * y1[e] for coef, (a, b, c, e) in terms)
         prefactor = math.prod(traces0 + traces1, start=4.0)  # 4 t0 t1 t0' t1', multiplied left to right
-        return min(prefactor / math.sqrt(np.linalg.det(v0 + v1)), 1.0)
+        return min(prefactor / math.sqrt(det), 1.0)
 
     return q
 
@@ -407,7 +494,12 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     with t(nu, s) = tr(rho**s) = 2**s / [(nu+1)**s - (nu-1)**s] the trace of
     a thermal mode's power (1 at nu = 1) and V(s) from the symplectic
     functional calculus (power_cm).  Both states must be unit-vacuum and
-    physical.
+    physical, and both are decomposed, parity pairs too.  With V0(s) =
+    S0 diag(x0, x0, x1, x1) S0^T and V1(1-s) = S1 diag(y0, y0, y1, y1) S1^T,
+    the determinant is taken as the Cauchy-Binet sum
+    det = sum_J det(W_J)**2 prod_{j in J} c_j over the 4-column sets J of
+    W = [S0 | S1], c = (x0, x0, x1, x1, y0, y0, y1, y1): 19 monomials with
+    nonnegative coefficients, so no term cancels another.
     Satisfies Q_s(rho, rho) = 1 and Q_s(rho0, rho1) = Q_{1-s}(rho1, rho0).
     If rho1 = P rho0 P for a unitary P with P**2 = 1 (a parity pair, such
     as a pi phase shift on one mode), cyclicity of the trace also gives

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import qillum.receivers as receivers
 from qillum import (
-    OMEGA,
     OpaReceiverModel,
     ProtocolParams,
     alice_optimum_bounds,
@@ -25,7 +24,7 @@ from qillum import (
     opa_model,
 )
 
-from conftest import random_valid_params
+from conftest import parity_pair_q_half_gap, random_valid_params
 from test_gaussian import protocol_params
 
 
@@ -266,40 +265,7 @@ def test_eve_bounds_approach_half_as_kappa_to_one():
 
 
 # ----------------------------------------------------------------------
-# an independent 50-digit oracle of Q_1/2 for the protocol (parity) pairs
-
-
-def parity_pair_q_half_gap(cm: np.ndarray, dps: int = 50) -> mpmath.mpf:
-    """1 - Q_1/2 of the parity pair (rho, P rho P) whose bit-0 covariance matrix is ``cm``.
-
-    Independent of the engine: no Williamson form and no s-search.  The
-    covariance matrix of sqrt(rho) / tr sqrt(rho) is
-    V_h = [I + sqrtm(I + (V Omega)^-2)] V, and tr sqrt(rho) is the product of
-    t(nu_k, 1/2) = sqrt 2 / (sqrt(nu_k + 1) - sqrt(nu_k - 1)) over the two
-    symplectic eigenvalues, here from the invariants
-    nu^2 = (D +- sqrt(D^2 - 4 det V)) / 2 with D = det A + det B + 2 det C.
-    P V_h P has the off-diagonal blocks of V_h negated, so
-    Q_1/2 = prod_k t(nu_k, 1/2)^2 / sqrt(det A_h det B_h), with A_h and B_h
-    the diagonal 2 x 2 blocks of V_h.  mpmath's sqrtm does not converge on a
-    pure mode, so ``cm`` must have both nu > 1.
-    """
-    with mpmath.workdps(dps):
-        v = mpmath.matrix(cm.tolist())
-        eye = mpmath.eye(4)
-        inv = (v * mpmath.matrix(OMEGA.tolist())) ** -1
-        v_h = (eye + mpmath.sqrtm(eye + inv * inv)) * v
-        assert max(abs(mpmath.im(x)) for row in v_h.tolist() for x in row) < mpmath.mpf(10) ** -40
-        v_h = v_h.apply(mpmath.re)
-
-        def block_det(m, r, c):
-            return m[r, c] * m[r + 1, c + 1] - m[r, c + 1] * m[r + 1, c]
-
-        d = block_det(v, 0, 0) + block_det(v, 2, 2) + 2 * block_det(v, 0, 2)
-        root = mpmath.sqrt(d**2 - 4 * mpmath.det(v))
-        trace = 1
-        for nu in (mpmath.sqrt((d + root) / 2), mpmath.sqrt((d - root) / 2)):
-            trace *= mpmath.sqrt(2) / (mpmath.sqrt(nu + 1) - mpmath.sqrt(nu - 1))
-        return 1 - trace**2 / mpmath.sqrt(block_det(v_h, 0, 0) * block_det(v_h, 2, 2))
+# the engine's Q_1/2 against the 50-digit parity-pair oracle of conftest.py
 
 
 def test_q_half_oracle_agrees_with_itself_at_higher_precision(headline_params):
