@@ -20,8 +20,9 @@ and the matching lower bound for an M-copy binary hypothesis test.  For two
 decomposed states, the determinant in that overlap is a polynomial in the
 four powered symplectic eigenvalues whose 19 nonnegative coefficients
 (Cauchy-Binet) are formed once per pair, so each evaluation during the
-s-search is arithmetic on Python floats; a parity pair, whose state1 is
-state0 mirrored, takes LAPACK's determinant of the 4 x 4 sum.
+s-search is arithmetic on Python floats.  A parity pair, whose state1 is
+state0 mirrored, needs no search: its one Q_{1/2} is taken from state0
+alone, with LAPACK's determinant of the 4 x 4 sum.
 
 The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
 It is bound straight from scipy's compiled ``scipy.linalg._flapack``
@@ -294,8 +295,8 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return np.array([nu0, nu1]), s
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float: a real number, not a bool, finite as a float (an int beyond its range is not)."""
+def _as_float(name: str, value) -> float:
+    """``value`` as a float: a real number, not a bool (an int beyond the float range is inf), for a range check that refuses inf and NaN."""
     if type(value) is not float:
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ValueError(f"{name} must be a finite number")
@@ -303,7 +304,12 @@ def _real(name: str, value) -> float:
             value = float(value)
         except OverflowError:
             value = math.inf
-    if not math.isfinite(value):
+    return value
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: a real number, not a bool, finite as a float (an int beyond its range is not)."""
+    if not math.isfinite(value := _as_float(name, value)):
         raise ValueError(f"{name} must be finite")
     return value
 
@@ -318,11 +324,13 @@ def _count(name: str, value, least: int = 1) -> int:
     return count
 
 
-def _check_power(s: float) -> None:
-    """Reject s unless s and 1 - s, the two powers Q_s takes, lie strictly inside (0, 1)."""
+def _check_power(s) -> float:
+    """``s`` as a float (``_as_float``), refused unless s and 1 - s, the two powers Q_s takes, lie strictly inside (0, 1)."""
+    s = _as_float("s", s)
     for power in (s, 1.0 - s):
         if not 0.0 < power < 1.0:
             raise ValueError(f"power s = {power} must lie strictly inside (0, 1)")
+    return s
 
 
 def _thermal_modes(nu) -> list[tuple[float, float]]:
@@ -335,13 +343,17 @@ def _mode_powers(modes: list, s: float) -> tuple[list[float], list[float]]:
 
     With a = (nu+1)**s and b = (nu-1)**s = exp(s ln(nu-1)), a mode has
     tr(rho**s) = 2**s / (a - b) and nu(s) = (a + b) / (a - b); a pure mode,
-    (1, -inf), has b = 0 and so exactly 1 for both.  Callers check nu and s.
+    (1, -inf), has b = 0 and so exactly 1 for both.  Callers check nu and s;
+    a mixed mode whose a and b round to one float (s within a few eps of 0,
+    or nu beyond about 1e15) raises a ValueError, as a - b would be 0.
     """
     traces: list[float] = []
     nus: list[float] = []
     for nu, log_excess in modes:
         a = (nu + 1.0) ** s
         b = math.exp(s * log_excess)
+        if not a > b:
+            raise ValueError(f"(nu + 1)**s and (nu - 1)**s round to one float at nu = {nu!r}, s = {s!r}")
         traces.append(2.0**s / (a - b))
         nus.append((a + b) / (a - b))
     return traces, nus
@@ -425,52 +437,32 @@ def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) 
     for value in nu:
         if not 1.0 <= value < math.inf:
             raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
-    _check_power(s)
+    s = _check_power(s)
     return _power_modes(_thermal_modes(nu), symplectic, s)[1]
 
 
-def _overlap_evaluator(state0: GaussianState, state1: GaussianState | None) -> Callable[[float], float]:
-    """Decompose each state once and return the evaluator s -> Q_s.
+def _decomposed(label: str, state: GaussianState) -> tuple[list[tuple[float, float]], NDArray]:
+    """``state``'s ``_thermal_modes`` and S from ``williamson``, refused as ``label`` if unphysical."""
+    nu, symplectic = williamson(state.cm)
+    if np.any(nu < 1.0):
+        raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
+    return _thermal_modes(nu), symplectic
+
+
+def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> Callable[[float], float]:
+    """Decompose both states once and return the evaluator s -> Q_s.
 
     Runs every state check of ``power_overlap`` (unit-vacuum convention,
     conditioning, physicality) and takes each ln(nu_k - 1) up front; the
     evaluator is unchecked: callers keep s and 1 - s inside (0, 1) (see
-    ``_check_power``).
-
-    For two states, the 19 coefficients of det[V0(s) + V1(1 - s)] as a
+    ``_check_power``).  The 19 coefficients of det[V0(s) + V1(1 - s)] as a
     polynomial in the four powered eigenvalues nu_k(s) are formed once
-    (``_cauchy_binet_terms``), and each Q_s is then scalar
-    arithmetic in Python floats: the per-mode traces and nu_k(s), and the
-    sum of 19 nonnegative terms for the determinant.
-
-    ``state1 = None`` stands for P state0 P, the state1 of a parity pair
-    (see ``minimize_overlap``), and a parity pair's state1 is never
-    decomposed: P is a diagonal +-1 symplectic, so its Williamson pair is
-    state0's with mode 2's rows of S negated, its traces are state0's and
-    V1(1 - s) = P V0(1 - s) P, at s = 1/2 the V0(1/2) already formed.
-    This evaluator forms V0(s) through ``power_cm``'s builder and takes
-    LAPACK's determinant of the 4 x 4 sum.
+    (``_cauchy_binet_terms``), and each Q_s is then scalar arithmetic in
+    Python floats: the per-mode traces and nu_k(s), and the sum of 19
+    nonnegative terms for the determinant.
     """
-    states = []
-    for label, state in (("state0", state0), ("state1", state1)):
-        if state is None:
-            break
-        nu, symplectic = williamson(state.cm)
-        if np.any(nu < 1.0):
-            raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
-        states.append((_thermal_modes(nu), symplectic))
-
-    if state1 is None:
-
-        def q(s: float) -> float:
-            traces0, v0 = _power_modes(*states[0], s)
-            traces1, v1 = (traces0, v0) if s == 0.5 else _power_modes(*states[0], 1.0 - s)
-            prefactor = math.prod(traces0 + traces1, start=4.0)  # 4 t0 t1 t0' t1', multiplied left to right
-            return min(prefactor / math.sqrt(np.linalg.det(v0 + v1 * _PARITY_SIGNS)), 1.0)
-
-        return q
-
-    (modes0, symplectic0), (modes1, symplectic1) = states
+    modes0, symplectic0 = _decomposed("state0", state0)
+    modes1, symplectic1 = _decomposed("state1", state1)
     terms = _cauchy_binet_terms(symplectic0, symplectic1)
 
     def q(s: float) -> float:
@@ -505,8 +497,7 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     as a pi phase shift on one mode), cyclicity of the trace also gives
     Q_s = Q_{1-s}.
     """
-    _check_power(s)
-    return _overlap_evaluator(state0, state1)(s)
+    return _overlap_evaluator(state0, state1)(_check_power(s))
 
 
 def _brent_minimize(f: Callable[[float], float], x: float, fx: float) -> tuple[float, float]:
@@ -572,36 +563,35 @@ def _brent_minimize(f: Callable[[float], float], x: float, fx: float) -> tuple[f
 def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapResult:
     """Minimise Q_s over s in (0, 1), decomposing each state at most once.
 
-    Parity pairs (V1 = P V0 P exactly, in one convention, P negating both
-    quadratures of mode 2, as in every protocol pair) return s = 1/2
-    without a search: Q_s = Q_{1-s} for them and log Q_s is convex in s, so
-    the minimum sits exactly at s = 1/2.  A parity pair's state1 is never
-    decomposed: its Williamson pair is state0's mirrored by P (see
-    ``_overlap_evaluator``).  Other pairs use Brent's bounded minimiser
-    (parabolic interpolation with a golden-section fallback) started at
-    s = 1/2 from the Q_{1/2} already computed; log Q_s is convex and smooth
+    A parity pair (V1 = P V0 P exactly, in one convention, P negating both
+    quadratures of mode 2, as in every protocol pair) has Q_s = Q_{1-s} and
+    log Q_s convex in s, so it returns s = 1/2 and one Q_{1/2} from state0
+    alone: P is a diagonal +-1 symplectic, so state1's traces are state0's
+    and V1(1/2) = P V0(1/2) P, and Q_{1/2} = 4 t0 t1 t0 t1 /
+    sqrt(det[V0(1/2) + P V0(1/2) P]) with LAPACK's determinant.
+
+    Other pairs take the evaluator of both decomposed states and Brent's
+    bounded minimiser (parabolic interpolation with a golden-section
+    fallback) started at s = 1/2 from Q_{1/2}; log Q_s is convex and smooth
     on the search interval, so the parabolic steps converge superlinearly
     (the endpoints are singular for mixed states, so they are kept at 1e-6
     off the boundary).  The best point evaluated is returned, or s = 1/2
     when Q_{1/2} is at least as small: this keeps the Chernoff bound at or
-    below the Bhattacharyya bound.
-
-    The search runs on [1e-6, 1 - 1e-6] until s* is pinned to within about
-    1e-6, which takes about 10 evaluations of Q_s on mixed pairs and up to
-    about 32 when the minimum sits at an end of the interval (a pure state).
-    ``q_half`` carries the Q_{1/2} the search started from.
+    below the Bhattacharyya bound.  The search runs on [1e-6, 1 - 1e-6]
+    until s* is pinned to within about 1e-6, which takes about 10
+    evaluations of Q_s on mixed pairs and up to about 32 when the minimum
+    sits at an end of the interval (a pure state).  ``q_half`` carries Q_{1/2}.
     """
-    parity = state1.cm.convention is state0.cm.convention and np.array_equal(
-        state1.cm.mat, state0.cm.mat * _PARITY_SIGNS
-    )
-    f = _overlap_evaluator(state0, None if parity else state1)
+    if state1.cm.convention is state0.cm.convention and np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS):
+        traces, v = _power_modes(*_decomposed("state0", state0), 0.5)
+        q_half = min(math.prod(traces + traces, start=4.0) / math.sqrt(np.linalg.det(v + v * _PARITY_SIGNS)), 1.0)
+        return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
+    f = _overlap_evaluator(state0, state1)
     q_half = f(0.5)
-    s_star, q_star = 0.5, q_half
-    if not parity:
-        s, q = _brent_minimize(f, 0.5, q_half)
-        if q < q_half:
-            s_star, q_star = s, q
-    return OverlapResult(q_s=q_star, s=s_star, q_half=q_half)
+    s, q = _brent_minimize(f, 0.5, q_half)
+    if not q < q_half:
+        s, q = 0.5, q_half
+    return OverlapResult(q_s=q, s=s, q_half=q_half)
 
 
 def error_bounds_from_overlaps(
@@ -649,10 +639,10 @@ def chernoff_bound(state0: GaussianState, state1: GaussianState, m: int) -> Erro
     the matching lower bound; see ``error_bounds_from_overlaps`` for the
     exact expressions.  Identical states give 1/2 for all three.
 
-    Each state is decomposed at most once, and a parity pair's state1 is
-    never decomposed.  For parity pairs (see ``minimize_overlap``)
-    Q_s = Q_{1-s} and log Q_s is convex, so the Chernoff bound equals the
-    Bhattacharyya bound with s* = 1/2 exactly.
+    Each state is decomposed at most once.  A parity pair (see
+    ``minimize_overlap``) takes one Q_{1/2} from state0 alone, and its
+    Chernoff bound equals the Bhattacharyya bound with s* = 1/2 exactly;
+    other pairs take the evaluator of both states and Brent's s-search.
     """
     best = minimize_overlap(state0, state1)
     return error_bounds_from_overlaps(best.q_s, best.q_half, m, best.s)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian import ErrorBounds, _real
+from .gaussian import ErrorBounds, _as_float, _real
 from .protocol import ProtocolParams, alice_pair
 from .receivers import (_pair_overlaps, alice_optimum_bounds, eve_optimum_bounds, geometric_bhattacharyya_overlap,
                         opa_bhattacharyya, opa_model)
@@ -124,18 +124,21 @@ def required_m(
     (ns, kappa, g, nb).
 
     Raises:
-        ValueError: target outside (0, 0.5], per-mode overlap outside
-            (0, 1], or within 1e-15 of 1 (target unreachable).  Below that
-            ceiling the answer is at most about 6.8e17, even for a target
-            of 5e-324.
+        ValueError: ``receiver`` not a ``Receiver`` member, target outside
+            (0, 0.5], per-mode overlap outside (0, 1], or within 1e-15 of 1
+            (target unreachable).  Below that ceiling the answer is at most
+            about 6.8e17, even for a target of 5e-324.
     """
+    target_pe = _as_float("target_pe", target_pe)
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
     if receiver is Receiver.OPA:
         model = opa_model(params)
         q = geometric_bhattacharyya_overlap(model.n0, model.n1)
-    else:
+    elif receiver is Receiver.OPTIMUM:
         q = _pair_overlaps(alice_pair, (params.ns, params.kappa, params.g, params.nb)).q_s
+    else:
+        raise ValueError(f"receiver must be Receiver.OPA or Receiver.OPTIMUM, not {receiver!r}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"per-mode overlap {q!r} must lie in (0, 1]")
     if q >= _OVERLAP_CEILING:
@@ -167,6 +170,7 @@ def security_margin(
     ``alice_target``, which must lie in (0, 0.5] like ``required_m``'s
     ``target_pe``.
     """
+    alice_target = _as_float("alice_target", alice_target)
     if not 0.0 < alice_target <= 0.5:
         raise ValueError("alice_target must lie in (0, 0.5]")
     alice_opt = alice_optimum_bounds(params)

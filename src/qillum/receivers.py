@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .gaussian import ErrorBounds, OverlapResult, error_bounds_from_overlaps, minimize_overlap
+from .gaussian import ErrorBounds, OverlapResult, _as_float, error_bounds_from_overlaps, minimize_overlap
 from .protocol import ProtocolParams, alice_pair, derived_coefficients, eve_pair
 
 __all__ = [
@@ -147,6 +147,7 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
     10.05 ulps, at widely unequal means).  Means above 1e120 are refused,
     as that expression overflows beyond about 1.6e123.
     """
+    n0, n1 = _as_float("n0", n0), _as_float("n1", n1)
     if not (0.0 <= n0 <= _OPA_MEAN_MAX and 0.0 <= n1 <= _OPA_MEAN_MAX):
         raise ValueError(
             f"mean photon numbers must be nonnegative and at most {_OPA_MEAN_MAX:g}, "

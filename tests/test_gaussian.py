@@ -419,6 +419,17 @@ def test_overlap_rejects_unphysical_state(position):
         power_overlap(*states, 0.5)
 
 
+def test_powers_that_round_to_one_float_are_refused():
+    """Where (nu + 1)**s and (nu - 1)**s round to one float, Q_s and V(s) raise a ValueError, not ZeroDivisionError."""
+    mode = thermal_state(1.0)  # nu = 3 beside a vacuum mode
+    big, bigger = (GaussianState(CovMat(nu * np.eye(4), Convention.UNIT_VACUUM)) for nu in (1e15, 2e15))
+    calls = [lambda: power_overlap(mode, thermal_state(2.0), 2.3e-16), lambda: power_cm(williamson(mode.cm), 2.3e-16),
+             lambda: chernoff_bound(big, bigger, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="round to one float"):
+            call()
+
+
 # ----------------------------------------------------------------------
 # minimisation and error bounds
 
@@ -470,12 +481,25 @@ def test_search_finds_the_grid_minimum(seed, pure_modes):
         assert abs(result.s - grid[k]) <= grid[1] - grid[0]
 
 
-def test_protocol_pairs_evaluate_the_overlap_once(overlap_evaluations):
+def test_protocol_pairs_evaluate_the_overlap_once(overlap_evaluations, monkeypatch):
+    """A parity pair takes one Q_1/2 from state0: no evaluator is built and no s-search runs."""
+
+    def no_search(*args):
+        raise AssertionError("a parity pair ran the s-search")
+
+    monkeypatch.setattr(gaussian, "_brent_minimize", no_search)
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
-        overlap_evaluations.clear()
-        chernoff_bound(*pair, params.m)
-        assert overlap_evaluations == [0.5]
+        result = minimize_overlap(*pair)
+        assert result.s == 0.5 and result.q_s == result.q_half
+        assert chernoff_bound(*pair, params.m).s_star == 0.5
+    assert overlap_evaluations == []
+
+
+def test_parity_pair_with_an_unphysical_state0_is_refused():
+    sub_vacuum = CovMat(0.5 * np.eye(4), Convention.UNIT_VACUUM)
+    with pytest.raises(ValueError, match="state0 is unphysical"):
+        minimize_overlap(GaussianState(sub_vacuum), GaussianState(sub_vacuum._parity_mirror()))
 
 
 def test_mixed_pairs_search_in_few_evaluations(overlap_evaluations):
@@ -921,14 +945,6 @@ def test_parity_path_agrees_with_decomposing_both_states():
     params = ProtocolParams(**HEADLINE)
     for pair in (alice_pair(params), eve_pair(params)):
         assert minimize_overlap(*pair).q_half == pytest.approx(power_overlap(*pair, 0.5), rel=1e-14, abs=0.0)
-
-
-def test_mirrored_evaluator_matches_power_overlap_at_any_s(headline_params):
-    """With state1 = None the evaluator takes V1(1 - s) = P V0(1 - s) P, off s = 1/2 too."""
-    for pair in (alice_pair(headline_params), eve_pair(headline_params)):
-        q = gaussian._overlap_evaluator(pair[0], None)
-        for s in (0.2, 0.5, 0.7):
-            assert q(s) == pytest.approx(power_overlap(*pair, s), rel=1e-12, abs=0.0)
 
 
 def test_a_mirror_in_another_convention_is_not_a_parity_pair():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qillum.gaussian import chernoff_bound, error_bounds_from_overlaps
-from qillum.link import budget_from_fiber
+from qillum.gaussian import chernoff_bound, error_bounds_from_overlaps, power_cm, power_overlap, williamson
+from qillum.link import Receiver, budget_from_fiber, required_m, security_margin
 from qillum.montecarlo import McConfig, ml_threshold
 from qillum.protocol import ProtocolParams, alice_pair, source_cm
-from qillum.receivers import opa_model
+from qillum.receivers import geometric_bhattacharyya_overlap, opa_model
 
 from conftest import HEADLINE
 
@@ -47,6 +47,12 @@ ENTRIES = [
     ("ml_threshold", "m", "count", 5, lambda value: ml_threshold(MODEL, value)),
     ("source_cm", "ns", "real", 1, lambda value: source_cm(value).mat.tolist()),
     *[("budget_from_fiber", name, "real", 5, _link(name)) for name in LINK],
+    ("required_m", "target_pe", "real", 0.25, lambda value: required_m(PARAMS, value, Receiver.OPA)),
+    ("security_margin", "alice_target", "real", 0.25, lambda value: security_margin(PARAMS, value)),
+    ("power_overlap", "s", "real", 0.5, lambda value: power_overlap(*PAIR, value)),
+    ("power_cm", "s", "real", 0.5, lambda value: power_cm(williamson(PAIR[0].cm), value).tolist()),
+    ("geometric_bhattacharyya_overlap", "n0", "real", 1, lambda value: geometric_bhattacharyya_overlap(value, 0.5)),
+    ("geometric_bhattacharyya_overlap", "n1", "real", 1, lambda value: geometric_bhattacharyya_overlap(0.5, value)),
 ]
 IDS = [f"{entry}-{key}" for entry, key, *_ in ENTRIES]
 BAD = [True, np.True_, "5", None, 10**400, math.nan, math.inf, -1]

@@ -258,6 +258,17 @@ def test_required_m_refuses_an_overlap_at_or_outside_the_ceiling(monkeypatch, he
         required_m(headline_params, 1e-6, receiver)
 
 
+@pytest.mark.parametrize("receiver", ["opa", None, 0], ids=repr)
+def test_required_m_refuses_a_receiver_that_is_not_a_member(headline_params, receiver):
+    with pytest.raises(ValueError, match=r"\breceiver\b"):
+        required_m(headline_params, 1e-6, receiver)
+
+
+def test_required_m_headline_answer_for_each_receiver(headline_params):
+    assert required_m(headline_params, 1e-6, Receiver.OPA) == 19023
+    assert required_m(headline_params, 1e-6, Receiver.OPTIMUM) == 9229
+
+
 def test_required_m_validates_target(headline_params):
     for target in (0.0, 0.51, 0.7):
         with pytest.raises(ValueError, match="target"):
