@@ -16,13 +16,17 @@ so every matrix carries an explicit tag:
 The discrimination engine computes ``tr(rho0**s rho1**(1-s))`` for two
 zero-mean Gaussian states from their Williamson decompositions, then turns
 the s-minimised overlap into quantum Chernoff / Bhattacharyya upper bounds
-and the matching lower bound for an M-copy binary hypothesis test.  For two
-decomposed states, the determinant in that overlap is a polynomial in the
-four powered symplectic eigenvalues whose 19 nonnegative coefficients
-(Cauchy-Binet) are formed once per pair, so each evaluation during the
-s-search is arithmetic on Python floats.  A parity pair, whose state1 is
-state0 mirrored, needs no search: its one Q_{1/2} is taken from state0
-alone, with LAPACK's determinant of the 4 x 4 sum.
+and the matching lower bound for an M-copy binary hypothesis test.  Two
+states are decomposed in one stacked pass (one ``eigh`` over both
+matrices, stacked matmuls, one Schur solve each), which gives each state
+the bits ``williamson`` gives it alone.  The determinant in the overlap is
+then a polynomial in the four powered symplectic eigenvalues whose 19
+nonnegative coefficients (Cauchy-Binet) are formed once per pair, so each
+evaluation during the s-search is straight-line arithmetic on Python
+floats.  A pure state makes Q_s monotone in s, so the search takes the
+matching end of its bracket without iterating.  A parity pair, whose
+state1 is state0 mirrored, needs no search: its one Q_{1/2} is taken from
+state0 alone, with LAPACK's determinant of the 4 x 4 sum.
 
 The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
 It is bound straight from scipy's compiled ``scipy.linalg._flapack``
@@ -242,6 +246,75 @@ def to_unit_vacuum(cm: CovMat) -> CovMat:
     return CovMat(4.0 * cm.mat, Convention.UNIT_VACUUM)
 
 
+def _refuse_unphysical(label: str, nu0: float, nu1: float) -> None:
+    """Refuse the state named ``label`` if a symplectic eigenvalue lies below 1."""
+    if nu0 < 1.0 or nu1 < 1.0:
+        raise ValueError(f"{label} is unphysical: symplectic eigenvalues {np.array([nu0, nu1])} below 1")
+
+
+def _williamson_stack(cms: tuple[CovMat, ...], labels: tuple[str, ...] = ()) -> tuple[list[tuple[float, float]], NDArray]:
+    """Williamson decompositions of a stack of covariance matrices, in one pass: each (nu_1, nu_2), and the (n, 4, 4) stack of S.
+
+    One ``eigh`` over the (n, 4, 4) stack, V^{1/2}, V^{-1/2} and
+    V^{-1/2} Omega V^{-1/2} as stacked matmuls, one ``dgees`` per matrix
+    and S for the whole stack; every float operation is the one a lone
+    matrix takes, so each result is the same to the bit at any stack size.
+    Matrix k is checked in full (convention, conditioning, and with
+    ``labels`` physicality, refused as ``labels[k]``) before matrix k + 1,
+    and no matrix from the first refused one on is inverted.
+    """
+    lam, u = np.linalg.eigh(np.array([cm.mat for cm in cms]))
+    refusal = None
+    for n, (cm, spectrum) in enumerate(zip(cms, lam.tolist())):
+        if cm.convention is not Convention.UNIT_VACUUM:
+            refusal = ValueError("williamson requires the unit-vacuum convention")
+            break
+        # V is symmetric positive definite, so its 2-norm condition number is
+        # lam[-1] / lam[0] (eigh sorts ascending).  A subnormal lam[0] counts as
+        # ill-conditioned: it would overflow V^{-1/2} Omega V^{-1/2} below.
+        cond = spectrum[-1] / spectrum[0] if spectrum[0] >= _TINY else math.inf
+        if not cond <= 1e12:
+            refusal = IllConditionedMatrixError(f"covariance matrix condition number {cond:.3e} exceeds 1e12")
+            break
+    else:
+        n = len(cms)
+    if n < len(cms):
+        lam, u = lam[:n], u[:n]
+    u_t = u.transpose(0, 2, 1)
+    root_lam = np.sqrt(lam)[:, np.newaxis, :]
+    root = (u * root_lam) @ u_t
+    inv_root = (u / root_lam) @ u_t
+    core = inv_root @ OMEGA @ inv_root
+    core = (core - core.transpose(0, 2, 1)) / 2.0  # exact antisymmetry for the Schur step
+    nus, q_rows = [], []
+    for k in range(n):
+        t, _, _, _, q, _, info = _dgees(_no_sort, core[k])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
+        # Block k carries 1/nu_k in its positive off-diagonal entry; a block
+        # whose upper-right entry came out negative has its two columns of q
+        # swapped, which flips the block's orientation.
+        t = t.tolist()
+        modes = [
+            (1.0 / t[1][0], (1, 0)) if t[0][1] < 0.0 else (1.0 / t[0][1], (0, 1)),
+            (1.0 / t[3][2], (3, 2)) if t[2][3] < 0.0 else (1.0 / t[2][3], (2, 3)),
+        ]
+        if not modes[0][0] > modes[1][0]:  # descending; a tie swaps the modes too
+            modes.reverse()
+        (nu0, cols0), (nu1, cols1) = modes
+        nu0, nu1 = (1.0 if 1.0 - NU_CLAMP_TOL <= v < 1.0 else v for v in (nu0, nu1))
+        if labels:
+            _refuse_unphysical(labels[k], nu0, nu1)
+        nus.append((nu0, nu1))
+        q_rows.append(q.T.take(cols0 + cols1, axis=0))
+    if refusal is not None:
+        raise refusal
+    # Rows of q.T, transposed back, keep q's column-major layout for the
+    # matmul; (root @ q) @ diag(d) only adds exact zeros to (root @ q) * d.
+    scale = np.array([[(nu0, nu0, nu1, nu1)] for nu0, nu1 in nus]) ** -0.5
+    return nus, (root @ np.array(q_rows).transpose(0, 2, 1)) * scale
+
+
 def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Williamson decomposition (nu, S) of a unit-vacuum covariance matrix.
 
@@ -251,48 +324,16 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     within 1e-9 below 1 are clamped up to 1, so a physical state has every
     nu >= 1 exactly.  Uses the real Schur form of V^{-1/2} Omega V^{-1/2},
     whose antisymmetric 2x2 blocks carry 1/nu_k, from one LAPACK ``dgees``
-    call; the bookkeeping on the two blocks is done in Python floats.
+    call; the bookkeeping on the two blocks is done in Python floats.  It
+    is the stack of one of the routine that decomposes both states of a
+    general pair in one pass, so a state gets the same bits either way.
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
         numpy.linalg.LinAlgError: dgees found no Schur form.
     """
-    if cm.convention is not Convention.UNIT_VACUUM:
-        raise ValueError("williamson requires the unit-vacuum convention")
-    v = cm.mat
-    lam, u = np.linalg.eigh(v)
-    # V is symmetric positive definite, so its 2-norm condition number is
-    # lam[-1] / lam[0] (eigh sorts ascending).  A subnormal lam[0] counts as
-    # ill-conditioned: it would overflow V^{-1/2} Omega V^{-1/2} below.
-    cond = lam[-1] / lam[0] if lam[0] >= _TINY else math.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise IllConditionedMatrixError(
-            f"covariance matrix condition number {cond:.3e} exceeds 1e12"
-        )
-    root = (u * np.sqrt(lam)) @ u.T
-    inv_root = (u / np.sqrt(lam)) @ u.T
-    core = inv_root @ OMEGA @ inv_root
-    core = (core - core.T) / 2.0  # exact antisymmetry for the Schur step
-    t, _, _, _, q, _, info = _dgees(_no_sort, core)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
-    # Block k carries 1/nu_k in its positive off-diagonal entry; a block
-    # whose upper-right entry came out negative has its two columns of q
-    # swapped, which flips the block's orientation.
-    t = t.tolist()
-    modes = [
-        (1.0 / t[1][0], (1, 0)) if t[0][1] < 0.0 else (1.0 / t[0][1], (0, 1)),
-        (1.0 / t[3][2], (3, 2)) if t[2][3] < 0.0 else (1.0 / t[2][3], (2, 3)),
-    ]
-    if not modes[0][0] > modes[1][0]:  # descending; a tie swaps the modes too
-        modes.reverse()
-    (nu0, cols0), (nu1, cols1) = modes
-    nu0, nu1 = (1.0 if 1.0 - NU_CLAMP_TOL <= v < 1.0 else v for v in (nu0, nu1))
-    # Gathering rows of q.T keeps q's column-major layout for the matmul.
-    q = q.T.take(cols0 + cols1, axis=0).T
-    # (root @ q) @ diag(d) only adds exact zeros to (root @ q) * d.
-    s = (root @ q) * (np.array([nu0, nu0, nu1, nu1]) ** -0.5)
-    return np.array([nu0, nu1]), s
+    nus, symplectic = _williamson_stack((cm,))
+    return np.array(nus[0]), symplectic[0]
 
 
 def _as_float(name: str, value) -> float:
@@ -334,8 +375,8 @@ def _check_power(s) -> float:
 
 
 def _thermal_modes(nu) -> list[tuple[float, float]]:
-    """(nu_k, ln(nu_k - 1)) per mode, a pure mode (nu_k - 1 <= NU_PURE_TOL) as (1, -inf)."""
-    return [(v, math.log(v - 1.0)) if v - 1.0 > NU_PURE_TOL else (1.0, -math.inf) for v in np.asarray(nu).tolist()]
+    """(nu_k, ln(nu_k - 1)) per mode of the Python floats ``nu``, a pure mode (nu_k - 1 <= NU_PURE_TOL) as (1, -inf)."""
+    return [(v, math.log(v - 1.0)) if v - 1.0 > NU_PURE_TOL else (1.0, -math.inf) for v in nu]
 
 
 def _mode_powers(modes: list, s: float) -> tuple[list[float], list[float]]:
@@ -438,42 +479,75 @@ def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) 
         if not 1.0 <= value < math.inf:
             raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
     s = _check_power(s)
-    return _power_modes(_thermal_modes(nu), symplectic, s)[1]
+    return _power_modes(_thermal_modes(np.asarray(nu).tolist()), symplectic, s)[1]
 
 
-def _decomposed(label: str, state: GaussianState) -> tuple[list[tuple[float, float]], NDArray]:
-    """``state``'s ``_thermal_modes`` and S from ``williamson``, refused as ``label`` if unphysical."""
-    nu, symplectic = williamson(state.cm)
-    if np.any(nu < 1.0):
-        raise ValueError(f"{label} is unphysical: symplectic eigenvalues {nu} below 1")
-    return _thermal_modes(nu), symplectic
-
-
-def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> Callable[[float], float]:
-    """Decompose both states once and return the evaluator s -> Q_s.
+def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> tuple[Callable[[float], float], float | None]:
+    """Decompose both states in one stacked pass; return the evaluator s -> Q_s and the end of the s-bracket a pure state fixes.
 
     Runs every state check of ``power_overlap`` (unit-vacuum convention,
-    conditioning, physicality) and takes each ln(nu_k - 1) up front; the
-    evaluator is unchecked: callers keep s and 1 - s inside (0, 1) (see
-    ``_check_power``).  The 19 coefficients of det[V0(s) + V1(1 - s)] as a
-    polynomial in the four powered eigenvalues nu_k(s) are formed once
-    (``_cauchy_binet_terms``), and each Q_s is then scalar arithmetic in
-    Python floats: the per-mode traces and nu_k(s), and the sum of 19
-    nonnegative terms for the determinant.
+    conditioning, physicality), all of state0's before state1's, and takes
+    each ln(nu_k - 1) up front; the evaluator is unchecked: callers keep s
+    and 1 - s inside (0, 1) (see ``_check_power``).  The 19 coefficients of
+    det[V0(s) + V1(1 - s)] as a polynomial in the four powered eigenvalues
+    nu_k(s) are formed once (``_cauchy_binet_terms``), and each Q_s is then
+    straight-line arithmetic in Python floats: the per-mode traces and
+    nu_k(s) of ``_mode_powers``, and the determinant as the 19 nonnegative
+    terms added left to right in ``_cauchy_binet_tables`` order, with no
+    factor of exactly 1 multiplied in.
+
+    A pure state0 (every mode nu_k - 1 <= NU_PURE_TOL) has rho0**s = rho0,
+    so Q_s = <psi0| rho1**(1-s) |psi0> grows with s and is least at
+    ``_S_LO``; a pure state1 makes Q_s = <psi1| rho0**s |psi1> fall with s,
+    least at ``_S_HI``.  That end (``_S_LO`` if both are pure) is returned
+    beside the evaluator, None for two mixed states.
     """
-    modes0, symplectic0 = _decomposed("state0", state0)
-    modes1, symplectic1 = _decomposed("state1", state1)
-    terms = _cauchy_binet_terms(symplectic0, symplectic1)
+    (spectrum0, spectrum1), symplectic = _williamson_stack((state0.cm, state1.cm), ("state0", "state1"))
+    (n00, e00), (n01, e01) = modes0 = _thermal_modes(spectrum0)
+    (n10, e10), (n11, e11) = modes1 = _thermal_modes(spectrum1)
+    p00, p01, p10, p11 = n00 + 1.0, n01 + 1.0, n10 + 1.0, n11 + 1.0
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9,
+     c10, c11, c12, c13, c14, c15, c16, c17, c18) = (coef for coef, _ in _cauchy_binet_terms(*symplectic))
+    exp = math.exp
+    end = _S_LO if e00 == e01 == -math.inf else _S_HI if e10 == e11 == -math.inf else None
 
     def q(s: float) -> float:
-        traces0, nus0 = _mode_powers(modes0, s)
-        traces1, nus1 = _mode_powers(modes1, 1.0 - s)
-        x0, x1, y0, y1 = ((1.0, nu, nu * nu) for nu in nus0 + nus1)
-        det = sum(coef * x0[a] * x1[b] * y0[c] * y1[e] for coef, (a, b, c, e) in terms)
-        prefactor = math.prod(traces0 + traces1, start=4.0)  # 4 t0 t1 t0' t1', multiplied left to right
-        return min(prefactor / math.sqrt(det), 1.0)
+        r = 1.0 - s
+        two_s, two_r = 2.0**s, 2.0**r
+        # Per mode as in _mode_powers: a = (nu + 1)**p, b = (nu - 1)**p.
+        a00, b00, a01, b01 = p00**s, exp(s * e00), p01**s, exp(s * e01)
+        a10, b10, a11, b11 = p10**r, exp(r * e10), p11**r, exp(r * e11)
+        if not (a00 > b00 and a01 > b01 and a10 > b10 and a11 > b11):
+            _mode_powers(modes0, s)
+            _mode_powers(modes1, r)  # one of the two raises
+        d00, d01, d10, d11 = a00 - b00, a01 - b01, a10 - b10, a11 - b11
+        x0, x1, y0, y1 = (a00 + b00) / d00, (a01 + b01) / d01, (a10 + b10) / d10, (a11 + b11) / d11
+        xx0, xx1, yy0, yy1 = x0 * x0, x1 * x1, y0 * y0, y1 * y1
+        # Term k is c_k x0**a x1**b y0**c y1**e, (a, b, c, e) the k-th exponents of _cauchy_binet_tables.
+        det = c0 * yy0 * yy1
+        det += c1 * x1 * y0 * yy1
+        det += c2 * x1 * yy0 * y1
+        det += c3 * xx1 * yy1
+        det += c4 * xx1 * y0 * y1
+        det += c5 * xx1 * yy0
+        det += c6 * x0 * y0 * yy1
+        det += c7 * x0 * yy0 * y1
+        det += c8 * x0 * x1 * yy1
+        det += c9 * x0 * x1 * y0 * y1
+        det += c10 * x0 * x1 * yy0
+        det += c11 * x0 * xx1 * y1
+        det += c12 * x0 * xx1 * y0
+        det += c13 * xx0 * yy1
+        det += c14 * xx0 * y0 * y1
+        det += c15 * xx0 * yy0
+        det += c16 * xx0 * x1 * y1
+        det += c17 * xx0 * x1 * y0
+        det += c18 * xx0 * xx1
+        # 4 t00 t01 t10 t11, multiplied left to right, t = 2**p / (a - b).
+        value = 4.0 * (two_s / d00) * (two_s / d01) * (two_r / d10) * (two_r / d11) / math.sqrt(det)
+        return 1.0 if value > 1.0 else value
 
-    return q
+    return q, end
 
 
 def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
@@ -497,7 +571,7 @@ def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> flo
     as a pi phase shift on one mode), cyclicity of the trace also gives
     Q_s = Q_{1-s}.
     """
-    return _overlap_evaluator(state0, state1)(_check_power(s))
+    return _overlap_evaluator(state0, state1)[0](_check_power(s))
 
 
 def _brent_minimize(f: Callable[[float], float], x: float, fx: float) -> tuple[float, float]:
@@ -579,16 +653,23 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     when Q_{1/2} is at least as small: this keeps the Chernoff bound at or
     below the Bhattacharyya bound.  The search runs on [1e-6, 1 - 1e-6]
     until s* is pinned to within about 1e-6, which takes about 10
-    evaluations of Q_s on mixed pairs and up to about 32 when the minimum
-    sits at an end of the interval (a pure state).  ``q_half`` carries Q_{1/2}.
+    evaluations of Q_s on mixed pairs.  When a state is pure (every mode
+    nu - 1 <= NU_PURE_TOL), Q_s is monotone and least at an end of the
+    interval: 1e-6 for a pure state0, 1 - 1e-6 for a pure state1 (see
+    ``_overlap_evaluator``), and Brent's method is not run, so the pair
+    takes 2 evaluations.  ``q_half`` carries Q_{1/2}.
     """
-    if state1.cm.convention is state0.cm.convention and np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS):
-        traces, v = _power_modes(*_decomposed("state0", state0), 0.5)
+    # Compared as lists of floats: np.array_equal's verdict on two 4 x 4 matrices, without its wrapper's cost.
+    if state1.cm.convention is state0.cm.convention and state1.cm.mat.tolist() == (state0.cm.mat * _PARITY_SIGNS).tolist():
+        nu, symplectic = williamson(state0.cm)
+        nu0, nu1 = nu.tolist()
+        _refuse_unphysical("state0", nu0, nu1)
+        traces, v = _power_modes(_thermal_modes((nu0, nu1)), symplectic, 0.5)
         q_half = min(math.prod(traces + traces, start=4.0) / math.sqrt(np.linalg.det(v + v * _PARITY_SIGNS)), 1.0)
         return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
-    f = _overlap_evaluator(state0, state1)
+    f, end = _overlap_evaluator(state0, state1)
     q_half = f(0.5)
-    s, q = _brent_minimize(f, 0.5, q_half)
+    s, q = _brent_minimize(f, 0.5, q_half) if end is None else (end, f(end))
     if not q < q_half:
         s, q = 0.5, q_half
     return OverlapResult(q_s=q, s=s, q_half=q_half)
@@ -642,7 +723,8 @@ def chernoff_bound(state0: GaussianState, state1: GaussianState, m: int) -> Erro
     Each state is decomposed at most once.  A parity pair (see
     ``minimize_overlap``) takes one Q_{1/2} from state0 alone, and its
     Chernoff bound equals the Bhattacharyya bound with s* = 1/2 exactly;
-    other pairs take the evaluator of both states and Brent's s-search.
+    other pairs decompose both states in one stacked pass and take
+    Brent's s-search, or the end of the s-interval when a state is pure.
     """
     best = minimize_overlap(state0, state1)
     return error_bounds_from_overlaps(best.q_s, best.q_half, m, best.s)

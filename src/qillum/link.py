@@ -17,8 +17,7 @@ import numpy as np
 
 from .gaussian import ErrorBounds, _as_float, _real
 from .protocol import ProtocolParams, alice_pair
-from .receivers import (_pair_overlaps, alice_optimum_bounds, eve_optimum_bounds, geometric_bhattacharyya_overlap,
-                        opa_bhattacharyya, opa_model)
+from .receivers import _opa_overlap, _pair_overlaps, alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
 
 __all__ = [
     "LinkBudget",
@@ -120,7 +119,7 @@ def required_m(
     down to the smallest M that meets the target in floating point.  q is
     read directly, with no ``ErrorBounds`` formed: the OPA receiver's
     geometric Bhattacharyya coefficient, or the optimum receiver's
-    s-minimised overlap from the pair evaluation shared per
+    s-minimised overlap, each from the evaluation shared per
     (ns, kappa, g, nb).
 
     Raises:
@@ -133,8 +132,7 @@ def required_m(
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
     if receiver is Receiver.OPA:
-        model = opa_model(params)
-        q = geometric_bhattacharyya_overlap(model.n0, model.n1)
+        _, q = _opa_overlap((params.ns, params.kappa, params.g, params.nb))
     elif receiver is Receiver.OPTIMUM:
         q = _pair_overlaps(alice_pair, (params.ns, params.kappa, params.g, params.nb)).q_s
     else:

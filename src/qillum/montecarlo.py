@@ -21,7 +21,7 @@ import numpy as np
 
 from .gaussian import _count
 from .protocol import ProtocolParams
-from .receivers import OpaReceiverModel, opa_bhattacharyya, opa_model
+from .receivers import OpaReceiverModel, _opa_overlap, opa_bhattacharyya
 
 __all__ = ["McConfig", "McResult", "ml_threshold", "run_mc"]
 
@@ -104,13 +104,14 @@ def run_mc(config: McConfig) -> McResult:
     at its bit's scalar p = 1 / (1 + n_bit) and thresholded, ties to bit 0.
     The trials are iid, so (sent0, errors) has exactly the law of a loop
     drawing bit then total per trial.  The bound, returned with the model,
-    is formed first, so it refuses means beyond 1e120 by name.
+    is formed first, so it refuses means beyond 1e120 by name; the model is
+    the one it was formed from, shared per (ns, kappa, g, nb).
 
     Output is fully determined by ``config.seed``.
     """
     params = config.params
     bound = opa_bhattacharyya(params).bhattacharyya_upper
-    model = opa_model(params)
+    model, _ = _opa_overlap((params.ns, params.kappa, params.g, params.nb))
     m = params.m
     threshold = ml_threshold(model, m)
     if config.trials < RECOMMENDED_MIN_TRIALS or config.trials * min(bound, 1.0) < 10.0:

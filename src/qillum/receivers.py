@@ -166,16 +166,23 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
     return 1.0 / (1.0 + excess)
 
 
+@functools.lru_cache(maxsize=8)
+def _opa_overlap(knobs: tuple) -> tuple[OpaReceiverModel, float]:
+    """``opa_model`` at (ns, kappa, g, nb) and its geometric Bhattacharyya overlap."""
+    model = opa_model(ProtocolParams(*knobs, m=1))
+    return model, geometric_bhattacharyya_overlap(model.n0, model.n1)
+
+
 def opa_bhattacharyya(params: ProtocolParams) -> ErrorBounds:
     """Bhattacharyya bound on the OPA receiver's bit-error probability.
 
     The per-mode overlap is the closed-form geometric Bhattacharyya
     coefficient (exact, because the OPA outputs are exactly thermal); the
     M-mode bound is 0.5 * q**M in the log domain.  The upper bound is the
-    contract here; s is pinned at 1/2.
+    contract here; s is pinned at 1/2.  The model and its overlap are
+    shared per (ns, kappa, g, nb); only M is per call.
     """
-    model = opa_model(params)
-    q = geometric_bhattacharyya_overlap(model.n0, model.n1)
+    _, q = _opa_overlap((params.ns, params.kappa, params.g, params.nb))
     return error_bounds_from_overlaps(q, q, params.m, 0.5)
 
 

@@ -108,20 +108,23 @@ def headline_params() -> ProtocolParams:
 
 @pytest.fixture
 def williamson_calls(monkeypatch) -> list:
-    """Record every covariance matrix passed to ``gaussian.williamson``.
+    """Record every covariance matrix that ``gaussian`` decomposes.
 
-    Empties the receivers' pair-overlap memo first, so that pairs an earlier
-    test evaluated are decomposed (and counted) again.
+    Each matrix of each stack that ``gaussian._williamson_stack`` takes is
+    one entry: ``williamson`` is its stack of one, and a general pair's
+    evaluator stacks both states.  Empties the receivers' pair-overlap memo
+    first, so that pairs an earlier test evaluated are decomposed (and
+    counted) again.
     """
     receivers._pair_overlaps.cache_clear()
     calls = []
-    original = gaussian.williamson
+    original = gaussian._williamson_stack
 
-    def counting(cm):
-        calls.append(cm)
-        return original(cm)
+    def counting(cms, *args):
+        calls.extend(cms)
+        return original(cms, *args)
 
-    monkeypatch.setattr(gaussian, "williamson", counting)
+    monkeypatch.setattr(gaussian, "_williamson_stack", counting)
     return calls
 
 
@@ -132,13 +135,13 @@ def overlap_evaluations(monkeypatch) -> list:
     original = gaussian._overlap_evaluator
 
     def counting(state0, state1):
-        q = original(state0, state1)
+        q, end = original(state0, state1)
 
         def recording(s):
             calls.append(s)
             return q(s)
 
-        return recording
+        return recording, end
 
     monkeypatch.setattr(gaussian, "_overlap_evaluator", counting)
     return calls

@@ -59,3 +59,19 @@ def test_traced_ops_record_spans_across_layers():
     assert {
         "link.security_margin", "protocol.alice_pair", "gaussian.williamson", "gaussian.minimize_overlap"
     } <= names
+
+
+def test_traced_plan_scan_op_forms_one_opa_model():
+    """One planner op forms the OPA model once and the derived coefficients three times: Alice's pair, Eve's pair, the OPA model."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        workload = workloads.PlanScan()
+        workload.op(workload.draw(np.random.default_rng(24)))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("receivers.opa_model") == 1
+    assert names.count("protocol.derived_coefficients") == 3

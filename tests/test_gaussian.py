@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,7 +39,11 @@ from qillum.gaussian import NU_CLAMP_TOL, NU_PURE_TOL
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
 
-from conftest import HEADLINE, oracle_overlap, parity_pair_q_half_gap, random_unit_state, random_valid_params, src_env, thermal_state
+from conftest import (HEADLINE, ROOT, oracle_overlap, parity_pair_q_half_gap, random_unit_state, random_valid_params, src_env,
+                      thermal_state)
+
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +517,19 @@ def test_mixed_pairs_search_in_few_evaluations(overlap_evaluations):
         assert len(overlap_evaluations) <= 14
 
 
+@pytest.mark.parametrize("pure_first", [True, False], ids=["pure state0", "pure state1"])
+def test_a_pure_state_takes_the_end_of_the_bracket_in_two_evaluations(overlap_evaluations, pure_first):
+    """Q_s is monotone when one state is pure: s* is _S_LO for a pure state0 and _S_HI for a pure state1, from Q_1/2 and one more Q_s."""
+    vacuum, thermal = thermal_state(0.0), thermal_state(3.0)
+    pair, end = ((vacuum, thermal), gaussian._S_LO) if pure_first else ((thermal, vacuum), gaussian._S_HI)
+    result = minimize_overlap(*pair)
+    assert overlap_evaluations == [0.5, end]
+    assert result.s == end and result.q_s == power_overlap(*pair, end) < result.q_half
+    assert result.q_s == pytest.approx(0.25, rel=1e-4)  # <0| rho_th |0> = 1 / (N + 1)
+    q, _ = gaussian._overlap_evaluator(*pair)
+    assert result.q_s <= gaussian._brent_minimize(q, 0.5, result.q_half)[1]
+
+
 @st.composite
 def protocol_params(draw):
     """Knobs from the box of ``random_valid_params``, with M up to 1e5."""
@@ -665,6 +683,95 @@ def test_williamson_matches_schur_reference_bit_for_bit(pair):
         ref_nu, ref_sp = reference_williamson(state.cm)
         assert np.array_equal(nu, ref_nu)
         assert np.array_equal(sp, ref_sp)
+
+
+def float_hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_stacked_pair_decomposition_matches_each_lone_state_bit_for_bit():
+    """Each state's (nu, S) from the two-state stack is ``williamson``'s and the unstacked Schur reference's, as float hex.
+
+    Over the 300 ``GeneralPairs`` draws at seed 4242, the pairs the
+    general-pair digest pins.
+    """
+    draws = workloads.GeneralPairs()
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        state0, state1, _ = draws.draw(rng)
+        nus, symplectic = gaussian._williamson_stack((state0.cm, state1.cm), ("state0", "state1"))
+        assert len(nus) == 2 and symplectic.shape == (2, 4, 4)
+        for state, nu, sp in zip((state0, state1), nus, symplectic):
+            assert all(type(v) is float for v in nu)
+            for lone_nu, lone_sp in (williamson(state.cm), reference_williamson(state.cm)):
+                assert float_hex(nu) == float_hex(lone_nu)
+                assert float_hex(sp) == float_hex(lone_sp)
+
+
+REFUSED_MATRICES = {
+    "condition 1e14": CovMat(np.diag([1e7, 1e-7, 1.0, 1.0]), Convention.UNIT_VACUUM),
+    "subnormal": CovMat(1e-320 * np.eye(4), Convention.UNIT_VACUUM),
+    "unphysical": CovMat(0.5 * np.eye(4), Convention.UNIT_VACUUM),
+    "quarter-vacuum": CovMat(np.eye(4), Convention.QUARTER_VACUUM),
+}
+
+
+def lone_refusal(label: str, cm: CovMat) -> tuple[type, str]:
+    """The refusal of ``cm`` as state ``label`` when decomposed alone: ``williamson``'s own, else unphysical."""
+    try:
+        nu, _ = williamson(cm)
+    except ValueError as refusal:
+        return type(refusal), str(refusal)
+    assert np.any(nu < 1.0)
+    return ValueError, f"{label} is unphysical: symplectic eigenvalues {nu} below 1"
+
+
+@pytest.mark.parametrize(("kind0", "kind1"), [
+    (kind0, kind1) for kind0 in (None, *REFUSED_MATRICES) for kind1 in (None, *REFUSED_MATRICES) if kind0 or kind1
+])
+def test_pair_refusals_check_all_of_state0_first_and_invert_no_refused_matrix(kind0, kind1):
+    """The first refused state of the pair is refused as it would be alone; no RuntimeWarning on the way.
+
+    Convention, conditioning and physicality of state0 all come before any
+    check of state1, so an ill-conditioned state1 never hides an unphysical
+    state0.  Warnings are errors here, so a refused matrix that were
+    inverted (the subnormal one overflows V^{-1/2} Omega V^{-1/2}) would fail.
+    """
+    pair = [thermal_state(1.0) if kind is None else GaussianState(REFUSED_MATRICES[kind]) for kind in (kind0, kind1)]
+    first = 0 if kind0 is not None else 1
+    expected_type, expected_message = lone_refusal(f"state{first}", pair[first].cm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: power_overlap(*pair, 0.3), lambda: chernoff_bound(*pair, 10)):
+            with pytest.raises(ValueError) as refusal:
+                call()
+            assert type(refusal.value) is expected_type
+            assert str(refusal.value) == expected_message
+
+
+def test_evaluator_is_the_term_by_term_overlap_bit_for_bit():
+    """Q_s equals 4 t0 t1 t0' t1' / sqrt(det), det the 19 Cauchy-Binet terms added left to right, to the bit.
+
+    The reference multiplies every factor x**0 = 1 in and forms the
+    traces and nu_k(s) with ``_mode_powers``, as the term list documents,
+    with an explicit loop, so it does not depend on how ``sum`` adds floats.
+    """
+    rng = np.random.default_rng(24)
+    for pure_modes in (0, 0, 1, 2) * 25:
+        state0, state1 = random_unit_state(rng, pure_modes=pure_modes), random_unit_state(rng)
+        q, _ = gaussian._overlap_evaluator(state0, state1)
+        (nu0, sp0), (nu1, sp1) = williamson(state0.cm), williamson(state1.cm)
+        modes0, modes1 = gaussian._thermal_modes(nu0.tolist()), gaussian._thermal_modes(nu1.tolist())
+        terms = gaussian._cauchy_binet_terms(sp0, sp1)
+        for s in (1e-6, 0.013, 0.37, 0.5, 0.81, 1.0 - 1e-6):
+            traces0, nus0 = gaussian._mode_powers(modes0, s)
+            traces1, nus1 = gaussian._mode_powers(modes1, 1.0 - s)
+            x0, x1, y0, y1 = ((1.0, nu, nu * nu) for nu in nus0 + nus1)
+            det = 0.0
+            for coef, (a, b, c, e) in terms:
+                det += coef * x0[a] * x1[b] * y0[c] * y1[e]
+            reference = min(math.prod(traces0 + traces1, start=4.0) / math.sqrt(det), 1.0)
+            assert q(s).hex() == reference.hex()
 
 
 def argsort_williamson(cm: CovMat):
@@ -823,7 +930,7 @@ def test_overlap_evaluations_take_no_logarithm(monkeypatch):
     rng = np.random.default_rng(16)
     state0, state1 = random_unit_state(rng), random_unit_state(rng)
     monkeypatch.setattr(gaussian, "math", CountingMath())
-    q = gaussian._overlap_evaluator(state0, state1)
+    q, _ = gaussian._overlap_evaluator(state0, state1)
     assert len(logs) == 4  # two mixed modes per state
     values = [q(s) for s in (0.1, 0.37, 0.5, 0.9)]
     assert len(logs) == 4
@@ -875,7 +982,7 @@ def test_general_pair_evaluations_are_scalar_arithmetic(monkeypatch):
     rng = np.random.default_rng(16)
     for pure_modes in (0, 1, 2):
         state0, state1 = random_unit_state(rng, pure_modes=pure_modes), random_unit_state(rng)
-        q = gaussian._overlap_evaluator(state0, state1)
+        q, _ = gaussian._overlap_evaluator(state0, state1)
         assert not any(holds_an_array(cell.cell_contents) for cell in q.__closure__)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "det", refuse)

@@ -252,7 +252,7 @@ def test_required_m_reads_the_overlap_without_error_bounds(monkeypatch):
 )
 def test_required_m_refuses_an_overlap_at_or_outside_the_ceiling(monkeypatch, headline_params, receiver, q, message):
     """An overlap within 1e-15 of 1, or outside (0, 1], is a ValueError whichever receiver reads it."""
-    monkeypatch.setattr(link, "geometric_bhattacharyya_overlap", lambda n0, n1: q)
+    monkeypatch.setattr(link, "_opa_overlap", lambda knobs: (None, q))
     monkeypatch.setattr(link, "_pair_overlaps", lambda build, knobs: OverlapResult(q_s=q, s=0.5, q_half=q))
     with pytest.raises(ValueError, match=message):
         required_m(headline_params, 1e-6, receiver)
