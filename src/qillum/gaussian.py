@@ -21,12 +21,13 @@ states are decomposed in one stacked pass (one ``eigh`` over both
 matrices, stacked matmuls, one Schur solve each), which gives each state
 the bits ``williamson`` gives it alone.  The determinant in the overlap is
 then a polynomial in the four powered symplectic eigenvalues whose 19
-nonnegative coefficients (Cauchy-Binet) are formed once per pair, so each
-evaluation during the s-search is straight-line arithmetic on Python
-floats.  A pure state makes Q_s monotone in s, so the search takes the
-matching end of its bracket without iterating.  A parity pair, whose
-state1 is state0 mirrored, needs no search: its one Q_{1/2} is taken from
-state0 alone, with LAPACK's determinant of the 4 x 4 sum.
+nonnegative coefficients (Cauchy-Binet, by Laplace expansion over two
+8 x 8 tables of 2 x 2 minors of [S0 | S1]) are formed once per pair, so
+each evaluation during the s-search is straight-line arithmetic on
+Python floats.  A pure state makes Q_s monotone in s, so the search
+takes the matching end of its bracket without iterating.  A parity
+pair, whose state1 is state0 mirrored, needs no search: its one Q_{1/2}
+is taken from state0 alone, with LAPACK's determinant of the 4 x 4 sum.
 
 The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
 It is bound straight from scipy's compiled ``scipy.linalg._flapack``
@@ -413,32 +414,28 @@ def _cauchy_binet_tables() -> tuple:
 
     Cauchy-Binet gives det = sum over the 70 column sets J of det(W_J)**2
     prod_{j in J} c_j, and column j belongs to mode block j // 2, whose two
-    columns share one c.  Returns, as read-only arrays: the entries
-    (r, i), (r + 1, j), (r, j), (r + 1, i) of row-major W for the 2 x 2
-    minor of each column pair i < j, rows (0, 1) then rows (2, 3); per J,
-    the indices of the top and bottom minors of the 6 terms of det(W_J)'s
-    Laplace expansion along rows (0, 1), and the terms' signs; each J's
-    monomial.  Then the 19 monomials as a tuple of the four blocks'
-    exponents (each 0 to 2, summing to 4).  Built at the first general
-    pair, so an import or a parity-pair evaluation does not pay for it.
+    columns share one c.  Along rows (0, 1), det(W_J) is the Laplace sum
+    over the 6 splits of J's positions into (i, j) and (k, l) of
+    (-1)**(i + j + 1) times the minors of rows (0, 1) on (J_i, J_j) and of
+    rows (2, 3) on (J_k, J_l).  Returns, as read-only arrays: per J and
+    split, the indices 8 J_i + J_j and 8 J_k + J_l into the two 8 x 8 minor
+    tables and the splits' signs; each J's monomial; then the 19 monomials
+    as the four blocks' exponents (each 0 to 2, summing to 4).  Built at
+    the first general pair, so an import or a parity-pair evaluation does
+    not pay for it.
     """
-    pairs = list(itertools.combinations(range(8), 2))
     splits = list(itertools.combinations(range(4), 2))
     exponents = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 4]
-    first, second = zip(*pairs)
-    entries = [[8 * (r + dr) + col for r in (0, 2) for col in cols]
-               for dr, cols in ((0, first), (1, second), (0, second), (1, first))]
-    pair_index = {pair: k for k, pair in enumerate(pairs)}
     top, bottom, monomial = [], [], []
     for cols in itertools.combinations(range(8), 4):
-        # Positions (i, j) of J go to the top minor, the other two to the bottom one.
-        top.append([pair_index[cols[i], cols[j]] for i, j in splits])
-        bottom.append([len(pairs) + pair_index[tuple(c for c in cols if c not in (cols[i], cols[j]))] for i, j in splits])
+        # In combinations order the other two positions of the n-th split are the n-th split from the end.
+        top.append([8 * cols[i] + cols[j] for i, j in splits])
+        bottom.append([8 * cols[k] + cols[l] for k, l in reversed(splits)])
         blocks = [c // 2 for c in cols]
         monomial.append(exponents.index(tuple(map(blocks.count, range(4)))))
     # (-1)**(1 + 2 + (i + 1) + (j + 1)) for rows (0, 1) and positions (i, j) of J.
     signs = [(-1.0) ** (i + j + 1) for i, j in splits]
-    tables = [np.array(t) for t in (entries, (top, bottom), signs, monomial)]
+    tables = [np.array(t) for t in (top, bottom, signs, monomial)]
     for table in tables:
         table.setflags(write=False)
     return (*tables, tuple(exponents))
@@ -451,13 +448,14 @@ def _cauchy_binet_terms(symplectic0: NDArray, symplectic1: NDArray) -> list[tupl
     Cauchy-Binet coef is the sum of det(W_J)**2 over the column sets J of
     W = [S0 | S1] that take a, b, c and e columns from the four blocks, so
     each is a sum of squares and no term of the determinant cancels
-    another.  The 70 maximal minors det(W_J) come from the 2 x 2 minors of
-    rows (0, 1) and of rows (2, 3) by Laplace expansion.
+    another.  Each det(W_J) is a Laplace expansion (``_cauchy_binet_tables``)
+    in the 8 x 8 tables of 2 x 2 minors of rows (0, 1) and of rows (2, 3).
     """
-    entries, laplace, signs, monomial, exponents = _cauchy_binet_tables()
-    a, b, c, d = np.concatenate((symplectic0, symplectic1), axis=1).ravel().take(entries)
-    top, bottom = (a * b - c * d).take(laplace)
-    minors = (top * bottom) @ signs
+    top, bottom, signs, monomial, exponents = _cauchy_binet_tables()
+    w = np.concatenate((symplectic0, symplectic1), axis=1)
+    products = w[0::2, :, None] * w[1::2, None, :]
+    pair_minors = products - products.transpose(0, 2, 1)
+    minors = (pair_minors[0].take(top) * pair_minors[1].take(bottom)) @ signs
     return list(zip(np.bincount(monomial, minors * minors, minlength=len(exponents)).tolist(), exponents))
 
 

@@ -435,6 +435,21 @@ def test_powers_that_round_to_one_float_are_refused():
             call()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3, log-domain mode powers")
+@pytest.mark.parametrize(("nu", "overlap"), [
+    (1e12, lambda state: power_overlap(state, state, 0.3)),
+    (1e15, lambda state: chernoff_bound(state, state, 1).q_half),
+], ids=["power_overlap at s = 0.3, nu = 1e12", "chernoff_bound q_half at nu = 1e15"])
+def test_a_large_nu_state_overlaps_itself_to_one(nu, overlap):
+    """nu I against itself has Q_s = 1, but (nu + 1)**s - (nu - 1)**s cancels at large nu.
+
+    The two cases read 0.99878 and 0.7206, with condition number 1 and no
+    error raised; a mode power formed in the log domain would not cancel.
+    """
+    state = GaussianState(CovMat(nu * np.eye(4), Convention.UNIT_VACUUM))
+    assert overlap(state) == pytest.approx(1.0, abs=1e-12)
+
+
 # ----------------------------------------------------------------------
 # minimisation and error bounds
 
@@ -954,6 +969,30 @@ def test_cauchy_binet_terms_sum_to_the_determinant():
         assert total == pytest.approx(np.linalg.det((w * c) @ w.T), rel=1e-12)
 
 
+# The README bounds command through cli.main and one security_margin, then one general pair, in a fresh interpreter.
+_LAZY_TABLES = """
+import contextlib, io
+import numpy as np
+from qillum import cli, gaussian
+from qillum.link import security_margin
+from qillum.protocol import ProtocolParams
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["bounds", "--ns", "0.004", "--kappa", "0.1", "--g", "1e4", "--nb", "1e4", "--m", "20000"]) == 0
+security_margin(ProtocolParams(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=20000))
+print(gaussian._cauchy_binet_tables.cache_info().currsize)
+state0, state1 = (gaussian.GaussianState(gaussian.CovMat(v * np.eye(4), gaussian.Convention.UNIT_VACUUM)) for v in (2.0, 3.0))
+gaussian.chernoff_bound(state0, state1, 10)
+print(gaussian._cauchy_binet_tables.cache_info().currsize)
+"""
+
+
+def test_cauchy_binet_tables_are_built_at_the_first_general_pair():
+    """The protocol path (parity pairs only) never builds the tables; one general-pair ``chernoff_bound`` does."""
+    proc = subprocess.run([sys.executable, "-c", _LAZY_TABLES], env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def holds_an_array(value) -> bool:
     return isinstance(value, np.ndarray) or (isinstance(value, (list, tuple)) and any(map(holds_an_array, value)))
 
@@ -1005,6 +1044,22 @@ def test_protocol_pairs_take_s_half_exactly(params):
         # the general engine agrees that s = 1/2 is the minimum
         q_min = min(power_overlap(s0, s1, s) for s in grid)
         assert q_min >= bounds.q_half * (1.0 - 1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3, log-domain mode powers")
+def test_eve_grid_stays_above_q_half_at_a_large_nb_point():
+    """``test_protocol_pairs_take_s_half_exactly``'s grid assertion, pinned at a point where it fails.
+
+    Eve's least grid Q_s reads 0.9999999982787275, at s = 0.3 and 0.7,
+    against q_half 0.999999999291685.  The 50-digit oracle gives 1 - Q_s =
+    4.89e-10 at s = 0.3 and 5.65e-10 at s = 1/2, and so does the engine's
+    own (nu, S) with the mode powers taken at 50 digits: the error is the
+    float (nu + 1)**s - (nu - 1)**s at nu = 1.9e6, not the decomposition.
+    """
+    params = ProtocolParams(ns=0.042169650342858224, kappa=0.01171875, g=10.0, nb=972656.49609375, m=1)
+    s0, s1 = eve_pair(params)
+    q_half = chernoff_bound(s0, s1, params.m).q_half
+    assert min(power_overlap(s0, s1, s) for s in np.linspace(0.05, 0.95, 19)) >= q_half * (1.0 - 1e-9)
 
 
 def float_fields(result) -> dict:
