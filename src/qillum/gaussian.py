@@ -548,6 +548,17 @@ def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> tuple[Ca
     return q, end
 
 
+def _parity_q_half(nu: tuple[float, float], symplectic: NDArray) -> float:
+    """Q_{1/2} of the parity pair (rho, P rho P) from rho's Williamson form: nu as Python floats, physical, and S.
+
+    P is a diagonal +-1 symplectic, so P rho P has rho's traces and
+    V(1/2) = P V0(1/2) P, and Q_{1/2} = 4 t0 t1 t0 t1 /
+    sqrt(det[V0(1/2) + P V0(1/2) P]) with LAPACK's determinant, capped at 1.
+    """
+    traces, v = _power_modes(_thermal_modes(nu), symplectic, 0.5)
+    return min(math.prod(traces + traces, start=4.0) / math.sqrt(np.linalg.det(v + v * _PARITY_SIGNS)), 1.0)
+
+
 def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
     """The s-overlap Q_s = tr(rho0**s rho1**(1-s)) of two zero-mean Gaussian states.
 
@@ -638,9 +649,9 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     A parity pair (V1 = P V0 P exactly, in one convention, P negating both
     quadratures of mode 2, as in every protocol pair) has Q_s = Q_{1-s} and
     log Q_s convex in s, so it returns s = 1/2 and one Q_{1/2} from state0
-    alone: P is a diagonal +-1 symplectic, so state1's traces are state0's
-    and V1(1/2) = P V0(1/2) P, and Q_{1/2} = 4 t0 t1 t0 t1 /
-    sqrt(det[V0(1/2) + P V0(1/2) P]) with LAPACK's determinant.
+    alone (``_parity_q_half``).  The receivers take the same Q_{1/2} for
+    Alice's and Eve's pairs without this call: per knob point, both bit-0
+    states in one stacked pass, then ``_parity_q_half`` on each.
 
     Other pairs take the evaluator of both decomposed states and Brent's
     bounded minimiser (parabolic interpolation with a golden-section
@@ -662,8 +673,7 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
         nu, symplectic = williamson(state0.cm)
         nu0, nu1 = nu.tolist()
         _refuse_unphysical("state0", nu0, nu1)
-        traces, v = _power_modes(_thermal_modes((nu0, nu1)), symplectic, 0.5)
-        q_half = min(math.prod(traces + traces, start=4.0) / math.sqrt(np.linalg.det(v + v * _PARITY_SIGNS)), 1.0)
+        q_half = _parity_q_half((nu0, nu1), symplectic)
         return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
     f, end = _overlap_evaluator(state0, state1)
     q_half = f(0.5)

@@ -16,8 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .gaussian import ErrorBounds, _as_float, _real
-from .protocol import ProtocolParams, alice_pair
-from .receivers import _opa_overlap, _pair_overlaps, alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
+from .protocol import ProtocolParams
+from .receivers import _ALICE, _opa_overlap, _optimum_q_half, alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
 
 __all__ = [
     "LinkBudget",
@@ -119,8 +119,11 @@ def required_m(
     down to the smallest M that meets the target in floating point.  q is
     read directly, with no ``ErrorBounds`` formed: the OPA receiver's
     geometric Bhattacharyya coefficient, or the optimum receiver's
-    s-minimised overlap, each from the evaluation shared per
-    (ns, kappa, g, nb).
+    s-minimised overlap, each from the evaluation the receivers share per
+    (ns, kappa, g, nb).  For the optimum receiver that evaluation
+    decomposes Alice's bit-0 state and Eve's in one stacked pass, so a
+    first call at fresh knobs also pays for Eve's, which
+    ``security_margin`` at the same knobs then reads.
 
     Raises:
         ValueError: ``receiver`` not a ``Receiver`` member, target outside
@@ -132,9 +135,9 @@ def required_m(
     if not 0.0 < target_pe <= 0.5:
         raise ValueError("target_pe must lie in (0, 0.5]")
     if receiver is Receiver.OPA:
-        _, q = _opa_overlap((params.ns, params.kappa, params.g, params.nb))
+        _, q = _opa_overlap(params)
     elif receiver is Receiver.OPTIMUM:
-        q = _pair_overlaps(alice_pair, (params.ns, params.kappa, params.g, params.nb)).q_s
+        q = _optimum_q_half(params, _ALICE)
     else:
         raise ValueError(f"receiver must be Receiver.OPA or Receiver.OPTIMUM, not {receiver!r}")
     if not 0.0 < q <= 1.0:
@@ -166,7 +169,8 @@ def security_margin(
     The operating point is insecure when Eve's lower bound falls under
     ``EVE_FLOOR`` and unusable when Alice's OPA bound exceeds
     ``alice_target``, which must lie in (0, 0.5] like ``required_m``'s
-    ``target_pe``.
+    ``target_pe``.  A refused evaluation raises the first refusal in the
+    order Alice's optimum receiver, Alice's OPA receiver, Eve's receiver.
     """
     alice_target = _as_float("alice_target", alice_target)
     if not 0.0 < alice_target <= 0.5:

@@ -111,7 +111,7 @@ def run_mc(config: McConfig) -> McResult:
     """
     params = config.params
     bound = opa_bhattacharyya(params).bhattacharyya_upper
-    model, _ = _opa_overlap((params.ns, params.kappa, params.g, params.nb))
+    model, _ = _opa_overlap(params)
     m = params.m
     threshold = ml_threshold(model, m)
     if config.trials < RECOMMENDED_MIN_TRIALS or config.trials * min(bound, 1.0) < 10.0:

@@ -150,6 +150,16 @@ def source_cm(ns: float) -> CovMat:
     return _two_mode_cm(s_diag, s_diag, c_q, -c_q)
 
 
+def _alice_bit0(c: DerivedCoefficients) -> CovMat:
+    """Bit 0's matrix of Alice's pair (see ``alice_pair``), built and validated from the coefficients."""
+    return _two_mode_cm(c.a, c.s_diag, c.c_a, -c.c_a)
+
+
+def _eve_bit0(c: DerivedCoefficients) -> CovMat:
+    """Bit 0's matrix of Eve's pair (see ``eve_pair``), built and validated from the coefficients."""
+    return _two_mode_cm(c.d, c.e, c.c_e, c.c_e)
+
+
 def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     """Alice's return/idler states ``(state_bit0, state_bit1)`` for Bob's bit k = 0, 1.
 
@@ -159,8 +169,7 @@ def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     0's matrix is built and validated; bit 1's is bit 0's mirrored by P
     (both idler quadratures negated), exactly V0 * ``_PARITY_SIGNS``.
     """
-    c = derived_coefficients(params)
-    bit0 = _two_mode_cm(c.a, c.s_diag, c.c_a, -c.c_a)
+    bit0 = _alice_bit0(derived_coefficients(params))
     return GaussianState(bit0), GaussianState(bit0._parity_mirror())
 
 
@@ -174,8 +183,7 @@ def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     1's is bit 0's mirrored by P (both return quadratures negated), exactly
     V0 * ``_PARITY_SIGNS``.
     """
-    c = derived_coefficients(params)
-    bit0 = _two_mode_cm(c.d, c.e, c.c_e, c.c_e)
+    bit0 = _eve_bit0(derived_coefficients(params))
     return GaussianState(bit0), GaussianState(bit0._parity_mirror())
 
 

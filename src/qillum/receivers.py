@@ -13,13 +13,12 @@ Closed-form exponent approximants valid for dim sources over noisy links
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
+import threading
 from dataclasses import dataclass
 
-from .gaussian import ErrorBounds, OverlapResult, _as_float, error_bounds_from_overlaps, minimize_overlap
-from .protocol import ProtocolParams, alice_pair, derived_coefficients, eve_pair
+from .gaussian import CovMat, ErrorBounds, _as_float, _parity_q_half, _williamson_stack, error_bounds_from_overlaps
+from .protocol import DerivedCoefficients, ProtocolParams, _alice_bit0, _eve_bit0, derived_coefficients
 
 __all__ = [
     "OpaReceiverModel",
@@ -75,35 +74,94 @@ class ApproxExponents:
     in_regime: bool
 
 
-# alice_pair or eve_pair: knobs -> (state_bit0, state_bit1).
-_PairBuilder = Callable[[ProtocolParams], tuple]
+# The knob points the memo below keeps, oldest evicted first.
+_MEMO_SIZE = 8
+# Which observer's optimum Q_{1/2} a caller reads.
+_ALICE, _EVE = 0, 1
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_overlaps(build: _PairBuilder, knobs: tuple) -> OverlapResult:
-    """``minimize_overlap`` on the pair ``build`` makes at (ns, kappa, g, nb)."""
-    return minimize_overlap(*build(ProtocolParams(*knobs, m=1)))
+@dataclass
+class _KnobPoint:
+    """The evaluation shared by every call at one (ns, kappa, g, nb): filled from one ``derived_coefficients``.
+
+    ``q_halves`` holds Alice's and Eve's optimum Q_{1/2} once both bit-0
+    states are decomposed in one stacked pass; ``opa`` the OPA model and
+    its overlap once asked for.  A refused evaluation is not kept.
+    """
+
+    coefficients: DerivedCoefficients
+    q_halves: tuple[float, float] | None = None
+    opa: tuple[OpaReceiverModel, float] | None = None
 
 
-def _optimum_bounds(build: _PairBuilder, params: ProtocolParams) -> ErrorBounds:
-    one = _pair_overlaps(build, (params.ns, params.kappa, params.g, params.nb))
-    return error_bounds_from_overlaps(one.q_s, one.q_half, params.m, one.s)
+_memo: dict[tuple[float, float, float, float], _KnobPoint] = {}
+_memo_lock = threading.Lock()
+
+
+def _knob_point(params: ProtocolParams) -> _KnobPoint:
+    """The memo's record for params' (ns, kappa, g, nb), made from the validated params on a miss."""
+    knobs = (params.ns, params.kappa, params.g, params.nb)
+    point = _memo.get(knobs)
+    if point is None:
+        point = _KnobPoint(derived_coefficients(params))
+        with _memo_lock:  # evict-then-insert, so that concurrent misses keep the bound and evict no key twice
+            if len(_memo) >= _MEMO_SIZE:
+                del _memo[next(iter(_memo))]
+            _memo[knobs] = point
+    return point
+
+
+def _parity_q_halves(cms: tuple[CovMat, ...]) -> tuple[float, ...]:
+    """Each bit-0 matrix's parity-pair Q_{1/2}, all decomposed in one stacked pass."""
+    nus, symplectic = _williamson_stack(cms, ("state0",) * len(cms))
+    return tuple(_parity_q_half(nu, s) for nu, s in zip(nus, symplectic))
+
+
+def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
+    """Q_{1/2} of ``_ALICE``'s or ``_EVE``'s pair at params' knobs, also its s-minimised overlap (a parity pair's s* is 1/2).
+
+    The first call at a knob point decomposes both bit-0 states in one
+    stacked pass and keeps both values.  Where that pass refuses, the
+    observer's own state is decomposed alone, so each observer raises only
+    the refusal of that observer's own pair, and nothing is kept.
+    """
+    point = _knob_point(params)
+    if point.q_halves is None:
+        c = point.coefficients
+        try:
+            point.q_halves = _parity_q_halves((_alice_bit0(c), _eve_bit0(c)))
+        except ValueError:
+            return _parity_q_halves(((_alice_bit0, _eve_bit0)[observer](c),))[0]
+    return point.q_halves[observer]
+
+
+def _optimum_bounds(params: ProtocolParams, observer: int) -> ErrorBounds:
+    q = _optimum_q_half(params, observer)
+    return error_bounds_from_overlaps(q, q, params.m, 0.5)
 
 
 def alice_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
     """Chernoff-family bounds for Alice's optimum quantum receiver.
 
-    The pair evaluation is shared per (ns, kappa, g, nb); only M is per call.
+    Alice's pair is a parity pair, so s* = 1/2 and the Chernoff bound is
+    the Bhattacharyya bound.  Per (ns, kappa, g, nb) the bit-0 states of
+    Alice's pair and Eve's are decomposed once, in one stacked pass, and
+    both Q_{1/2} are kept; only M is per call.  A refusal is that of
+    Alice's pair, never Eve's.
     """
-    return _optimum_bounds(alice_pair, params)
+    return _optimum_bounds(params, _ALICE)
 
 
 def eve_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
     """Chernoff-family bounds for Eve's optimum quantum receiver.
 
-    The pair evaluation is shared per (ns, kappa, g, nb); only M is per call.
+    Eve's pair is a parity pair, so s* = 1/2 and the Chernoff bound is
+    the Bhattacharyya bound.  Per (ns, kappa, g, nb) the bit-0 states of
+    Eve's pair and Alice's are decomposed once, in one stacked pass, and
+    both Q_{1/2} are kept; only M is per call.  A refusal is that of
+    Eve's pair, never Alice's.
     """
-    return _optimum_bounds(eve_pair, params)
+    return _optimum_bounds(params, _EVE)
 
 
 def opa_model(params: ProtocolParams) -> OpaReceiverModel:
@@ -124,7 +182,7 @@ def opa_model(params: ProtocolParams) -> OpaReceiverModel:
     """
     if params.nb <= 0.0:
         raise ValueError("the OPA gain 1 + ns / sqrt(kappa nb) requires nb > 0")
-    c = derived_coefficients(params)
+    c = _knob_point(params).coefficients
     x = params.ns / math.sqrt(params.kappa * params.nb)
     common = (1.0 + x) * params.ns + x * (c.a + 1.0) / 2.0
     shift = math.sqrt((1.0 + x) * x) * c.c_a
@@ -166,11 +224,13 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
     return 1.0 / (1.0 + excess)
 
 
-@functools.lru_cache(maxsize=8)
-def _opa_overlap(knobs: tuple) -> tuple[OpaReceiverModel, float]:
-    """``opa_model`` at (ns, kappa, g, nb) and its geometric Bhattacharyya overlap."""
-    model = opa_model(ProtocolParams(*knobs, m=1))
-    return model, geometric_bhattacharyya_overlap(model.n0, model.n1)
+def _opa_overlap(params: ProtocolParams) -> tuple[OpaReceiverModel, float]:
+    """``opa_model`` at params' knobs and its geometric Bhattacharyya overlap, kept in the memo once formed."""
+    point = _knob_point(params)
+    if point.opa is None:
+        model = opa_model(params)
+        point.opa = model, geometric_bhattacharyya_overlap(model.n0, model.n1)
+    return point.opa
 
 
 def opa_bhattacharyya(params: ProtocolParams) -> ErrorBounds:
@@ -182,7 +242,7 @@ def opa_bhattacharyya(params: ProtocolParams) -> ErrorBounds:
     contract here; s is pinned at 1/2.  The model and its overlap are
     shared per (ns, kappa, g, nb); only M is per call.
     """
-    _, q = _opa_overlap((params.ns, params.kappa, params.g, params.nb))
+    _, q = _opa_overlap(params)
     return error_bounds_from_overlaps(q, q, params.m, 0.5)
 
 

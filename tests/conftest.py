@@ -108,23 +108,24 @@ def headline_params() -> ProtocolParams:
 
 @pytest.fixture
 def williamson_calls(monkeypatch) -> list:
-    """Record every covariance matrix that ``gaussian`` decomposes.
+    """Record every stack of covariance matrices that ``gaussian._williamson_stack`` decomposes.
 
-    Each matrix of each stack that ``gaussian._williamson_stack`` takes is
-    one entry: ``williamson`` is its stack of one, and a general pair's
-    evaluator stacks both states.  Empties the receivers' pair-overlap memo
-    first, so that pairs an earlier test evaluated are decomposed (and
-    counted) again.
+    Each call is one entry, the tuple of its matrices: ``williamson`` is a
+    stack of one, a general pair's evaluator stacks both states, and the
+    receivers' knob-point memo stacks Alice's bit 0 and Eve's.  Empties
+    that memo first, so that points an earlier test evaluated are
+    decomposed (and counted) again.
     """
-    receivers._pair_overlaps.cache_clear()
+    receivers._memo.clear()
     calls = []
     original = gaussian._williamson_stack
 
     def counting(cms, *args):
-        calls.extend(cms)
+        calls.append(tuple(cms))
         return original(cms, *args)
 
-    monkeypatch.setattr(gaussian, "_williamson_stack", counting)
+    for module in (gaussian, receivers):
+        monkeypatch.setattr(module, "_williamson_stack", counting)
     return calls
 
 

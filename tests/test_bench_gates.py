@@ -56,13 +56,18 @@ def test_traced_ops_record_spans_across_layers():
         tracer.active = False
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
+    # The planner reads both optimum pairs from one stacked decomposition per
+    # knob point, which is private, so it books no williamson or pair span.
     assert {
-        "link.security_margin", "protocol.alice_pair", "gaussian.williamson", "gaussian.minimize_overlap"
+        "link.security_margin", "link.required_m", "receivers.alice_optimum_bounds",
+        "receivers.eve_optimum_bounds", "receivers.opa_bhattacharyya", "receivers.opa_model",
+        "protocol.derived_coefficients", "gaussian.error_bounds_from_overlaps",
+        "gaussian.chernoff_bound", "gaussian.minimize_overlap",
     } <= names
 
 
 def test_traced_plan_scan_op_forms_one_opa_model():
-    """One planner op forms the OPA model once and the derived coefficients three times: Alice's pair, Eve's pair, the OPA model."""
+    """One planner op forms the OPA model and the derived coefficients once each: both pairs and the model share them."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -74,4 +79,4 @@ def test_traced_plan_scan_op_forms_one_opa_model():
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert names.count("receivers.opa_model") == 1
-    assert names.count("protocol.derived_coefficients") == 3
+    assert names.count("protocol.derived_coefficients") == 1

@@ -1120,11 +1120,11 @@ def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
     """A parity pair decomposes state0 alone; any other pair decomposes both states once."""
     state0, _ = pair = alice_pair(ProtocolParams(**HEADLINE))
     chernoff_bound(*pair, 100)
-    assert len(williamson_calls) == 1 and williamson_calls[0] is state0.cm
+    assert [len(stack) for stack in williamson_calls] == [1] and williamson_calls[0][0] is state0.cm
     williamson_calls.clear()
     bounds = chernoff_bound(thermal_state(0.0), thermal_state(3.0), 100)
     assert bounds.s_star < 0.01  # the search ran
-    assert len(williamson_calls) == 2
+    assert [len(stack) for stack in williamson_calls] == [2]  # both states in one stacked pass
 
 
 def test_chernoff_bound_identical_states():

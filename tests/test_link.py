@@ -12,7 +12,9 @@ from qillum import (
     Receiver,
     budget_from_fiber,
     alice_optimum_bounds,
+    alice_pair,
     approx_exponents,
+    eve_pair,
     geometric_bhattacharyya_overlap,
     opa_bhattacharyya,
     opa_model,
@@ -21,7 +23,6 @@ from qillum import (
 )
 
 from qillum import gaussian, link, receivers
-from qillum.gaussian import OverlapResult
 
 from conftest import HEADLINE, random_valid_params
 
@@ -223,7 +224,7 @@ def test_required_m_reads_the_overlap_without_error_bounds(monkeypatch):
     draws += [ProtocolParams(ns=10.0**log_ns, kappa=0.1, g=1e4, nb=1e4, m=1) for log_ns in (-16, -13, -9)]
     per_mode = {Receiver.OPA: opa_bhattacharyya, Receiver.OPTIMUM: alice_optimum_bounds}
     overlaps = {(params, receiver): per_mode[receiver](params).q_star for params in draws for receiver in Receiver}
-    receivers._pair_overlaps.cache_clear()
+    receivers._memo.clear()
 
     def forbidden(*args):
         raise AssertionError("required_m formed an ErrorBounds")
@@ -252,8 +253,8 @@ def test_required_m_reads_the_overlap_without_error_bounds(monkeypatch):
 )
 def test_required_m_refuses_an_overlap_at_or_outside_the_ceiling(monkeypatch, headline_params, receiver, q, message):
     """An overlap within 1e-15 of 1, or outside (0, 1], is a ValueError whichever receiver reads it."""
-    monkeypatch.setattr(link, "_opa_overlap", lambda knobs: (None, q))
-    monkeypatch.setattr(link, "_pair_overlaps", lambda build, knobs: OverlapResult(q_s=q, s=0.5, q_half=q))
+    monkeypatch.setattr(link, "_opa_overlap", lambda params: (None, q))
+    monkeypatch.setattr(link, "_optimum_q_half", lambda params, observer: q)
     with pytest.raises(ValueError, match=message):
         required_m(headline_params, 1e-6, receiver)
 
@@ -324,10 +325,14 @@ def test_single_mode_pair_is_unusable():
 
 
 def test_planner_decomposes_each_state_once(williamson_calls, headline_params):
+    """One stacked pass per knob point, over bit 0 of Alice's pair and of Eve's: bit 1 is each one's mirror."""
     security_margin(headline_params)
-    assert len(williamson_calls) == 2  # bit 0 of Alice's pair and of Eve's: bit 1 is its mirror
+    assert len(williamson_calls) == 1
+    bit0 = [pair(headline_params)[0].cm.mat for pair in (alice_pair, eve_pair)]
+    assert [cm.mat.tolist() for cm in williamson_calls[0]] == [mat.tolist() for mat in bit0]
     williamson_calls.clear()
-    required_m(headline_params, 1e-6, Receiver.OPTIMUM)
-    assert len(williamson_calls) == 0  # Alice's pair from security_margin
+    for receiver in Receiver:
+        required_m(headline_params, 1e-6, receiver)
+    assert williamson_calls == []  # both pairs from security_margin
     required_m(ProtocolParams(**{**HEADLINE, "ns": 0.005}), 1e-6, Receiver.OPTIMUM)
-    assert len(williamson_calls) == 1  # fresh knobs: bit 0 of Alice's pair only
+    assert [len(stack) for stack in williamson_calls] == [2]  # fresh knobs: Eve's bit 0 rides along

@@ -1,6 +1,10 @@
 """Receiver bounds: optimum-receiver Chernoff, OPA photon counting, approximants."""
 
+import dataclasses
 import math
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 
 import qillum.receivers as receivers
 from qillum import (
+    IllConditionedMatrixError,
+    McConfig,
     OpaReceiverModel,
     ProtocolParams,
     alice_optimum_bounds,
@@ -22,6 +28,8 @@ from qillum import (
     geometric_bhattacharyya_overlap,
     opa_bhattacharyya,
     opa_model,
+    run_mc,
+    security_margin,
 )
 
 from conftest import parity_pair_q_half_gap, random_valid_params
@@ -409,11 +417,76 @@ def test_security_gap_in_regime():
 def test_shared_pair_evaluation_matches_fresh_chernoff_bound(params, other_m):
     """Bounds read from the per-knob memo equal a fresh evaluation at every M."""
     assume(other_m != params.m)
-    memo = receivers._pair_overlaps
+    memo = receivers._memo
+    memo.clear()
+    knobs = (params.ns, params.kappa, params.g, params.nb)
     for m in (params.m, other_m):
         at_m = ProtocolParams(ns=params.ns, kappa=params.kappa, g=params.g, nb=params.nb, m=m)
-        misses = memo.cache_info().misses
         for optimum_bounds, pair in ((alice_optimum_bounds, alice_pair), (eve_optimum_bounds, eve_pair)):
             assert optimum_bounds(at_m) == chernoff_bound(*pair(at_m), m)
-        if m == other_m:
-            assert memo.cache_info().misses == misses  # the second M reuses both pairs
+        if m == params.m:
+            point, q_halves = memo[knobs], memo[knobs].q_halves
+            assert q_halves is not None
+        else:
+            # the second M reuses the knob point and both values
+            assert list(memo) == [knobs] and memo[knobs] is point and point.q_halves is q_halves
+
+
+# At ns = 1, g = 1e6, nb = 2e12 one of the two bit-0 states is too ill-conditioned
+# to decompose: Eve's at kappa = 0.01, Alice's at kappa = 0.99.
+_REFUSED = {
+    0.01: (eve_optimum_bounds, alice_optimum_bounds, alice_pair, "1.329e+12"),
+    0.99: (alice_optimum_bounds, eve_optimum_bounds, eve_pair, "1.320e+12"),
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(_REFUSED))
+def test_each_receiver_raises_only_its_own_refusal(kappa):
+    """The other observer's bound still returns; security_margin raises; a repeat re-raises afresh and keeps nothing."""
+    refused, served, served_pair, cond = _REFUSED[kappa]
+    params = ProtocolParams(ns=1.0, kappa=kappa, g=1e6, nb=2e12, m=10)
+    receivers._memo.clear()
+    message = f"condition number {re.escape(cond)} exceeds 1e12"
+    raised = []
+    for call in (refused, security_margin, refused):
+        with pytest.raises(IllConditionedMatrixError, match=message) as info:
+            call(params)
+        raised.append(info.value)
+    assert len({id(error) for error in raised}) == 3
+    assert served(params) == chernoff_bound(*served_pair(params), 10)
+    assert receivers._memo[(params.ns, params.kappa, params.g, params.nb)].q_halves is None
+
+
+def test_opa_receiver_decomposes_nothing(williamson_calls, headline_params):
+    """opa_bhattacharyya and run_mc at fresh knobs read the OPA model alone."""
+    opa_bhattacharyya(headline_params)
+    fresh = dataclasses.replace(headline_params, ns=0.005, m=1000)
+    run_mc(McConfig(trials=10_000, seed=0, params=fresh))
+    assert williamson_calls == []
+
+
+def test_memo_holds_under_concurrent_callers():
+    """Threads missing the memo at once each get a lone caller's report, and the memo stays at its bound."""
+    points = [ProtocolParams(ns=0.004 * (1 + k), kappa=0.1, g=1e4, nb=1e4, m=100) for k in range(48)]
+    expected = [security_margin(params) for params in points]
+    receivers._memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            reports = list(pool.map(security_margin, points * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == expected * 4
+    assert len(receivers._memo) <= receivers._MEMO_SIZE
+
+
+def test_memo_keeps_at_most_its_bound():
+    """20 distinct knob points leave the memo at its bound, holding the latest points."""
+    receivers._memo.clear()
+    points = [ProtocolParams(ns=0.004 * (1 + k), kappa=0.1, g=1e4, nb=1e4, m=100) for k in range(20)]
+    for params in points:
+        security_margin(params)
+        opa_bhattacharyya(params)
+    assert len(receivers._memo) == receivers._MEMO_SIZE
+    assert list(receivers._memo) == [(p.ns, p.kappa, p.g, p.nb) for p in points[-receivers._MEMO_SIZE:]]
