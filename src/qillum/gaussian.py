@@ -27,7 +27,9 @@ each evaluation during the s-search is straight-line arithmetic on
 Python floats.  A pure state makes Q_s monotone in s, so the search
 takes the matching end of its bracket without iterating.  A parity
 pair, whose state1 is state0 mirrored, needs no search: its one Q_{1/2}
-is taken from state0 alone, with LAPACK's determinant of the 4 x 4 sum.
+is taken from state0 alone, with LAPACK's determinant of the 4 x 4 sum;
+the protocol path takes Alice's and Eve's from one (2, 4, 4) array, no
+``CovMat``, in one stacked decomposition, V(1/2) and determinant.
 
 The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
 It is bound straight from scipy's compiled ``scipy.linalg._flapack``
@@ -247,27 +249,22 @@ def to_unit_vacuum(cm: CovMat) -> CovMat:
     return CovMat(4.0 * cm.mat, Convention.UNIT_VACUUM)
 
 
-def _refuse_unphysical(label: str, nu0: float, nu1: float) -> None:
-    """Refuse the state named ``label`` if a symplectic eigenvalue lies below 1."""
-    if nu0 < 1.0 or nu1 < 1.0:
-        raise ValueError(f"{label} is unphysical: symplectic eigenvalues {np.array([nu0, nu1])} below 1")
+def _williamson_stack(mats: NDArray, conventions: tuple[Convention, ...], labels: tuple[str, ...] = ()) -> tuple[list[tuple[float, float]], NDArray]:
+    """Williamson decompositions of an (n, 4, 4) stack of covariance matrices, in one pass: each (nu_1, nu_2), and the (n, 4, 4) stack of S.
 
-
-def _williamson_stack(cms: tuple[CovMat, ...], labels: tuple[str, ...] = ()) -> tuple[list[tuple[float, float]], NDArray]:
-    """Williamson decompositions of a stack of covariance matrices, in one pass: each (nu_1, nu_2), and the (n, 4, 4) stack of S.
-
-    One ``eigh`` over the (n, 4, 4) stack, V^{1/2}, V^{-1/2} and
-    V^{-1/2} Omega V^{-1/2} as stacked matmuls, one ``dgees`` per matrix
-    and S for the whole stack; every float operation is the one a lone
-    matrix takes, so each result is the same to the bit at any stack size.
-    Matrix k is checked in full (convention, conditioning, and with
+    Each matrix is symmetric positive definite, as a ``CovMat`` holds it,
+    in convention ``conventions[k]``.  One ``eigh`` over the stack, V^{1/2},
+    V^{-1/2} and V^{-1/2} Omega V^{-1/2} as stacked matmuls, one ``dgees``
+    per matrix and S for the whole stack; every float operation is the one
+    a lone matrix takes, so each result is the same to the bit at any stack
+    size.  Matrix k is checked in full (convention, conditioning, and with
     ``labels`` physicality, refused as ``labels[k]``) before matrix k + 1,
     and no matrix from the first refused one on is inverted.
     """
-    lam, u = np.linalg.eigh(np.array([cm.mat for cm in cms]))
+    lam, u = np.linalg.eigh(mats)
     refusal = None
-    for n, (cm, spectrum) in enumerate(zip(cms, lam.tolist())):
-        if cm.convention is not Convention.UNIT_VACUUM:
+    for n, (convention, spectrum) in enumerate(zip(conventions, lam.tolist())):
+        if convention is not Convention.UNIT_VACUUM:
             refusal = ValueError("williamson requires the unit-vacuum convention")
             break
         # V is symmetric positive definite, so its 2-norm condition number is
@@ -278,8 +275,8 @@ def _williamson_stack(cms: tuple[CovMat, ...], labels: tuple[str, ...] = ()) -> 
             refusal = IllConditionedMatrixError(f"covariance matrix condition number {cond:.3e} exceeds 1e12")
             break
     else:
-        n = len(cms)
-    if n < len(cms):
+        n = len(conventions)
+    if n < len(conventions):
         lam, u = lam[:n], u[:n]
     u_t = u.transpose(0, 2, 1)
     root_lam = np.sqrt(lam)[:, np.newaxis, :]
@@ -304,8 +301,8 @@ def _williamson_stack(cms: tuple[CovMat, ...], labels: tuple[str, ...] = ()) -> 
             modes.reverse()
         (nu0, cols0), (nu1, cols1) = modes
         nu0, nu1 = (1.0 if 1.0 - NU_CLAMP_TOL <= v < 1.0 else v for v in (nu0, nu1))
-        if labels:
-            _refuse_unphysical(labels[k], nu0, nu1)
+        if labels and (nu0 < 1.0 or nu1 < 1.0):
+            raise ValueError(f"{labels[k]} is unphysical: symplectic eigenvalues {np.array([nu0, nu1])} below 1")
         nus.append((nu0, nu1))
         q_rows.append(q.T.take(cols0 + cols1, axis=0))
     if refusal is not None:
@@ -333,7 +330,7 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         IllConditionedMatrixError: condition number above 1e12.
         numpy.linalg.LinAlgError: dgees found no Schur form.
     """
-    nus, symplectic = _williamson_stack((cm,))
+    nus, symplectic = _williamson_stack(cm.mat[np.newaxis], (cm.convention,))
     return np.array(nus[0]), symplectic[0]
 
 
@@ -399,13 +396,6 @@ def _mode_powers(modes: list, s: float) -> tuple[list[float], list[float]]:
         traces.append(2.0**s / (a - b))
         nus.append((a + b) / (a - b))
     return traces, nus
-
-
-def _power_modes(modes: list, symplectic: NDArray, s: float) -> tuple[list[float], NDArray]:
-    """Each mode's tr(rho**s), and V(s) = S diag(nu_k(s)) S^T, from ``_thermal_modes``."""
-    traces, (nu0, nu1) = _mode_powers(modes, s)
-    # Bit-identical to S @ diag(d) @ S^T, whose diagonal matmul only adds exact zeros.
-    return traces, (symplectic * [nu0, nu0, nu1, nu1]) @ symplectic.T
 
 
 @functools.cache
@@ -476,8 +466,9 @@ def power_cm(decomp: tuple[NDArray[np.float64], NDArray[np.float64]], s: float) 
     for value in nu:
         if not 1.0 <= value < math.inf:
             raise ValueError(f"symplectic eigenvalue {value} is below 1 or not finite")
-    s = _check_power(s)
-    return _power_modes(_thermal_modes(np.asarray(nu).tolist()), symplectic, s)[1]
+    _, (nu0, nu1) = _mode_powers(_thermal_modes(np.asarray(nu).tolist()), _check_power(s))
+    # Bit-identical to S @ diag(d) @ S^T, whose diagonal matmul only adds exact zeros.
+    return (symplectic * [nu0, nu0, nu1, nu1]) @ symplectic.T
 
 
 def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> tuple[Callable[[float], float], float | None]:
@@ -500,7 +491,8 @@ def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> tuple[Ca
     least at ``_S_HI``.  That end (``_S_LO`` if both are pure) is returned
     beside the evaluator, None for two mixed states.
     """
-    (spectrum0, spectrum1), symplectic = _williamson_stack((state0.cm, state1.cm), ("state0", "state1"))
+    (spectrum0, spectrum1), symplectic = _williamson_stack(
+        np.array([state0.cm.mat, state1.cm.mat]), (state0.cm.convention, state1.cm.convention), ("state0", "state1"))
     (n00, e00), (n01, e01) = modes0 = _thermal_modes(spectrum0)
     (n10, e10), (n11, e11) = modes1 = _thermal_modes(spectrum1)
     p00, p01, p10, p11 = n00 + 1.0, n01 + 1.0, n10 + 1.0, n11 + 1.0
@@ -548,15 +540,19 @@ def _overlap_evaluator(state0: GaussianState, state1: GaussianState) -> tuple[Ca
     return q, end
 
 
-def _parity_q_half(nu: tuple[float, float], symplectic: NDArray) -> float:
-    """Q_{1/2} of the parity pair (rho, P rho P) from rho's Williamson form: nu as Python floats, physical, and S.
+def _parity_q_halves(nus: list[tuple[float, float]], symplectic: NDArray) -> tuple[float, ...]:
+    """Q_{1/2} of each parity pair (rho, P rho P) from rho's Williamson form: each (nu_1, nu_2) as Python floats, physical, and the (n, 4, 4) stack of S.
 
     P is a diagonal +-1 symplectic, so P rho P has rho's traces and
     V(1/2) = P V0(1/2) P, and Q_{1/2} = 4 t0 t1 t0 t1 /
-    sqrt(det[V0(1/2) + P V0(1/2) P]) with LAPACK's determinant, capped at 1.
+    sqrt(det[V0(1/2) + P V0(1/2) P]), capped at 1, with one stacked V0(1/2)
+    and LAPACK determinant for all n: the same bits at any stack size.
     """
-    traces, v = _power_modes(_thermal_modes(nu), symplectic, 0.5)
-    return min(math.prod(traces + traces, start=4.0) / math.sqrt(np.linalg.det(v + v * _PARITY_SIGNS)), 1.0)
+    powers = [_mode_powers(_thermal_modes(nu), 0.5) for nu in nus]
+    # Bit-identical to S @ diag(d) @ S^T, whose diagonal matmul only adds exact zeros.
+    v = (symplectic * [[(x0, x0, x1, x1)] for _, (x0, x1) in powers]) @ symplectic.transpose(0, 2, 1)
+    dets = np.linalg.det(v + v * _PARITY_SIGNS).tolist()
+    return tuple(min(math.prod(t + t, start=4.0) / math.sqrt(det), 1.0) for (t, _), det in zip(powers, dets))
 
 
 def power_overlap(state0: GaussianState, state1: GaussianState, s: float) -> float:
@@ -649,9 +645,9 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     A parity pair (V1 = P V0 P exactly, in one convention, P negating both
     quadratures of mode 2, as in every protocol pair) has Q_s = Q_{1-s} and
     log Q_s convex in s, so it returns s = 1/2 and one Q_{1/2} from state0
-    alone (``_parity_q_half``).  The receivers take the same Q_{1/2} for
-    Alice's and Eve's pairs without this call: per knob point, both bit-0
-    states in one stacked pass, then ``_parity_q_half`` on each.
+    alone (``_parity_q_halves``, a stack of one).  The receivers take both
+    protocol pairs' Q_{1/2} from one stacked ``_parity_q_halves`` on the
+    bit-0 (2, 4, 4) array, without this call or a ``CovMat``.
 
     Other pairs take the evaluator of both decomposed states and Brent's
     bounded minimiser (parabolic interpolation with a golden-section
@@ -670,10 +666,7 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     """
     # Compared as lists of floats: np.array_equal's verdict on two 4 x 4 matrices, without its wrapper's cost.
     if state1.cm.convention is state0.cm.convention and state1.cm.mat.tolist() == (state0.cm.mat * _PARITY_SIGNS).tolist():
-        nu, symplectic = williamson(state0.cm)
-        nu0, nu1 = nu.tolist()
-        _refuse_unphysical("state0", nu0, nu1)
-        q_half = _parity_q_half((nu0, nu1), symplectic)
+        (q_half,) = _parity_q_halves(*_williamson_stack(state0.cm.mat[np.newaxis], (state0.cm.convention,), ("state0",)))
         return OverlapResult(q_s=q_half, s=0.5, q_half=q_half)
     f, end = _overlap_evaluator(state0, state1)
     q_half = f(0.5)

@@ -150,14 +150,15 @@ def source_cm(ns: float) -> CovMat:
     return _two_mode_cm(s_diag, s_diag, c_q, -c_q)
 
 
-def _alice_bit0(c: DerivedCoefficients) -> CovMat:
-    """Bit 0's matrix of Alice's pair (see ``alice_pair``), built and validated from the coefficients."""
-    return _two_mode_cm(c.a, c.s_diag, c.c_a, -c.c_a)
+def _bit0_stack(c: DerivedCoefficients) -> NDArray[np.float64]:
+    """Bit 0's matrix of Alice's pair (row 0, see ``alice_pair``) and of Eve's (row 1, see ``eve_pair``): one (2, 4, 4) unit-vacuum array, not validated.
 
-
-def _eve_bit0(c: DerivedCoefficients) -> CovMat:
-    """Bit 0's matrix of Eve's pair (see ``eve_pair``), built and validated from the coefficients."""
-    return _two_mode_cm(c.d, c.e, c.c_e, c.c_e)
+    Each row is symmetric by construction, so ``CovMat``'s copy, symmetry
+    check and symmetrisation are exact no-ops on it.
+    """
+    a, s, ca, d, e, ce = c.a, c.s_diag, c.c_a, c.d, c.e, c.c_e
+    return np.array([[[a, 0.0, ca, 0.0], [0.0, a, 0.0, -ca], [ca, 0.0, s, 0.0], [0.0, -ca, 0.0, s]],
+                     [[d, 0.0, ce, 0.0], [0.0, d, 0.0, ce], [ce, 0.0, e, 0.0], [0.0, ce, 0.0, e]]])
 
 
 def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -166,10 +167,10 @@ def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     Unit-vacuum convention, ordering (x_R, p_R, x_I, p_I): diagonal
     (a, a, s_diag, s_diag).  The correlation is phase sensitive: the x-x
     entry carries (-1)^k c_a and the p-p entry the opposite sign.  Only bit
-    0's matrix is built and validated; bit 1's is bit 0's mirrored by P
+    0's matrix is validated; bit 1's is bit 0's mirrored by P
     (both idler quadratures negated), exactly V0 * ``_PARITY_SIGNS``.
     """
-    bit0 = _alice_bit0(derived_coefficients(params))
+    bit0 = CovMat(_bit0_stack(derived_coefficients(params))[0], Convention.UNIT_VACUUM)
     return GaussianState(bit0), GaussianState(bit0._parity_mirror())
 
 
@@ -179,11 +180,11 @@ def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     Unit-vacuum convention, ordering (x_S', p_S', x_R', p_R') for the two
     tapped modes: diagonal (d, d, e, e).  Unlike Alice's pair the
     correlation here is phase insensitive: (-1)^k c_e multiplies both the
-    x-x and the p-p entry.  Only bit 0's matrix is built and validated; bit
+    x-x and the p-p entry.  Only bit 0's matrix is validated; bit
     1's is bit 0's mirrored by P (both return quadratures negated), exactly
     V0 * ``_PARITY_SIGNS``.
     """
-    bit0 = _eve_bit0(derived_coefficients(params))
+    bit0 = CovMat(_bit0_stack(derived_coefficients(params))[1], Convention.UNIT_VACUUM)
     return GaussianState(bit0), GaussianState(bit0._parity_mirror())
 
 

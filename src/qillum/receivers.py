@@ -17,8 +17,10 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .gaussian import CovMat, ErrorBounds, _as_float, _parity_q_half, _williamson_stack, error_bounds_from_overlaps
-from .protocol import DerivedCoefficients, ProtocolParams, _alice_bit0, _eve_bit0, derived_coefficients
+import numpy as np
+
+from .gaussian import _ENTRY_MAX, Convention, CovMat, ErrorBounds, _as_float, _parity_q_halves, _williamson_stack, error_bounds_from_overlaps
+from .protocol import DerivedCoefficients, ProtocolParams, _bit0_stack, derived_coefficients
 
 __all__ = [
     "OpaReceiverModel",
@@ -76,7 +78,7 @@ class ApproxExponents:
 
 # The knob points the memo below keeps, oldest evicted first.
 _MEMO_SIZE = 8
-# Which observer's optimum Q_{1/2} a caller reads.
+# Which observer's optimum Q_{1/2} a caller reads: its row of ``_bit0_stack``.
 _ALICE, _EVE = 0, 1
 
 
@@ -85,7 +87,7 @@ class _KnobPoint:
     """The evaluation shared by every call at one (ns, kappa, g, nb): filled from one ``derived_coefficients``.
 
     ``q_halves`` holds Alice's and Eve's optimum Q_{1/2} once both bit-0
-    states are decomposed in one stacked pass; ``opa`` the OPA model and
+    matrices are decomposed in one stacked pass; ``opa`` the OPA model and
     its overlap once asked for.  A refused evaluation is not kept.
     """
 
@@ -111,27 +113,29 @@ def _knob_point(params: ProtocolParams) -> _KnobPoint:
     return point
 
 
-def _parity_q_halves(cms: tuple[CovMat, ...]) -> tuple[float, ...]:
-    """Each bit-0 matrix's parity-pair Q_{1/2}, all decomposed in one stacked pass."""
-    nus, symplectic = _williamson_stack(cms, ("state0",) * len(cms))
-    return tuple(_parity_q_half(nu, s) for nu, s in zip(nus, symplectic))
-
-
 def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
     """Q_{1/2} of ``_ALICE``'s or ``_EVE``'s pair at params' knobs, also its s-minimised overlap (a parity pair's s* is 1/2).
 
-    The first call at a knob point decomposes both bit-0 states in one
-    stacked pass and keeps both values.  Where that pass refuses, the
-    observer's own state is decomposed alone, so each observer raises only
-    the refusal of that observer's own pair, and nothing is kept.
+    The first call at a knob point checks both bit-0 matrices, one
+    (2, 4, 4) array (``protocol._bit0_stack``), as ``CovMat`` would check
+    each row: six coefficients finite and at most ``_ENTRY_MAX`` (NaN
+    refused), one Cholesky over the stack.  It decomposes them in one
+    stacked pass and keeps both values.  Where any of that refuses, the
+    observer's row alone is made a ``CovMat`` and decomposed, so each
+    observer raises only its own pair's refusal, and nothing is kept.
     """
     point = _knob_point(params)
     if point.q_halves is None:
         c = point.coefficients
+        stack = _bit0_stack(c)
         try:
-            point.q_halves = _parity_q_halves((_alice_bit0(c), _eve_bit0(c)))
+            if not all(abs(x) <= _ENTRY_MAX for x in (c.a, c.s_diag, c.c_a, c.d, c.e, c.c_e)):
+                raise ValueError("bit-0 matrix entries must be finite and at most 8.9e307 in size")
+            np.linalg.cholesky(stack)  # LinAlgError is a ValueError
+            point.q_halves = _parity_q_halves(*_williamson_stack(stack, (Convention.UNIT_VACUUM,) * 2, ("state0",) * 2))
         except ValueError:
-            return _parity_q_halves(((_alice_bit0, _eve_bit0)[observer](c),))[0]
+            row = CovMat(stack[observer], Convention.UNIT_VACUUM)
+            return _parity_q_halves(*_williamson_stack(row.mat[np.newaxis], (row.convention,), ("state0",)))[0]
     return point.q_halves[observer]
 
 
@@ -144,10 +148,10 @@ def alice_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
     """Chernoff-family bounds for Alice's optimum quantum receiver.
 
     Alice's pair is a parity pair, so s* = 1/2 and the Chernoff bound is
-    the Bhattacharyya bound.  Per (ns, kappa, g, nb) the bit-0 states of
-    Alice's pair and Eve's are decomposed once, in one stacked pass, and
-    both Q_{1/2} are kept; only M is per call.  A refusal is that of
-    Alice's pair, never Eve's.
+    the Bhattacharyya bound.  Per (ns, kappa, g, nb) the bit-0 matrices of
+    Alice's pair and Eve's are one (2, 4, 4) array, no ``CovMat``, and
+    both Q_{1/2} come from one stacked pass and are kept; only M is per
+    call.  A refusal is that of Alice's pair alone, never Eve's.
     """
     return _optimum_bounds(params, _ALICE)
 
@@ -156,10 +160,10 @@ def eve_optimum_bounds(params: ProtocolParams) -> ErrorBounds:
     """Chernoff-family bounds for Eve's optimum quantum receiver.
 
     Eve's pair is a parity pair, so s* = 1/2 and the Chernoff bound is
-    the Bhattacharyya bound.  Per (ns, kappa, g, nb) the bit-0 states of
-    Eve's pair and Alice's are decomposed once, in one stacked pass, and
-    both Q_{1/2} are kept; only M is per call.  A refusal is that of
-    Eve's pair, never Alice's.
+    the Bhattacharyya bound.  Per (ns, kappa, g, nb) the bit-0 matrices of
+    Eve's pair and Alice's are one (2, 4, 4) array, no ``CovMat``, and
+    both Q_{1/2} come from one stacked pass and are kept; only M is per
+    call.  A refusal is that of Eve's pair alone, never Alice's.
     """
     return _optimum_bounds(params, _EVE)
 

@@ -110,19 +110,19 @@ def headline_params() -> ProtocolParams:
 def williamson_calls(monkeypatch) -> list:
     """Record every stack of covariance matrices that ``gaussian._williamson_stack`` decomposes.
 
-    Each call is one entry, the tuple of its matrices: ``williamson`` is a
-    stack of one, a general pair's evaluator stacks both states, and the
-    receivers' knob-point memo stacks Alice's bit 0 and Eve's.  Empties
-    that memo first, so that points an earlier test evaluated are
-    decomposed (and counted) again.
+    Each call is one entry, the (n, 4, 4) array it was given, not a copy:
+    ``williamson`` is a stack of one, a general pair's evaluator stacks
+    both states, and the receivers' knob-point memo stacks Alice's bit 0
+    and Eve's.  Empties that memo first, so that points an earlier test
+    evaluated are decomposed (and counted) again.
     """
     receivers._memo.clear()
     calls = []
     original = gaussian._williamson_stack
 
-    def counting(cms, *args):
-        calls.append(tuple(cms))
-        return original(cms, *args)
+    def counting(mats, *args):
+        calls.append(mats)
+        return original(mats, *args)
 
     for module in (gaussian, receivers):
         monkeypatch.setattr(module, "_williamson_stack", counting)

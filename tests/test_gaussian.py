@@ -714,7 +714,8 @@ def test_stacked_pair_decomposition_matches_each_lone_state_bit_for_bit():
     rng = np.random.default_rng(4242)
     for _ in range(300):
         state0, state1, _ = draws.draw(rng)
-        nus, symplectic = gaussian._williamson_stack((state0.cm, state1.cm), ("state0", "state1"))
+        stack, conventions = np.array([state0.cm.mat, state1.cm.mat]), (state0.cm.convention, state1.cm.convention)
+        nus, symplectic = gaussian._williamson_stack(stack, conventions, ("state0", "state1"))
         assert len(nus) == 2 and symplectic.shape == (2, 4, 4)
         for state, nu, sp in zip((state0, state1), nus, symplectic):
             assert all(type(v) is float for v in nu)
@@ -1116,11 +1117,19 @@ def test_a_mirror_in_another_convention_is_not_a_parity_pair():
         minimize_overlap(state0, quarter)
 
 
+def test_williamson_decomposes_the_matrix_without_a_copy(williamson_calls):
+    """A lone ``williamson`` hands its matrix to the stacked routine as a (1, 4, 4) view: no list, no copy."""
+    cm = alice_pair(ProtocolParams(**HEADLINE))[0].cm
+    williamson(cm)
+    assert len(williamson_calls) == 1 and williamson_calls[0].shape == (1, 4, 4)
+    assert np.shares_memory(williamson_calls[0], cm.mat)
+
+
 def test_chernoff_bound_decomposes_each_state_once(williamson_calls):
     """A parity pair decomposes state0 alone; any other pair decomposes both states once."""
     state0, _ = pair = alice_pair(ProtocolParams(**HEADLINE))
     chernoff_bound(*pair, 100)
-    assert [len(stack) for stack in williamson_calls] == [1] and williamson_calls[0][0] is state0.cm
+    assert [len(stack) for stack in williamson_calls] == [1] and np.shares_memory(williamson_calls[0], state0.cm.mat)
     williamson_calls.clear()
     bounds = chernoff_bound(thermal_state(0.0), thermal_state(3.0), 100)
     assert bounds.s_star < 0.01  # the search ran

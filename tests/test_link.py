@@ -329,7 +329,7 @@ def test_planner_decomposes_each_state_once(williamson_calls, headline_params):
     security_margin(headline_params)
     assert len(williamson_calls) == 1
     bit0 = [pair(headline_params)[0].cm.mat for pair in (alice_pair, eve_pair)]
-    assert [cm.mat.tolist() for cm in williamson_calls[0]] == [mat.tolist() for mat in bit0]
+    assert williamson_calls[0].tolist() == [mat.tolist() for mat in bit0]
     williamson_calls.clear()
     for receiver in Receiver:
         required_m(headline_params, 1e-6, receiver)

@@ -12,8 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qillum.gaussian as gaussian
+import qillum.protocol as protocol
 import qillum.receivers as receivers
 from qillum import (
+    CovMat,
+    DerivedCoefficients,
     IllConditionedMatrixError,
     McConfig,
     OpaReceiverModel,
@@ -26,14 +30,18 @@ from qillum import (
     eve_optimum_bounds,
     eve_pair,
     geometric_bhattacharyya_overlap,
+    derived_coefficients,
+    minimize_overlap,
     opa_bhattacharyya,
     opa_model,
+    required_m,
     run_mc,
     security_margin,
 )
+from qillum.link import Receiver
 
 from conftest import parity_pair_q_half_gap, random_valid_params
-from test_gaussian import protocol_params
+from test_gaussian import float_hex, protocol_params, workloads
 
 
 def opa_output_photons_oracle(params: ProtocolParams, bit: int) -> float:
@@ -490,3 +498,117 @@ def test_memo_keeps_at_most_its_bound():
         opa_bhattacharyya(params)
     assert len(receivers._memo) == receivers._MEMO_SIZE
     assert list(receivers._memo) == [(p.ns, p.kappa, p.g, p.nb) for p in points[-receivers._MEMO_SIZE:]]
+
+
+_UNIT = gaussian.Convention.UNIT_VACUUM
+
+
+def assert_stacked_q_halves_are_each_lone_q_half(params):
+    """Both Q_1/2 from the (2, 4, 4) bit-0 pass equal, as float hex, each row's stack of one and ``minimize_overlap`` on its pair."""
+    stack = protocol._bit0_stack(derived_coefficients(params))
+    stacked = gaussian._parity_q_halves(*gaussian._williamson_stack(stack, (_UNIT, _UNIT), ("state0", "state0")))
+    lone = [gaussian._parity_q_halves(*gaussian._williamson_stack(stack[k : k + 1], (_UNIT,), ("state0",)))[0] for k in (0, 1)]
+    paired = [minimize_overlap(*pair(params)).q_half for pair in (alice_pair, eve_pair)]
+    assert float_hex(stacked) == float_hex(lone) == float_hex(paired)
+    receivers._memo.clear()
+    served = [optimum_bounds(params).q_half for optimum_bounds in (alice_optimum_bounds, eve_optimum_bounds)]
+    assert float_hex(served) == float_hex(stacked)
+
+
+def test_stacked_bit0_q_halves_match_each_observer_alone_on_plan_scan_draws():
+    """Over 300 ``PlanScan`` draws at seed 77, every one decomposed in the stacked pass."""
+    draws = workloads.PlanScan()
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        assert_stacked_q_halves_are_each_lone_q_half(draws.draw(rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=protocol_params())
+def test_stacked_bit0_q_halves_match_each_observer_alone(params):
+    assert_stacked_q_halves_are_each_lone_q_half(params)
+
+
+_FINITE = (ValueError, "covariance matrix entries must be finite and at most 8.9e307 in size")
+_CONDITION = "covariance matrix condition number {} exceeds 1e12"
+# (ns, kappa, g, nb): the refusal of Alice's optimum receiver and of Eve's, None where served.
+_EDGE_REFUSALS = {
+    (1e300, 0.5, 1e10, 1e10): (_FINITE, _FINITE),
+    (1e9, 0.999999, 1.0, 0.0): ((IllConditionedMatrixError, _CONDITION.format("4.793e+15")), None),
+    (1e17, 0.9999999, 1.0, 0.0): ((IllConditionedMatrixError, _CONDITION.format("inf")), None),
+    (1e-300, 0.5, 1e300, 1e300): ((IllConditionedMatrixError, _CONDITION.format("inf")),) * 2,
+    # the two points of ``_REFUSED``
+    (1.0, 0.01, 1e6, 2e12): (None, (IllConditionedMatrixError, _CONDITION.format("1.329e+12"))),
+    (1.0, 0.99, 1e6, 2e12): ((IllConditionedMatrixError, _CONDITION.format("1.320e+12")), None),
+}
+
+
+def raised(call, params):
+    """(type, message) of the exception ``call(params)`` raises, or None where it returns."""
+    try:
+        call(params)
+    except ValueError as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("knobs", list(_EDGE_REFUSALS), ids=repr)
+def test_each_refusal_keeps_its_type_and_message(knobs):
+    """Each observer raises exactly its own refusal, whichever observer comes first; security_margin raises Alice's, else Eve's."""
+    alice, eve = _EDGE_REFUSALS[knobs]
+    params = ProtocolParams(*knobs, m=10)
+    for calls in ((alice_optimum_bounds, eve_optimum_bounds), (eve_optimum_bounds, alice_optimum_bounds)):
+        receivers._memo.clear()
+        got = {call: raised(call, params) for call in calls}
+        assert (got[alice_optimum_bounds], got[eve_optimum_bounds]) == (alice, eve)
+    receivers._memo.clear()
+    assert raised(security_margin, params) == (alice or eve)
+
+
+# Alice's bit-0 matrix is not positive definite (c_a**2 > a s_diag), Eve's is the vacuum.
+_NOT_POSITIVE = DerivedCoefficients(s_diag=1.0, c_q=0.0, a=1.0, c_a=2.0, d=1.0, c_e=0.0, e=1.0)
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        (_NOT_POSITIVE, "covariance matrix must be positive definite"),
+        (dataclasses.replace(_NOT_POSITIVE, c_a=math.nan), _FINITE[1]),
+        (dataclasses.replace(_NOT_POSITIVE, c_a=0.0, a=math.inf), _FINITE[1]),
+        # finite, positive definite and well conditioned, but beyond CovMat's entry bound
+        (dataclasses.replace(_NOT_POSITIVE, c_a=0.0, a=1e308, s_diag=1e308), _FINITE[1]),
+    ],
+    ids=["not positive definite", "NaN", "inf", "above the entry bound"],
+)
+def test_an_invalid_bit0_row_refuses_as_its_covmat_would(coefficients, message, monkeypatch, headline_params, williamson_calls):
+    """The stacked check refuses an invalid row, NaN included, before any decomposition; that observer raises CovMat's error, the other is served."""
+    monkeypatch.setattr(receivers, "derived_coefficients", lambda params: coefficients)
+    assert raised(alice_optimum_bounds, headline_params) == (ValueError, message)
+    assert eve_optimum_bounds(headline_params).q_half == 1.0  # the vacuum against itself
+    assert len(williamson_calls) == 1 and np.array_equal(williamson_calls[0], [np.eye(4)])  # Eve's row alone
+    monkeypatch.setattr(protocol, "derived_coefficients", lambda params: coefficients)
+    assert raised(alice_pair, headline_params) == (ValueError, message)
+    assert raised(eve_pair, headline_params) is None
+
+
+def test_planner_validates_no_covmat(monkeypatch, headline_params):
+    """security_margin and both required_m at fresh knobs build no CovMat; alice_pair and eve_pair still refuse an invalid one."""
+    validated = []
+    original = CovMat.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        original(self)
+
+    monkeypatch.setattr(CovMat, "__post_init__", counting)
+    receivers._memo.clear()
+    for ns in (0.004, 0.005):
+        params = dataclasses.replace(headline_params, ns=ns)
+        security_margin(params)
+        for receiver in Receiver:
+            required_m(dataclasses.replace(params, ns=ns * 1.5), 1e-6, receiver)
+    assert validated == []
+    beyond = ProtocolParams(ns=1e300, kappa=0.5, g=1e10, nb=1e10, m=10)
+    for pair in (alice_pair, eve_pair):
+        assert raised(pair, beyond) == _FINITE
+    assert len(validated) == 2
