@@ -177,7 +177,7 @@ def _sweep_m_values(m_min: int, m_max: int, points: int, scale: str) -> list[int
 
 
 def sweep_rows(params: ProtocolParams, m_values: list[int]) -> list[tuple[int, float, float, float, float]]:
-    """Bound curves over ``m_values`` (``params.m`` is ignored); the receivers' memo evaluates each pair once."""
+    """Bound curves over ``m_values`` (``params.m`` is ignored); the receivers' knob-point slot evaluates each pair once."""
     margins = (security_margin(dataclasses.replace(params, m=m)) for m in m_values)
     return [(m, r.alice_optimum.chernoff_upper, r.alice_opa.bhattacharyya_upper, r.eve.chernoff_upper, r.eve.lower_bound)
             for m, r in zip(m_values, margins)]

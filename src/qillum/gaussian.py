@@ -185,21 +185,6 @@ class CovMat:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
-    def _parity_mirror(self) -> CovMat:
-        """P V P = V * ``_PARITY_SIGNS`` in the same convention, wrapped without a second validation.
-
-        An exact sign flip keeps every property checked above (real, 4 x 4,
-        finite, symmetric, positive definite), so the mirror skips the copy,
-        the symmetry check and the Cholesky; its matrix is a new read-only
-        array.
-        """
-        mirrored = self.mat * _PARITY_SIGNS
-        mirrored.setflags(write=False)
-        cm = object.__new__(CovMat)
-        object.__setattr__(cm, "mat", mirrored)
-        object.__setattr__(cm, "convention", self.convention)
-        return cm
-
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -647,7 +632,7 @@ def minimize_overlap(state0: GaussianState, state1: GaussianState) -> OverlapRes
     log Q_s convex in s, so it returns s = 1/2 and one Q_{1/2} from state0
     alone (``_parity_q_halves``, a stack of one).  The receivers take both
     protocol pairs' Q_{1/2} from one stacked ``_parity_q_halves`` on the
-    bit-0 (2, 4, 4) array, without this call or a ``CovMat``.
+    bit-0 (2, 4, 4) array, and this call only where that pass refuses.
 
     Other pairs take the evaluator of both decomposed states and Brent's
     bounded minimiser (parabolic interpolation with a golden-section

@@ -119,11 +119,11 @@ def required_m(
     down to the smallest M that meets the target in floating point.  q is
     read directly, with no ``ErrorBounds`` formed: the OPA receiver's
     geometric Bhattacharyya coefficient, or the optimum receiver's
-    s-minimised overlap, each from the evaluation the receivers share per
-    (ns, kappa, g, nb).  For the optimum receiver that evaluation
-    decomposes Alice's bit-0 state and Eve's in one stacked pass, so a
-    first call at fresh knobs also pays for Eve's, which
-    ``security_margin`` at the same knobs then reads.
+    s-minimised overlap, each from the evaluation the receivers keep for
+    the last (ns, kappa, g, nb) asked about.  For the optimum receiver
+    that evaluation decomposes Alice's bit-0 state and Eve's in one
+    stacked pass, so a first call at fresh knobs also pays for Eve's,
+    which ``security_margin`` at the same knobs then reads.
 
     Raises:
         ValueError: ``receiver`` not a ``Receiver`` member, target outside

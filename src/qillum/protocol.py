@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import Convention, CovMat, GaussianState, IllConditionedMatrixError, _count, _real, to_unit_vacuum, williamson
+from .gaussian import _PARITY_SIGNS, Convention, CovMat, GaussianState, IllConditionedMatrixError, _count, _real, to_unit_vacuum, williamson
 
 __all__ = [
     "ProtocolParams",
@@ -166,12 +166,12 @@ def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
 
     Unit-vacuum convention, ordering (x_R, p_R, x_I, p_I): diagonal
     (a, a, s_diag, s_diag).  The correlation is phase sensitive: the x-x
-    entry carries (-1)^k c_a and the p-p entry the opposite sign.  Only bit
-    0's matrix is validated; bit 1's is bit 0's mirrored by P
-    (both idler quadratures negated), exactly V0 * ``_PARITY_SIGNS``.
+    entry carries (-1)^k c_a and the p-p entry the opposite sign.  Bit 1's
+    matrix is bit 0's mirrored by P (both idler quadratures negated),
+    exactly V0 * ``_PARITY_SIGNS``; each is validated as a ``CovMat``.
     """
     bit0 = CovMat(_bit0_stack(derived_coefficients(params))[0], Convention.UNIT_VACUUM)
-    return GaussianState(bit0), GaussianState(bit0._parity_mirror())
+    return GaussianState(bit0), GaussianState(CovMat(bit0.mat * _PARITY_SIGNS, Convention.UNIT_VACUUM))
 
 
 def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -180,12 +180,12 @@ def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     Unit-vacuum convention, ordering (x_S', p_S', x_R', p_R') for the two
     tapped modes: diagonal (d, d, e, e).  Unlike Alice's pair the
     correlation here is phase insensitive: (-1)^k c_e multiplies both the
-    x-x and the p-p entry.  Only bit 0's matrix is validated; bit
-    1's is bit 0's mirrored by P (both return quadratures negated), exactly
-    V0 * ``_PARITY_SIGNS``.
+    x-x and the p-p entry.  Bit 1's matrix is bit 0's mirrored by P (both
+    return quadratures negated), exactly V0 * ``_PARITY_SIGNS``; each is
+    validated as a ``CovMat``.
     """
     bit0 = CovMat(_bit0_stack(derived_coefficients(params))[1], Convention.UNIT_VACUUM)
-    return GaussianState(bit0), GaussianState(bit0._parity_mirror())
+    return GaussianState(bit0), GaussianState(CovMat(bit0.mat * _PARITY_SIGNS, Convention.UNIT_VACUUM))
 
 
 def validate_physicality(cm: CovMat) -> PhysicalityReport:

@@ -14,13 +14,12 @@ Closed-form exponent approximants valid for dim sources over noisy links
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _ENTRY_MAX, Convention, CovMat, ErrorBounds, _as_float, _parity_q_halves, _williamson_stack, error_bounds_from_overlaps
-from .protocol import DerivedCoefficients, ProtocolParams, _bit0_stack, derived_coefficients
+from .gaussian import _ENTRY_MAX, Convention, ErrorBounds, _as_float, _parity_q_halves, _williamson_stack, error_bounds_from_overlaps, minimize_overlap
+from .protocol import DerivedCoefficients, ProtocolParams, _bit0_stack, alice_pair, derived_coefficients, eve_pair
 
 __all__ = [
     "OpaReceiverModel",
@@ -76,8 +75,6 @@ class ApproxExponents:
     in_regime: bool
 
 
-# The knob points the memo below keeps, oldest evicted first.
-_MEMO_SIZE = 8
 # Which observer's optimum Q_{1/2} a caller reads: its row of ``_bit0_stack``.
 _ALICE, _EVE = 0, 1
 
@@ -88,7 +85,8 @@ class _KnobPoint:
 
     ``q_halves`` holds Alice's and Eve's optimum Q_{1/2} once both bit-0
     matrices are decomposed in one stacked pass; ``opa`` the OPA model and
-    its overlap once asked for.  A refused evaluation is not kept.
+    its overlap once asked for.  A refused evaluation is not kept.  Only
+    the last knob point asked about keeps its record (``_last``).
     """
 
     coefficients: DerivedCoefficients
@@ -96,20 +94,18 @@ class _KnobPoint:
     opa: tuple[OpaReceiverModel, float] | None = None
 
 
-_memo: dict[tuple[float, float, float, float], _KnobPoint] = {}
-_memo_lock = threading.Lock()
+# The last (knobs, record), rebound whole and read once, so that concurrent callers need no lock.
+_last: tuple[tuple[float, float, float, float] | None, _KnobPoint | None] = (None, None)
 
 
 def _knob_point(params: ProtocolParams) -> _KnobPoint:
-    """The memo's record for params' (ns, kappa, g, nb), made from the validated params on a miss."""
+    """The record for params' (ns, kappa, g, nb): the last one if its knobs match, else a new one made from the validated params."""
+    global _last
     knobs = (params.ns, params.kappa, params.g, params.nb)
-    point = _memo.get(knobs)
-    if point is None:
+    last_knobs, point = _last
+    if last_knobs != knobs:
         point = _KnobPoint(derived_coefficients(params))
-        with _memo_lock:  # evict-then-insert, so that concurrent misses keep the bound and evict no key twice
-            if len(_memo) >= _MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-            _memo[knobs] = point
+        _last = knobs, point
     return point
 
 
@@ -117,25 +113,23 @@ def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
     """Q_{1/2} of ``_ALICE``'s or ``_EVE``'s pair at params' knobs, also its s-minimised overlap (a parity pair's s* is 1/2).
 
     The first call at a knob point checks both bit-0 matrices, one
-    (2, 4, 4) array (``protocol._bit0_stack``), as ``CovMat`` would check
-    each row: six coefficients finite and at most ``_ENTRY_MAX`` (NaN
-    refused), one Cholesky over the stack.  It decomposes them in one
-    stacked pass and keeps both values.  Where any of that refuses, the
-    observer's row alone is made a ``CovMat`` and decomposed, so each
-    observer raises only its own pair's refusal, and nothing is kept.
+    (2, 4, 4) array (``protocol._bit0_stack``), as ``CovMat`` checks a
+    matrix: entries finite and at most ``_ENTRY_MAX`` (NaN refused), then
+    one Cholesky over the stack.  It decomposes them in one stacked pass
+    and keeps both values.  Where any of that refuses, the observer's own
+    pair goes through ``minimize_overlap``, so each observer raises only
+    its own pair's refusal, and nothing is kept.
     """
     point = _knob_point(params)
     if point.q_halves is None:
-        c = point.coefficients
-        stack = _bit0_stack(c)
+        stack = _bit0_stack(point.coefficients)
         try:
-            if not all(abs(x) <= _ENTRY_MAX for x in (c.a, c.s_diag, c.c_a, c.d, c.e, c.c_e)):
-                raise ValueError("bit-0 matrix entries must be finite and at most 8.9e307 in size")
+            if not np.abs(stack).max() <= _ENTRY_MAX:  # false for NaN and inf too
+                raise ValueError
             np.linalg.cholesky(stack)  # LinAlgError is a ValueError
             point.q_halves = _parity_q_halves(*_williamson_stack(stack, (Convention.UNIT_VACUUM,) * 2, ("state0",) * 2))
         except ValueError:
-            row = CovMat(stack[observer], Convention.UNIT_VACUUM)
-            return _parity_q_halves(*_williamson_stack(row.mat[np.newaxis], (row.convention,), ("state0",)))[0]
+            return minimize_overlap(*(alice_pair, eve_pair)[observer](params)).q_half
     return point.q_halves[observer]
 
 
@@ -229,7 +223,7 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
 
 
 def _opa_overlap(params: ProtocolParams) -> tuple[OpaReceiverModel, float]:
-    """``opa_model`` at params' knobs and its geometric Bhattacharyya overlap, kept in the memo once formed."""
+    """``opa_model`` at params' knobs and its geometric Bhattacharyya overlap, kept in its knob point's record once formed."""
     point = _knob_point(params)
     if point.opa is None:
         model = opa_model(params)

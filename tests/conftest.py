@@ -106,17 +106,21 @@ def headline_params() -> ProtocolParams:
     return ProtocolParams(**HEADLINE)
 
 
+@pytest.fixture(autouse=True)
+def no_earlier_knob_point():
+    """Empty the receivers' knob-point slot before every test, so that no test reads a record an earlier one left."""
+    receivers._last = (None, None)
+
+
 @pytest.fixture
 def williamson_calls(monkeypatch) -> list:
     """Record every stack of covariance matrices that ``gaussian._williamson_stack`` decomposes.
 
     Each call is one entry, the (n, 4, 4) array it was given, not a copy:
     ``williamson`` is a stack of one, a general pair's evaluator stacks
-    both states, and the receivers' knob-point memo stacks Alice's bit 0
-    and Eve's.  Empties that memo first, so that points an earlier test
-    evaluated are decomposed (and counted) again.
+    both states, and the receivers' knob-point record stacks Alice's bit 0
+    and Eve's.
     """
-    receivers._memo.clear()
     calls = []
     original = gaussian._williamson_stack
 

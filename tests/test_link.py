@@ -224,7 +224,6 @@ def test_required_m_reads_the_overlap_without_error_bounds(monkeypatch):
     draws += [ProtocolParams(ns=10.0**log_ns, kappa=0.1, g=1e4, nb=1e4, m=1) for log_ns in (-16, -13, -9)]
     per_mode = {Receiver.OPA: opa_bhattacharyya, Receiver.OPTIMUM: alice_optimum_bounds}
     overlaps = {(params, receiver): per_mode[receiver](params).q_star for params in draws for receiver in Receiver}
-    receivers._memo.clear()
 
     def forbidden(*args):
         raise AssertionError("required_m formed an ErrorBounds")

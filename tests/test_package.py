@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import importlib.metadata
 import pkgutil
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qillum
 from qillum import gaussian, link, montecarlo, protocol, receivers
@@ -183,3 +187,27 @@ def test_cli_forms_no_receiver_bound_or_model():
     named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert named & {"alice_optimum_bounds", "eve_optimum_bounds", "opa_bhattacharyya", "opa_model"} == set()
+
+
+def test_every_third_party_module_the_tests_import_is_a_declared_dependency():
+    """Each module a test file imports is the standard library's, the repository's own, or from a distribution pyproject.toml lists.
+
+    Declared means a runtime dependency or one in the ``test`` extra, so a
+    dependency moved between the two still has to be declared in one.
+    """
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower() for requirement in requirements}
+    own = {"qillum"} | {path.stem for folder in ("tests", "bench") for path in (ROOT / folder).glob("*.py")}
+    imported = set()
+    for path in sorted(ROOT.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - own
+    distributions = importlib.metadata.packages_distributions()
+    assert third_party
+    assert {name: distributions.get(name) for name in third_party if not {d.lower() for d in distributions.get(name, [])} & declared} == {}

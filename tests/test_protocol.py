@@ -175,8 +175,8 @@ VALIDATED_BIT1 = {
 
 
 @pytest.mark.parametrize("pair", [alice_pair, eve_pair], ids=lambda f: f.__name__)
-def test_pair_validates_one_matrix_and_mirrors_it(pair, monkeypatch, headline_params):
-    """One CovMat validation per pair; bit 1 is a new read-only array equal to the validated (..., -c) matrix."""
+def test_pair_validates_each_matrix_and_mirrors_bit0(pair, monkeypatch, headline_params):
+    """Two CovMat validations per pair, bit 0's and bit 1's; bit 1 is a new read-only array equal to the validated (..., -c) matrix."""
     validated = []
     original = CovMat.__post_init__
 
@@ -186,7 +186,7 @@ def test_pair_validates_one_matrix_and_mirrors_it(pair, monkeypatch, headline_pa
 
     monkeypatch.setattr(CovMat, "__post_init__", counting)
     state0, state1 = pair(headline_params)
-    assert len(validated) == 1 and validated[0] is state0.cm
+    assert len(validated) == 2 and validated[0] is state0.cm and validated[1] is state1.cm
     monkeypatch.undo()
     mat0, mat1 = state0.cm.mat, state1.cm.mat
     assert not mat1.flags.writeable and not np.shares_memory(mat0, mat1)

@@ -4,6 +4,8 @@ import dataclasses
 import math
 import re
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -423,21 +425,20 @@ def test_security_gap_in_regime():
 @settings(max_examples=40, deadline=None)
 @given(params=protocol_params(), other_m=st.integers(1, 10**5))
 def test_shared_pair_evaluation_matches_fresh_chernoff_bound(params, other_m):
-    """Bounds read from the per-knob memo equal a fresh evaluation at every M."""
+    """Bounds read from the knob-point slot equal a fresh evaluation at every M."""
     assume(other_m != params.m)
-    memo = receivers._memo
-    memo.clear()
     knobs = (params.ns, params.kappa, params.g, params.nb)
     for m in (params.m, other_m):
         at_m = ProtocolParams(ns=params.ns, kappa=params.kappa, g=params.g, nb=params.nb, m=m)
         for optimum_bounds, pair in ((alice_optimum_bounds, alice_pair), (eve_optimum_bounds, eve_pair)):
             assert optimum_bounds(at_m) == chernoff_bound(*pair(at_m), m)
         if m == params.m:
-            point, q_halves = memo[knobs], memo[knobs].q_halves
-            assert q_halves is not None
+            point = receivers._last[1]
+            q_halves = point.q_halves
+            assert receivers._last[0] == knobs and q_halves is not None
         else:
             # the second M reuses the knob point and both values
-            assert list(memo) == [knobs] and memo[knobs] is point and point.q_halves is q_halves
+            assert receivers._last[0] == knobs and receivers._last[1] is point and point.q_halves is q_halves
 
 
 # At ns = 1, g = 1e6, nb = 2e12 one of the two bit-0 states is too ill-conditioned
@@ -453,7 +454,6 @@ def test_each_receiver_raises_only_its_own_refusal(kappa):
     """The other observer's bound still returns; security_margin raises; a repeat re-raises afresh and keeps nothing."""
     refused, served, served_pair, cond = _REFUSED[kappa]
     params = ProtocolParams(ns=1.0, kappa=kappa, g=1e6, nb=2e12, m=10)
-    receivers._memo.clear()
     message = f"condition number {re.escape(cond)} exceeds 1e12"
     raised = []
     for call in (refused, security_margin, refused):
@@ -462,7 +462,7 @@ def test_each_receiver_raises_only_its_own_refusal(kappa):
         raised.append(info.value)
     assert len({id(error) for error in raised}) == 3
     assert served(params) == chernoff_bound(*served_pair(params), 10)
-    assert receivers._memo[(params.ns, params.kappa, params.g, params.nb)].q_halves is None
+    assert receivers._last[0] == (params.ns, params.kappa, params.g, params.nb) and receivers._last[1].q_halves is None
 
 
 def test_opa_receiver_decomposes_nothing(williamson_calls, headline_params):
@@ -473,31 +473,49 @@ def test_opa_receiver_decomposes_nothing(williamson_calls, headline_params):
     assert williamson_calls == []
 
 
-def test_memo_holds_under_concurrent_callers():
-    """Threads missing the memo at once each get a lone caller's report, and the memo stays at its bound."""
+def test_knob_point_slot_holds_under_concurrent_callers():
+    """Threads that rebind the knob-point slot in turn each get a lone caller's report.
+
+    A tracer yields the GIL before every bytecode of ``_knob_point``, so
+    another thread can rebind the slot between any two of them: a
+    ``_knob_point`` that read the slot's knobs and then, a second time,
+    its record could return another point's record.
+    """
     points = [ProtocolParams(ns=0.004 * (1 + k), kappa=0.1, g=1e4, nb=1e4, m=100) for k in range(48)]
     expected = [security_margin(params) for params in points]
-    receivers._memo.clear()
+
+    def yield_each_opcode(frame, event, arg):
+        time.sleep(0)
+        return yield_each_opcode
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not receivers._knob_point.__code__:
+            return None
+        frame.f_trace_opcodes = True
+        return yield_each_opcode
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    threading.settrace(tracer)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             reports = list(pool.map(security_margin, points * 4, timeout=120))
     finally:
+        threading.settrace(None)
         sys.setswitchinterval(interval)
     assert reports == expected * 4
-    assert len(receivers._memo) <= receivers._MEMO_SIZE
 
 
-def test_memo_keeps_at_most_its_bound():
-    """20 distinct knob points leave the memo at its bound, holding the latest points."""
-    receivers._memo.clear()
-    points = [ProtocolParams(ns=0.004 * (1 + k), kappa=0.1, g=1e4, nb=1e4, m=100) for k in range(20)]
-    for params in points:
-        security_margin(params)
-        opa_bhattacharyya(params)
-    assert len(receivers._memo) == receivers._MEMO_SIZE
-    assert list(receivers._memo) == [(p.ns, p.kappa, p.g, p.nb) for p in points[-receivers._MEMO_SIZE:]]
+def test_knob_point_slot_refills_on_a_return(williamson_calls):
+    """Points A, B, A: A is decomposed afresh on its return, to the same bits, and the slot ends holding A."""
+    a, b = (ProtocolParams(ns=ns, kappa=0.1, g=1e4, nb=1e4, m=100) for ns in (0.004, 0.008))
+    first, _, again = [security_margin(params) for params in (a, b, a)]
+    exact = [float_hex([*dataclasses.astuple(r.alice_optimum), *dataclasses.astuple(r.alice_opa), *dataclasses.astuple(r.eve), r.margin_ratio])
+             for r in (first, again)]
+    assert exact[0] == exact[1]
+    a_stack = protocol._bit0_stack(derived_coefficients(a))
+    assert [np.array_equal(stack, a_stack) for stack in williamson_calls] == [True, False, True]
+    assert receivers._last[0] == (a.ns, a.kappa, a.g, a.nb)
 
 
 _UNIT = gaussian.Convention.UNIT_VACUUM
@@ -510,7 +528,6 @@ def assert_stacked_q_halves_are_each_lone_q_half(params):
     lone = [gaussian._parity_q_halves(*gaussian._williamson_stack(stack[k : k + 1], (_UNIT,), ("state0",)))[0] for k in (0, 1)]
     paired = [minimize_overlap(*pair(params)).q_half for pair in (alice_pair, eve_pair)]
     assert float_hex(stacked) == float_hex(lone) == float_hex(paired)
-    receivers._memo.clear()
     served = [optimum_bounds(params).q_half for optimum_bounds in (alice_optimum_bounds, eve_optimum_bounds)]
     assert float_hex(served) == float_hex(stacked)
 
@@ -558,10 +575,10 @@ def test_each_refusal_keeps_its_type_and_message(knobs):
     alice, eve = _EDGE_REFUSALS[knobs]
     params = ProtocolParams(*knobs, m=10)
     for calls in ((alice_optimum_bounds, eve_optimum_bounds), (eve_optimum_bounds, alice_optimum_bounds)):
-        receivers._memo.clear()
+        receivers._last = (None, None)
         got = {call: raised(call, params) for call in calls}
         assert (got[alice_optimum_bounds], got[eve_optimum_bounds]) == (alice, eve)
-    receivers._memo.clear()
+    receivers._last = (None, None)
     assert raised(security_margin, params) == (alice or eve)
 
 
@@ -582,11 +599,12 @@ _NOT_POSITIVE = DerivedCoefficients(s_diag=1.0, c_q=0.0, a=1.0, c_a=2.0, d=1.0, 
 )
 def test_an_invalid_bit0_row_refuses_as_its_covmat_would(coefficients, message, monkeypatch, headline_params, williamson_calls):
     """The stacked check refuses an invalid row, NaN included, before any decomposition; that observer raises CovMat's error, the other is served."""
-    monkeypatch.setattr(receivers, "derived_coefficients", lambda params: coefficients)
+    # the refused stack falls back to the observer's own pair, which protocol builds
+    for module in (receivers, protocol):
+        monkeypatch.setattr(module, "derived_coefficients", lambda params: coefficients)
     assert raised(alice_optimum_bounds, headline_params) == (ValueError, message)
     assert eve_optimum_bounds(headline_params).q_half == 1.0  # the vacuum against itself
     assert len(williamson_calls) == 1 and np.array_equal(williamson_calls[0], [np.eye(4)])  # Eve's row alone
-    monkeypatch.setattr(protocol, "derived_coefficients", lambda params: coefficients)
     assert raised(alice_pair, headline_params) == (ValueError, message)
     assert raised(eve_pair, headline_params) is None
 
@@ -601,7 +619,6 @@ def test_planner_validates_no_covmat(monkeypatch, headline_params):
         original(self)
 
     monkeypatch.setattr(CovMat, "__post_init__", counting)
-    receivers._memo.clear()
     for ns in (0.004, 0.005):
         params = dataclasses.replace(headline_params, ns=ns)
         security_margin(params)
