@@ -36,7 +36,11 @@ It is bound straight from scipy's compiled ``scipy.linalg._flapack``
 extension, the object ``scipy.linalg.lapack.dgees`` re-exports, without
 running the ``scipy.linalg`` package init, whose array-API layer imports
 ``numpy.f2py`` and ``numpy.testing`` and took about two thirds of the CLI's
-import time.  The same compiled routine runs either way.
+import time.  The same compiled routine runs either way.  It is bound at
+the first decomposition, not at import, so ``import qillum`` and a run
+that decomposes nothing, such as ``qillum mc``, never map the extension
+or the OpenBLAS it links; once bound, the extension is still not left in
+``sys.modules``.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def _load_dgees() -> Callable:
     ``find_spec`` locates scipy and ``PathFinder`` the extension in its
     ``linalg`` directory, neither importing anything.  The extension is not
     left in ``sys.modules``, so a later ``import scipy.linalg`` loads its own
-    module object (over the same compiled routine).
+    module object (over the same compiled routine).  ``_dgees`` calls this
+    at the first decomposition, not at import.
 
     Raises:
         ImportError: scipy or its ``_flapack`` extension is not installed.
@@ -145,7 +150,22 @@ def _load_dgees() -> Callable:
     return module.dgees
 
 
-_dgees = _load_dgees()
+def _bind_dgees(*args):
+    """``_dgees`` until the first decomposition: loads LAPACK ``dgees`` and forwards this call to it.
+
+    Rebinds the module global ``_dgees`` to the routine, unless it was
+    patched meanwhile, so later decompositions call it directly.  Where
+    scipy's LAPACK extension is missing, raises ``_load_dgees``'s
+    ImportError and stays bound.
+    """
+    global _dgees
+    routine = _load_dgees()
+    if _dgees is _bind_dgees:
+        _dgees = routine
+    return routine(*args)
+
+
+_dgees = _bind_dgees
 
 
 def _no_sort(wr: float, wi: float) -> None:

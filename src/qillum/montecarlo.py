@@ -4,8 +4,10 @@ Each trial sends a uniformly random bit, samples the receiver's total
 photon count over the bit's M modes (iid geometric counts, so a negative
 binomial total) and applies the maximum-likelihood threshold test.  The
 trials are iid, so the run draws how many sent bit 0, then each bit's
-totals as one batch (see ``run_mc``), and reports the empirical error rate,
-with a Wilson 95% interval, next to the analytic Bhattacharyya bound.
+totals in fixed-size chunks (see ``run_mc``), and reports the empirical
+error rate, with a Wilson 95% interval, next to the analytic Bhattacharyya
+bound.  A run holds one chunk at a time, so its memory does not grow with
+its trial count.
 
 Randomness comes from ``numpy.random.Generator`` seeded with PCG64, so a
 fixed seed reproduces results bit for bit.
@@ -29,6 +31,9 @@ __all__ = ["McConfig", "McResult", "ml_threshold", "run_mc"]
 _Z95 = 1.959963984540054
 
 RECOMMENDED_MIN_TRIALS = 10_000
+
+# Negative-binomial totals drawn per call: 512 KiB of int64.
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,17 @@ def run_mc(config: McConfig) -> McResult:
     """Simulate the OPA receiver and measure its empirical bit-error rate.
 
     Draws sent0 ~ Binomial(trials, 1/2), then sent0 bit-0 and
-    trials - sent0 bit-1 totals in that order, each batch negative binomial
-    at its bit's scalar p = 1 / (1 + n_bit) and thresholded, ties to bit 0.
-    The trials are iid, so (sent0, errors) has exactly the law of a loop
-    drawing bit then total per trial.  The bound, returned with the model,
-    is formed first, so it refuses means beyond 1e120 by name; the model is
-    the one it was formed from, shared per (ns, kappa, g, nb).
+    trials - sent0 bit-1 totals in that order, each negative binomial at its
+    bit's scalar p = 1 / (1 + n_bit) and thresholded, ties to bit 0.  The
+    trials are iid, so (sent0, errors) has exactly the law of a loop
+    drawing bit then total per trial.  Each bit's totals come in chunks of
+    ``_CHUNK`` draws, counted one chunk at a time; numpy's Generator gives
+    the same stream for a split batch, so the draw order and every count
+    are those of one batch per bit.  An empty bit still makes one draw of
+    size 0, so numpy refuses its p as it would a full batch's.  The bound,
+    returned with the model, is formed first, so it refuses means beyond
+    1e120 by name; the model is the one it was formed from, shared per
+    (ns, kappa, g, nb).
 
     Output is fully determined by ``config.seed``.
     """
@@ -123,9 +133,13 @@ def run_mc(config: McConfig) -> McResult:
 
     rng = np.random.default_rng(config.seed)
     sent0 = int(rng.binomial(config.trials, 0.5))
-    errors = int(np.count_nonzero(rng.negative_binomial(m, 1.0 / (1.0 + model.n0), size=sent0) < threshold))
-    totals1 = rng.negative_binomial(m, 1.0 / (1.0 + model.n1), size=config.trials - sent0)
-    errors += int(np.count_nonzero(totals1 >= threshold))
+    errors = 0
+    for mean, sent, wrong in ((model.n0, sent0, np.less), (model.n1, config.trials - sent0, np.greater_equal)):
+        p = 1.0 / (1.0 + mean)
+        for start in range(0, sent, _CHUNK) or range(1):
+            size = min(_CHUNK, sent - start)
+            # One expression, so each chunk is freed before the next is drawn.
+            errors += int(np.count_nonzero(wrong(rng.negative_binomial(m, p, size=size), threshold)))
     return McResult(
         empirical_error=errors / config.trials,
         wilson_ci95=_wilson_ci95(errors, config.trials),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -75,6 +76,82 @@ def test_cold_bounds_skips_the_scipy_linalg_package_init(capsys):
     code, record, _ = run_json(capsys, *argv[:-1])
     assert code == 0
     assert json.loads(proc.stdout)["outputs"] == record["outputs"]
+
+
+# Runs each CLI argv of the JSON list in argv[1], in one fresh interpreter,
+# and reports as its last stdout line whether gaussian's dgees was still the
+# binder and whether scipy's _flapack was mapped, after the import and after
+# each run, and how often the extension was loaded.
+_LAPACK_BINDING = """
+import json, sys
+import qillum, qillum.cli
+from qillum import gaussian
+
+def state():
+    with open("/proc/self/maps") as maps:
+        return [gaussian._dgees is gaussian._bind_dgees, any("_flapack" in line for line in maps)]
+
+loads, load = [], gaussian._load_dgees
+gaussian._load_dgees = lambda: loads.append(1) or load()
+states = [state()]
+for argv in json.loads(sys.argv[1]):
+    assert qillum.cli.main(argv) == 0
+    states.append(state())
+print(json.dumps({"states": states, "loads": len(loads)}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_scipy_lapack_is_mapped_at_the_first_decomposition_only():
+    """``import qillum, qillum.cli`` and ``qillum mc`` never map _flapack; ``qillum bounds`` loads it once."""
+    runs = [["mc", *MC_FLAGS], ["bounds", *HEADLINE_FLAGS, "--m", "20000"], ["bounds", *HEADLINE_FLAGS, "--m", "200"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAPACK_BINDING, json.dumps(runs)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["states"] == [[True, False], [True, False], [False, True], [False, True]]
+    assert report["loads"] == 1
+
+
+# Runs the CLI on argv[1:] in a fresh interpreter whose path finder cannot see
+# scipy, as where scipy is not installed.
+_NO_SCIPY = """
+import importlib.machinery, sys
+
+class NoScipy(importlib.machinery.PathFinder):
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        return None if name.partition(".")[0] == "scipy" else super().find_spec(name, path, target)
+
+sys.meta_path[sys.meta_path.index(importlib.machinery.PathFinder)] = NoScipy
+from qillum.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_without_scipy(*argv):
+    return subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *argv], env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_mc_runs_without_scipy(capsys):
+    proc = run_without_scipy("mc", *MC_FLAGS, "--json")
+    assert proc.returncode == 0, proc.stderr
+    code, record, _ = run_json(capsys, "mc", *MC_FLAGS)
+    assert code == 0
+    blocked = json.loads(proc.stdout)
+    del blocked["timestamp"], record["timestamp"]
+    assert blocked == record
+
+
+def test_bounds_without_scipy_names_the_missing_lapack():
+    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000")
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "ImportError: scipy is not installed; qillum needs its LAPACK extension" in proc.stderr
 
 
 def test_bounds_human_output_echoes_parameters(capsys):
@@ -165,12 +242,12 @@ def test_config_may_hold_other_subcommands_keys(capsys, tmp_path):
 
 
 # 10**15 elements is an 8 PB request, beyond the x86-64 user address space,
-# so numpy refuses it before any memory is touched.
+# so numpy refuses it before any memory is touched.  An mc run draws its
+# totals in fixed-size chunks, so no trial count is too large to allocate.
 @pytest.mark.parametrize("argv", [
-    ["mc", *HEADLINE_FLAGS, "--m", "2000", "--trials", str(10**15)],
     ["sweep", *HEADLINE_FLAGS, "--m-min", "1000", "--m-max", "100000", "--points", str(10**15),
      "--scale", "log", "--out", "curves.csv"],
-], ids=["mc", "sweep"])
+], ids=["sweep"])
 def test_run_too_large_to_allocate_exits_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
     code, out, err = run_cli(capsys, *argv)

@@ -689,6 +689,28 @@ def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
             gaussian._load_dgees()
 
 
+def test_first_williamson_call_binds_the_extension_routine(monkeypatch):
+    """Until the first decomposition ``_dgees`` is the binder; that call rebinds it to LAPACK's routine."""
+    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
+    state = alice_pair(ProtocolParams(**HEADLINE))[0]
+    expected = [a.tobytes() for a in williamson(state.cm)]
+    assert gaussian._dgees is dgees  # scipy.linalg.lapack's, over the same compiled extension
+    assert [a.tobytes() for a in williamson(state.cm)] == expected
+
+    # A patch that forwards to the binder it replaced, as this file's recording
+    # and oriented solvers do when they are the first to decompose, stays.
+    calls = []
+
+    def forwarding(select, core):
+        calls.append(core)
+        return gaussian._bind_dgees(select, core)
+
+    monkeypatch.setattr(gaussian, "_dgees", forwarding)
+    for _ in range(2):
+        assert [a.tobytes() for a in williamson(state.cm)] == expected
+    assert gaussian._dgees is forwarding and len(calls) == 2
+
+
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> tuple[float, float]:
     """Q_s assembled as ``power_overlap`` documents it, from the per-mode formulas of ``thermal_power``.
 

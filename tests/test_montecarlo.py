@@ -18,6 +18,7 @@ from qillum import (
     opa_model,
     run_mc,
 )
+from qillum import montecarlo
 
 
 def make_config(m: int, trials: int, seed: int = 7) -> McConfig:
@@ -180,10 +181,8 @@ def test_run_mc_stream_is_pinned():
     assert result.wilson_ci95 == (0.046840392454996944, 0.04949432147484436)
 
 
-def test_run_mc_holds_no_array_per_trial_beyond_its_counts():
-    # The two by-bit batches hold about 4.8 B per trial at peak; per-trial bit, mean and p arrays take 40 B.
-    trials = 200_000
-    config = make_config(m=2000, trials=trials)
+def traced_peak(config: McConfig) -> int:
+    """Peak bytes numpy and Python allocate during ``run_mc(config)``, after a warm-up run."""
     run_mc(config)  # warm: first-call allocations are not the run's
     tracemalloc.start()
     try:
@@ -191,7 +190,51 @@ def test_run_mc_holds_no_array_per_trial_beyond_its_counts():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_run_mc_holds_no_array_per_trial_beyond_its_counts():
+    # Per-trial bit, mean and p arrays take 40 B per trial.  One chunk of totals is
+    # 512 KiB whatever the trial count, so ten times the trials may not raise the peak
+    # (one batch per bit raised it from 0.97 to 9.07 MB).  The 1 KiB allows for the
+    # Python ints of a later chunk's offset, which the first chunk's offset 0 does not
+    # allocate.
+    trials = 200_000
+    peak = traced_peak(make_config(m=2000, trials=trials))
     assert peak <= 8 * trials
+    assert traced_peak(make_config(m=2000, trials=10 * trials)) <= peak + 1024
+
+
+def one_shot_errors(config: McConfig) -> int:
+    """Errors of ``config``'s run with each bit's totals drawn as one batch, not in chunks."""
+    model, m = opa_model(config.params), config.params.m
+    threshold = ml_threshold(model, m)
+    rng = np.random.default_rng(config.seed)
+    sent0 = int(rng.binomial(config.trials, 0.5))
+    errors = int(np.count_nonzero(rng.negative_binomial(m, 1.0 / (1.0 + model.n0), size=sent0) < threshold))
+    totals1 = rng.negative_binomial(m, 1.0 / (1.0 + model.n1), size=config.trials - sent0)
+    return errors + int(np.count_nonzero(totals1 >= threshold))
+
+
+@pytest.mark.parametrize("m", [1, 2000])
+@pytest.mark.parametrize("seed", [0, 7, 20090904])
+def test_chunked_run_counts_the_errors_of_one_batch_per_bit(m, seed):
+    # About 3 x _CHUNK totals per bit: three or four chunks, the last one partial.
+    trials = 6 * montecarlo._CHUNK + 17
+    config = make_config(m=m, trials=trials, seed=seed)
+    assert run_mc(config).empirical_error == one_shot_errors(config) / trials
+
+
+@pytest.mark.parametrize("seed", [0, 2])  # sent0 = 1 and 0 of one trial
+def test_an_empty_bit_still_has_its_p_refused(seed):
+    # Bit 0's mean of 9.6e17 is past numpy's negative-binomial range at m = 1, bit 1's 6.4e17 is not.
+    config = McConfig(trials=1, seed=seed, params=ProtocolParams(ns=5e8, kappa=0.1, g=1e4, nb=1e4, m=1))
+    with pytest.raises(ValueError) as expected:
+        one_shot_errors(config)
+    assert "n too large or p too small" in str(expected.value)
+    with pytest.warns(UserWarning, match="low statistical power"), pytest.raises(ValueError) as refused:
+        run_mc(config)
+    assert str(refused.value) == str(expected.value)
 
 
 def test_run_mc_error_grows_as_m_shrinks():
