@@ -31,20 +31,21 @@ is taken from state0 alone, with LAPACK's determinant of the 4 x 4 sum;
 the protocol path takes Alice's and Eve's from one (2, 4, 4) array, no
 ``CovMat``, in one stacked decomposition, V(1/2) and determinant.
 
-The one routine taken from scipy is LAPACK's real Schur solver ``dgees``.
-It is bound straight from scipy's compiled ``scipy.linalg._flapack``
-extension, the object ``scipy.linalg.lapack.dgees`` re-exports, without
-running the ``scipy.linalg`` package init, whose array-API layer imports
-``numpy.f2py`` and ``numpy.testing`` and took about two thirds of the CLI's
-import time.  The same compiled routine runs either way.  It is bound at
-the first decomposition, not at import, so ``import qillum`` and a run
-that decomposes nothing, such as ``qillum mc``, never map the extension
-or the OpenBLAS it links; once bound, the extension is still not left in
-``sys.modules``.
+The one routine not reached through numpy's API is LAPACK's real Schur
+solver ``dgees``.  It is called through ``ctypes`` from the OpenBLAS that
+numpy's own ``linalg`` extension links (``scipy-openblas64``, which exports
+the ILP64 symbol ``scipy_dgees_64_``), so a decomposing process maps one
+LAPACK, numpy's.  A numpy build that exports no such symbol (conda's, or
+Accelerate on macOS arm64) takes the routine from scipy's compiled
+``scipy.linalg._flapack`` extension instead, without running the
+``scipy.linalg`` package init.  Either way it is bound at the first
+decomposition, not at import, so ``import qillum`` and a run that
+decomposes nothing, such as ``qillum mc``, bind nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -53,6 +54,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -121,14 +123,44 @@ _PARITY_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
 _PARITY_SIGNS.setflags(write=False)
 
 
-def _load_dgees() -> Callable:
+# The ILP64 dgees that numpy's bundled OpenBLAS exports, and the workspace
+# dgees takes for a 4 x 4 matrix: LWORK = 3 N, as scipy's wrapper passes it.
+_NUMPY_DGEES = "scipy_dgees_64_"
+_LWORK = 12
+
+
+class _SchurWorkspace(threading.local):
+    """One thread's arguments for ``dgees`` on a 4 x 4 matrix, made at that thread's first call.
+
+    One 60-double buffer holds A (overwritten with T), VS, WR, WI, WORK,
+    the unreferenced BWORK and the int64 scalars N (= LDA = LDVS), LWORK,
+    SDIM and INFO; ``args`` is the ctypes argument list over it: JOBVS
+    ``V``, SORT ``N``, a NULL SELECT, and the two gfortran string lengths.
+    ``slots`` holds A^T's C-order view, ``args``, T, WR, WI, VS, WORK and
+    INFO, read with one attribute lookup per call.
+    """
+
+    def __init__(self) -> None:
+        buffer = np.zeros(60)
+        a_t, vs_t = buffer[:16].reshape(4, 4), buffer[16:32].reshape(4, 4)
+        ints = buffer[56:60].view(np.int64)
+        ints[:2] = 4, _LWORK  # N and LWORK; SDIM and INFO are outputs
+        address = buffer.ctypes.data
+        n, lwork, sdim, info = (ctypes.c_void_p(address + 8 * k) for k in range(56, 60))
+        a, vs, wr, wi, work, bwork = (ctypes.c_void_p(address + 8 * k) for k in (0, 16, 32, 36, 40, 52))
+        one = ctypes.c_size_t(1)
+        args = (b"V", b"N", None, n, a, n, sdim, wr, wi, vs, n, work, lwork, bwork, info, one, one)
+        # Column-major A and VS seen as matrices: the transposes of their C-order views.
+        self.slots = (a_t, args, a_t.T, buffer[32:36], buffer[36:40], vs_t.T, buffer[40:52], ints[3:])
+
+
+def _scipy_dgees() -> Callable:
     """LAPACK ``dgees`` from scipy's ``linalg/_flapack`` extension, loaded without ``import scipy``.
 
     ``find_spec`` locates scipy and ``PathFinder`` the extension in its
     ``linalg`` directory, neither importing anything.  The extension is not
     left in ``sys.modules``, so a later ``import scipy.linalg`` loads its own
-    module object (over the same compiled routine).  ``_dgees`` calls this
-    at the first decomposition, not at import.
+    module object (over the same compiled routine).
 
     Raises:
         ImportError: scipy or its ``_flapack`` extension is not installed.
@@ -136,7 +168,7 @@ def _load_dgees() -> Callable:
     name = "scipy.linalg._flapack"
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        raise ImportError("scipy is not installed; qillum needs its LAPACK extension")
+        raise ImportError("scipy is not installed, so there is no scipy/linalg/_flapack")
     dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(name, dirs)
     if spec is None:
@@ -150,12 +182,51 @@ def _load_dgees() -> Callable:
     return module.dgees
 
 
+def _load_dgees() -> Callable:
+    """LAPACK ``dgees`` from the OpenBLAS numpy's ``linalg`` links, as scipy's ``dgees(select, a)`` for a 4 x 4 ``a``.
+
+    ``dlsym`` on a handle to ``numpy.linalg._umath_linalg`` reaches the
+    OpenBLAS that extension links, already mapped.  A call copies ``a``
+    into its thread's ``_SchurWorkspace`` and returns scipy's tuple
+    (t, sdim, wr, wi, vs, work, info): the arrays are views of that
+    workspace, valid until the thread's next call, and ``select`` is
+    ignored, as no eigenvalue is sorted.  Where numpy exports no
+    ``scipy_dgees_64_``, returns scipy's routine (``_scipy_dgees``).
+    ``_dgees`` calls this at the first decomposition, not at import.
+
+    Raises:
+        ImportError: neither numpy nor scipy has the routine; the message
+            names both places searched.
+    """
+    path = np.linalg._umath_linalg.__file__
+    try:
+        routine = getattr(ctypes.CDLL(path), _NUMPY_DGEES)
+    except (OSError, AttributeError):
+        try:
+            return _scipy_dgees()
+        except ImportError as missing:
+            raise ImportError(f"no LAPACK dgees: numpy's {path} exports no {_NUMPY_DGEES}, and {missing}") from None
+    # No argtypes: each argument in ``args`` is a ctypes object, bytes or None,
+    # which fixes its C type itself, and a per-argument conversion would add
+    # about 0.3 us to a 5 us call (x86_64, OpenBLAS 0.3.31).
+    routine.restype = None
+    workspace = _SchurWorkspace()
+
+    def dgees(select, a):
+        a_t, args, t, wr, wi, vs, work, info = workspace.slots
+        a_t[...] = a.T
+        routine(*args)
+        return t, 0, wr, wi, vs, work, info.item()  # SDIM is 0: nothing is sorted
+
+    return dgees
+
+
 def _bind_dgees(*args):
     """``_dgees`` until the first decomposition: loads LAPACK ``dgees`` and forwards this call to it.
 
     Rebinds the module global ``_dgees`` to the routine, unless it was
     patched meanwhile, so later decompositions call it directly.  Where
-    scipy's LAPACK extension is missing, raises ``_load_dgees``'s
+    neither numpy nor scipy has the routine, raises ``_load_dgees``'s
     ImportError and stays bound.
     """
     global _dgees

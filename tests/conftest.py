@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import expm
 
 import qillum.gaussian as gaussian
@@ -18,6 +19,15 @@ from qillum.gaussian import NU_PURE_TOL
 HEADLINE = dict(ns=0.004, kappa=0.1, g=1e4, nb=1e4, m=20000)
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Tier-1 gives one verdict per tree: by default every property test draws the
+# same examples on every run and reads no saved failure.  The "explore"
+# profile keeps hypothesis's random draws and its example database, for
+# looking for new failures: pytest --hypothesis-profile=explore
+# [--hypothesis-seed=N].
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("deterministic")
 
 
 def src_env() -> dict[str, str]:

@@ -81,7 +81,7 @@ def test_cold_bounds_skips_the_scipy_linalg_package_init(capsys):
 # Runs each CLI argv of the JSON list in argv[1], in one fresh interpreter,
 # and reports as its last stdout line whether gaussian's dgees was still the
 # binder and whether scipy's _flapack was mapped, after the import and after
-# each run, and how often the extension was loaded.
+# each run, and how often LAPACK's dgees was loaded.
 _LAPACK_BINDING = """
 import json, sys
 import qillum, qillum.cli
@@ -102,8 +102,8 @@ print(json.dumps({"states": states, "loads": len(loads)}))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
-def test_scipy_lapack_is_mapped_at_the_first_decomposition_only():
-    """``import qillum, qillum.cli`` and ``qillum mc`` never map _flapack; ``qillum bounds`` loads it once."""
+def test_lapack_is_bound_at_the_first_decomposition_only():
+    """``import qillum, qillum.cli`` and ``qillum mc`` bind nothing; ``qillum bounds`` binds dgees once; _flapack is never mapped."""
     runs = [["mc", *MC_FLAGS], ["bounds", *HEADLINE_FLAGS, "--m", "20000"], ["bounds", *HEADLINE_FLAGS, "--m", "200"]]
     proc = subprocess.run(
         [sys.executable, "-c", _LAPACK_BINDING, json.dumps(runs)],
@@ -111,12 +111,45 @@ def test_scipy_lapack_is_mapped_at_the_first_decomposition_only():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["states"] == [[True, False], [True, False], [False, True], [False, True]]
+    assert report["states"] == [[True, False], [True, False], [False, False], [False, False]]
     assert report["loads"] == 1
 
 
-# Runs the CLI on argv[1:] in a fresh interpreter whose path finder cannot see
-# scipy, as where scipy is not installed.
+# Runs the CLI argv of the JSON list in argv[1] in one fresh interpreter and
+# prints the shared objects it then maps whose path names an OpenBLAS, scipy's
+# bundled libraries or its LAPACK extension.
+_MAPPED_LAPACK = """
+import json, sys
+from qillum.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if len(line.split()) == 6}
+print(json.dumps(sorted(p for p in paths if any(key in p.lower() for key in ("openblas", "scipy.libs", "_flapack")))))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_bounds_sweep_and_plan_map_one_lapack(tmp_path):
+    """After ``bounds``, ``sweep`` and ``plan`` in one process, numpy's OpenBLAS is its only LAPACK: no scipy.libs, no _flapack."""
+    runs = [
+        ["bounds", *HEADLINE_FLAGS, "--m", "20000"],
+        ["sweep", *SWEEP_FLAGS, "--out", str(tmp_path / "sweep.csv")],
+        ["plan", *PLAN_FLAGS],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAPPED_LAPACK, json.dumps(runs)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    mapped = json.loads(proc.stdout.splitlines()[-1])
+    assert len(mapped) == 1 and "openblas" in mapped[0].lower() and "scipy.libs" not in mapped[0], mapped
+
+
+# Runs the CLI on argv[2:] in a fresh interpreter whose path finder cannot see
+# scipy, as where scipy is not installed; a non-empty argv[1] replaces the
+# symbol gaussian looks up in numpy's OpenBLAS, as on a numpy without it.
 _NO_SCIPY = """
 import importlib.machinery, sys
 
@@ -126,14 +159,17 @@ class NoScipy(importlib.machinery.PathFinder):
         return None if name.partition(".")[0] == "scipy" else super().find_spec(name, path, target)
 
 sys.meta_path[sys.meta_path.index(importlib.machinery.PathFinder)] = NoScipy
+from qillum import gaussian
 from qillum.cli import main
-sys.exit(main(sys.argv[1:]))
+if sys.argv[1]:
+    gaussian._NUMPY_DGEES = sys.argv[1]
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def run_without_scipy(*argv):
+def run_without_scipy(*argv, numpy_dgees=""):
     return subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, *argv], env=src_env(), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", _NO_SCIPY, numpy_dgees, *argv], env=src_env(), capture_output=True, text=True, timeout=120,
     )
 
 
@@ -147,11 +183,23 @@ def test_mc_runs_without_scipy(capsys):
     assert blocked == record
 
 
-def test_bounds_without_scipy_names_the_missing_lapack():
-    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000")
+def test_bounds_runs_without_scipy(capsys):
+    """With scipy hidden, ``bounds`` takes dgees from numpy's OpenBLAS and gives the default run's outputs."""
+    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000", "--json")
+    assert proc.returncode == 0, proc.stderr
+    code, record, _ = run_json(capsys, "bounds", *HEADLINE_FLAGS, "--m", "20000")
+    assert code == 0
+    assert json.loads(proc.stdout)["outputs"] == record["outputs"]
+
+
+def test_bounds_without_numpy_dgees_or_scipy_names_both_places_searched():
+    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000", numpy_dgees="no_such_dgees_64_")
     assert proc.returncode != 0
     assert proc.stdout == ""
-    assert "ImportError: scipy is not installed; qillum needs its LAPACK extension" in proc.stderr
+    error = proc.stderr.strip().splitlines()[-1]
+    assert error.startswith("ImportError: no LAPACK dgees: numpy's ")
+    assert "_umath_linalg" in error and "exports no no_such_dgees_64_" in error
+    assert error.endswith("and scipy is not installed, so there is no scipy/linalg/_flapack")
 
 
 def test_bounds_human_output_echoes_parameters(capsys):

@@ -2,9 +2,11 @@
 
 The draws are ``bench/workloads.PlanScan``'s and ``GeneralPairs``',
 imported read-only, so the inputs are the benchmark's.  The pins hold on
-Linux x86_64 with CPython 3.11, numpy 2.4.6 and scipy 1.17.1, both on
-their bundled scipy-openblas (OpenBLAS 0.3.31): the engine's last bits
-depend on that LAPACK build, as the README sweep's golden digest does,
+Linux x86_64 with CPython 3.11 and numpy 2.4.6 on its bundled
+scipy-openblas (OpenBLAS 0.3.31), which gives both ``eigh`` and the
+Schur solver ``dgees`` (scipy 1.17.1 bundles OpenBLAS 0.3.30 and is not
+loaded): the engine's last bits depend on that LAPACK build, as the
+README sweep's golden digest does,
 and the ``mc`` command's on numpy's generator.  They do not depend on
 the Python version's float ``sum``: a general pair's Q_s adds its 19
 determinant terms with explicit left-to-right ``+=`` (CPython 3.12's

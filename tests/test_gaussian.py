@@ -1,5 +1,7 @@
 """Covariance conventions, Williamson form and the overlap/bound engine."""
 
+import concurrent.futures
+import ctypes
 import dataclasses
 import importlib.machinery
 import importlib.util
@@ -8,6 +10,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import mpmath
@@ -680,21 +683,29 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
 
 
 def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
-    """A scipy without ``linalg/_flapack`` names the directory searched; no scipy says so."""
+    """Without numpy's dgees, a scipy without ``linalg/_flapack`` names numpy's extension and the directory searched; no scipy says so."""
+    monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
+    numpy_searched = re.escape(f"numpy's {np.linalg._umath_linalg.__file__} exports no no_such_dgees_64_, and ")
     scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     scipy_spec.submodule_search_locations = [str(tmp_path)]
     for found, message in ((scipy_spec, re.escape(str(tmp_path / "linalg"))), (None, "scipy is not installed")):
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, found=found: found)
-        with pytest.raises(ImportError, match=message):
+        with pytest.raises(ImportError, match=numpy_searched + ".*" + message):
             gaussian._load_dgees()
 
 
+def bound_routine_names(solver) -> list[str]:
+    """The names of the foreign functions a bound ``_dgees`` closes over: numpy's LAPACK symbol, or none for scipy's."""
+    return [cell.cell_contents.__name__ for cell in solver.__closure__ or ()
+            if isinstance(cell.cell_contents, ctypes._CFuncPtr)]
+
+
 def test_first_williamson_call_binds_the_extension_routine(monkeypatch):
-    """Until the first decomposition ``_dgees`` is the binder; that call rebinds it to LAPACK's routine."""
+    """Until the first decomposition ``_dgees`` is the binder; that call rebinds it to numpy's OpenBLAS dgees."""
     monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
     state = alice_pair(ProtocolParams(**HEADLINE))[0]
     expected = [a.tobytes() for a in williamson(state.cm)]
-    assert gaussian._dgees is dgees  # scipy.linalg.lapack's, over the same compiled extension
+    assert bound_routine_names(gaussian._dgees) == ["scipy_dgees_64_"]
     assert [a.tobytes() for a in williamson(state.cm)] == expected
 
     # A patch that forwards to the binder it replaced, as this file's recording
@@ -709,6 +720,66 @@ def test_first_williamson_call_binds_the_extension_routine(monkeypatch):
     for _ in range(2):
         assert [a.tobytes() for a in williamson(state.cm)] == expected
     assert gaussian._dgees is forwarding and len(calls) == 2
+
+
+def decomposition_bits(states) -> list[bytes]:
+    """Each state's (nu, S) from ``williamson`` and the stacked pass of each pair, as bytes."""
+    bits = []
+    for state0, state1 in zip(states[::2], states[1::2]):
+        bits += [a.tobytes() for state in (state0, state1) for a in williamson(state.cm)]
+        nus, symplectic = gaussian._williamson_stack(np.array([state0.cm.mat, state1.cm.mat]), (Convention.UNIT_VACUUM,) * 2)
+        bits += [np.array(nus).tobytes(), symplectic.tobytes()]
+    return bits
+
+
+def bit_test_states() -> list[GaussianState]:
+    """Both protocol pairs at the headline knobs and 20 seeded random states, some with a pure mode."""
+    params = ProtocolParams(**HEADLINE)
+    rng = np.random.default_rng(20090905)
+    return [*alice_pair(params), *eve_pair(params), *(random_unit_state(rng, pure_modes=k % 3) for k in range(20))]
+
+
+def test_scipy_fallback_gives_the_same_bits(monkeypatch):
+    """A numpy that exports no ``scipy_dgees_64_`` binds scipy's dgees, and every decomposition keeps its bits."""
+    states = bit_test_states()
+    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
+    expected = decomposition_bits(states)
+    assert bound_routine_names(gaussian._dgees) == ["scipy_dgees_64_"]
+    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
+    monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
+    assert decomposition_bits(states) == expected
+    assert type(gaussian._dgees) is type(dgees)  # scipy.linalg.lapack's kind of routine, from _flapack
+
+
+def test_threads_decomposing_at_once_each_get_a_lone_callers_bits(monkeypatch):
+    """Each thread has its own dgees workspace: 4 threads decomposing at once each get the bits of a lone caller.
+
+    ctypes releases the GIL during the LAPACK call, so one shared buffer
+    would let a thread overwrite another's matrix or its Schur form.  More
+    threads than a small host's cores, each switched out as often as the
+    interpreter allows.
+    """
+    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
+    states = bit_test_states()
+    expected = decomposition_bits(states)
+    assert bound_routine_names(gaussian._dgees) == ["scipy_dgees_64_"]
+    start = threading.Barrier(4)
+
+    def decompose(k: int) -> list[list[bytes]]:
+        order = states[2 * k:] + states[:2 * k]  # each thread starts at another pair
+        start.wait()
+        return [decomposition_bits(order) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(decompose, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, runs in enumerate(results):
+        lone = expected[6 * k:] + expected[:6 * k]
+        assert all(run == lone for run in runs)
 
 
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> tuple[float, float]:
@@ -962,6 +1033,10 @@ def test_power_overlap_matches_the_oracle_on_random_pairs(seed, pure_modes, s):
 @settings(max_examples=20, deadline=None)
 @given(pair=protocol_params().flatmap(lambda params: st.sampled_from([alice_pair(params), eve_pair(params)])),
        s=st.floats(1e-6, 1.0 - 1e-6))
+# hypothesis seed 13 with random draws: williamson's nu - 1 = 2.63123e-12, just
+# above NU_PURE_TOL, against 2.63141e-12 exactly, puts Q_1/2 2.8e-11 off.
+@example(pair=alice_pair(ProtocolParams(ns=1.0, kappa=0.5, g=1.0000000000023026, nb=2.3026025530725747e-12, m=1)),
+         s=0.5).xfail(raises=AssertionError, reason="ROADMAP item 3b (exact near-pure excess), with item 17 or 21")
 def test_power_overlap_matches_the_oracle_on_protocol_pairs(pair, s):
     """Within 64 eps cond(V) relative of the 50-digit oracle: ``williamson``'s error on these ill-conditioned states.
 
@@ -1077,8 +1152,16 @@ def test_general_pair_evaluations_are_scalar_arithmetic(monkeypatch):
         assert values == [power_overlap(state0, state1, s) for s in (1e-6, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-6)]
 
 
+# The points hypothesis seeds 10, 34 and 38 find with random draws: Eve's grid
+# Q_s falls below q_half at nb near 1e6, where (nu + 1)**s - (nu - 1)**s cancels.
 @settings(max_examples=60, deadline=None)
 @given(params=protocol_params())
+@example(params=ProtocolParams(ns=0.01778279410038923, kappa=0.0625, g=2.0535250264571463, nb=996749.2442316657, m=1)
+         ).xfail(raises=AssertionError, reason="ROADMAP item 3a, log-domain mode powers")
+@example(params=ProtocolParams(ns=0.01, kappa=0.01, g=432.37940637767736, nb=968763.4806064493, m=1)
+         ).xfail(raises=AssertionError, reason="ROADMAP item 3a, log-domain mode powers")
+@example(params=ProtocolParams(ns=0.0002560024085472178, kappa=0.09375, g=46170.193174629654, nb=934619.7612132806, m=1)
+         ).xfail(raises=AssertionError, reason="ROADMAP item 3a, log-domain mode powers")
 def test_protocol_pairs_take_s_half_exactly(params):
     grid = np.linspace(0.05, 0.95, 19)
     for s0, s1 in (alice_pair(params), eve_pair(params)):
