@@ -113,12 +113,12 @@ def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
     """Q_{1/2} of ``_ALICE``'s or ``_EVE``'s pair at params' knobs, also its s-minimised overlap (a parity pair's s* is 1/2).
 
     The first call at a knob point checks both bit-0 matrices, one
-    (2, 4, 4) array (``protocol._bit0_stack``), as ``CovMat`` checks a
-    matrix: entries finite and at most ``_ENTRY_MAX`` (NaN refused), then
-    one Cholesky over the stack.  It decomposes them in one stacked pass
-    and keeps both values.  Where any of that refuses, the observer's own
-    pair goes through ``minimize_overlap``, so each observer raises only
-    its own pair's refusal, and nothing is kept.
+    (2, 4, 4) array (``protocol._bit0_stack``), for entries finite and at
+    most ``_ENTRY_MAX`` (NaN refused), then decomposes them in one stacked
+    pass, whose 1e12 condition gate refuses a row that is not positive
+    definite, and keeps both values.  Where either refuses, the observer's
+    own pair goes through ``minimize_overlap``, so each observer raises
+    only its own pair's refusal, and nothing is kept.
     """
     point = _knob_point(params)
     if point.q_halves is None:
@@ -126,7 +126,6 @@ def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
         try:
             if not np.abs(stack).max() <= _ENTRY_MAX:  # false for NaN and inf too
                 raise ValueError
-            np.linalg.cholesky(stack)  # LinAlgError is a ValueError
             point.q_halves = _parity_q_halves(*_williamson_stack(stack, (Convention.UNIT_VACUUM,) * 2, ("state0",) * 2))
         except ValueError:
             return minimize_overlap(*(alice_pair, eve_pair)[observer](params)).q_half

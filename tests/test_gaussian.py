@@ -601,6 +601,48 @@ def unit_state_pairs(draw):
     return tuple(random_unit_state(rng, pure_modes=draw(st.integers(0, 1))) for _ in range(2))
 
 
+# A pair over the whole box: knobs for ``observer``'s pair, or a seed for two
+# ``random_unit_state`` draws with nu up to 1e6.  Either prints in a
+# falsifying report as the value that replays it.
+BOX_SOURCES = st.one_of(protocol_params(), st.integers(0, 2**32 - 1))
+
+
+def box_pair(source, observer) -> tuple[GaussianState, GaussianState]:
+    """``observer``'s pair at the knobs ``source``, or two random states with nu up to 1e6 from the seed ``source``."""
+    if isinstance(source, ProtocolParams):
+        return observer(source)
+    rng = np.random.default_rng(source)
+    return random_unit_state(rng, nu_max=1e6), random_unit_state(rng, nu_max=1e6)
+
+
+# Worst |Q_s(rho, rho) - 1| over 10 000 seeded draws (half random pairs with
+# nu up to 1e6, half protocol pairs; both states of each at s uniform on
+# [1e-6, 1 - 1e-6], at either end and at 1/2): 1.55e-9, and 1.72e-9 over
+# 9000 random hypothesis draws of the test below, from the mode powers'
+# cancellation at nu near 1e6 (item 3 of ROADMAP.md).  The bound is about
+# 3 times that.
+SELF_OVERLAP_ATOL = 5e-9
+# Worst |Q_s(rho0, rho1) / Q_{1-s}(rho1, rho0) - 1| over the same draws:
+# 6.9e-10 seeded, 8.0e-10 by hypothesis.  The bound is about 3 times that.
+S_REFLECTION_RTOL = 2.5e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=BOX_SOURCES, observer=st.sampled_from([alice_pair, eve_pair]), s=st.floats(1e-6, 1.0 - 1e-6))
+def test_a_state_overlaps_itself_to_one_over_the_box(source, observer, s):
+    """Q_s(rho, rho) = 1 for both states of a pair from the whole box."""
+    for state in box_pair(source, observer):
+        assert power_overlap(state, state, s) == pytest.approx(1.0, rel=0.0, abs=SELF_OVERLAP_ATOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=BOX_SOURCES, observer=st.sampled_from([alice_pair, eve_pair]), s=st.floats(1e-6, 1.0 - 1e-6))
+def test_overlap_reflects_in_s_over_the_box(source, observer, s):
+    """Q_s(rho0, rho1) = Q_{1-s}(rho1, rho0) for a pair from the whole box."""
+    state0, state1 = box_pair(source, observer)
+    assert power_overlap(state0, state1, s) == pytest.approx(power_overlap(state1, state0, 1.0 - s), rel=S_REFLECTION_RTOL, abs=0.0)
+
+
 def reference_williamson(cm: CovMat):
     """The Schur-based Williamson form through scipy.linalg.schur, block flips by swaps."""
     lam, u = np.linalg.eigh(cm.mat)
@@ -1031,20 +1073,21 @@ def test_power_overlap_matches_the_oracle_on_random_pairs(seed, pure_modes, s):
 
 
 @settings(max_examples=20, deadline=None)
-@given(pair=protocol_params().flatmap(lambda params: st.sampled_from([alice_pair(params), eve_pair(params)])),
-       s=st.floats(1e-6, 1.0 - 1e-6))
+@given(params=protocol_params(), observer=st.sampled_from([alice_pair, eve_pair]), s=st.floats(1e-6, 1.0 - 1e-6))
 # hypothesis seed 13 with random draws: williamson's nu - 1 = 2.63123e-12, just
 # above NU_PURE_TOL, against 2.63141e-12 exactly, puts Q_1/2 2.8e-11 off.
-@example(pair=alice_pair(ProtocolParams(ns=1.0, kappa=0.5, g=1.0000000000023026, nb=2.3026025530725747e-12, m=1)),
+@example(params=ProtocolParams(ns=1.0, kappa=0.5, g=1.0000000000023026, nb=2.3026025530725747e-12, m=1), observer=alice_pair,
          s=0.5).xfail(raises=AssertionError, reason="ROADMAP item 3b (exact near-pure excess), with item 17 or 21")
-def test_power_overlap_matches_the_oracle_on_protocol_pairs(pair, s):
+def test_power_overlap_matches_the_oracle_on_protocol_pairs(params, observer, s):
     """Within 64 eps cond(V) relative of the 50-digit oracle: ``williamson``'s error on these ill-conditioned states.
 
     Measured worst 9.6 eps cond(V) over 600 protocol draws (1.3e-9 relative
     at cond(V) = 1.9e6).  The Q_s kernel adds at most a few ulps to it: its
     distance from ``reference_overlap``, which shares the decomposition,
-    was at most 7.8e-15.
+    was at most 7.8e-15.  The knobs and the observer are drawn apart, so
+    a falsifying report prints a ``ProtocolParams`` that replays it.
     """
+    pair = observer(params)
     q = power_overlap(*pair, s)
     assert abs(q / oracle_overlap(*pair, s) - 1) <= 64 * EPS * np.linalg.cond(pair[0].cm.mat)
     assert_near_reference(q, pair, s)

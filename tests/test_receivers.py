@@ -18,6 +18,7 @@ import qillum.gaussian as gaussian
 import qillum.protocol as protocol
 import qillum.receivers as receivers
 from qillum import (
+    OMEGA,
     CovMat,
     DerivedCoefficients,
     IllConditionedMatrixError,
@@ -582,6 +583,47 @@ def test_each_refusal_keeps_its_type_and_message(knobs):
     assert raised(security_margin, params) == (alice or eve)
 
 
+def synthetic_symmetric(rng, n: int) -> np.ndarray:
+    """n symmetric 4 x 4 matrices Q diag(lam) Q^T: Q Haar-random, condition number log-uniform on [1e8, 1e18], scale on [1e-3, 1e300].
+
+    One in ten has its least eigenvalue set to zero or a negative value.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((n, 4, 4)))
+    log_cond = rng.uniform(8.0, 18.0, n)
+    lam = 10.0 ** (log_cond[:, np.newaxis] * rng.uniform(0.0, 1.0, (n, 4)))  # in [1, cond]
+    lam[:, 0], lam[:, 1] = 1.0, 10.0**log_cond
+    indefinite = rng.random(n) < 0.1
+    lam[indefinite, 0] = -rng.uniform(0.0, 1.0, indefinite.sum()) * rng.integers(0, 2, indefinite.sum())
+    lam *= 10.0 ** (rng.uniform(-3.0, 300.0, n) - log_cond)[:, np.newaxis]
+    m = (q * lam[:, np.newaxis, :]) @ q.transpose(0, 2, 1)
+    return (m + m.transpose(0, 2, 1)) / 2.0
+
+
+def test_the_condition_gate_refuses_every_matrix_cholesky_would():
+    """Every matrix ``_williamson_stack`` accepts factors by Cholesky, and every one Cholesky rejects the gate refuses.
+
+    This is what lets the receivers' stacked pass check a bit-0 row only
+    for its entry bound: a symmetric matrix with a 2-norm condition number
+    below 1e12 factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 10.1: 20 n**1.5 cond u < 1 for n = 4 below
+    5.7e13).  The matrices are 10 000 seeded synthetic ones, the bit-0 rows
+    of 300 ``PlanScan`` draws (seed 77), and the rows of the
+    ``_EDGE_REFUSALS`` points that pass the entry bound, as only those
+    reach the gate.
+    """
+    rows = [*synthetic_symmetric(np.random.default_rng(32), 10_000)]
+    draws, rng = workloads.PlanScan(), np.random.default_rng(77)
+    for params in [draws.draw(rng) for _ in range(300)] + [ProtocolParams(*knobs, m=10) for knobs in _EDGE_REFUSALS]:
+        rows += [row for row in protocol._bit0_stack(derived_coefficients(params)) if np.abs(row).max() <= gaussian._ENTRY_MAX]
+    verdicts = set()
+    for row in rows:
+        refusal = raised(lambda m: gaussian._williamson_stack(m[np.newaxis], (_UNIT,)), row)
+        factors = raised(np.linalg.cholesky, row) is None
+        assert factors if refusal is None else refusal[0] is IllConditionedMatrixError, row
+        verdicts.add((refusal is None, factors))
+    assert verdicts == {(True, True), (False, True), (False, False)}  # every verdict the property allows was drawn
+
+
 # Alice's bit-0 matrix is not positive definite (c_a**2 > a s_diag), Eve's is the vacuum.
 _NOT_POSITIVE = DerivedCoefficients(s_diag=1.0, c_q=0.0, a=1.0, c_a=2.0, d=1.0, c_e=0.0, e=1.0)
 
@@ -598,13 +640,25 @@ _NOT_POSITIVE = DerivedCoefficients(s_diag=1.0, c_q=0.0, a=1.0, c_a=2.0, d=1.0, 
     ids=["not positive definite", "NaN", "inf", "above the entry bound"],
 )
 def test_an_invalid_bit0_row_refuses_as_its_covmat_would(coefficients, message, monkeypatch, headline_params, williamson_calls):
-    """The stacked check refuses an invalid row, NaN included, before any decomposition; that observer raises CovMat's error, the other is served."""
+    """The stacked pass refuses an invalid row, NaN included, before it reaches dgees; that observer raises CovMat's error, the other is served.
+
+    The entry bound refuses a row before the decomposition; the
+    decomposition's condition gate refuses one that is not positive
+    definite, so its (2, 4, 4) stack may be recorded, but no row of it
+    reaches dgees.
+    """
     # the refused stack falls back to the observer's own pair, which protocol builds
     for module in (receivers, protocol):
         monkeypatch.setattr(module, "derived_coefficients", lambda params: coefficients)
+    cores, schur = [], gaussian._dgees
+    monkeypatch.setattr(gaussian, "_dgees", lambda select, core: cores.append(core.copy()) or schur(select, core))
     assert raised(alice_optimum_bounds, headline_params) == (ValueError, message)
     assert eve_optimum_bounds(headline_params).q_half == 1.0  # the vacuum against itself
-    assert len(williamson_calls) == 1 and np.array_equal(williamson_calls[0], [np.eye(4)])  # Eve's row alone
+    *refused, eve_row = williamson_calls
+    stack = protocol._bit0_stack(coefficients)
+    assert all(np.array_equal(call, stack, equal_nan=True) for call in refused)
+    assert np.array_equal(eve_row, [np.eye(4)])
+    assert len(cores) == 1 and np.array_equal(cores[0], OMEGA)  # Eve's row alone: the identity's core is Omega
     assert raised(alice_pair, headline_params) == (ValueError, message)
     assert raised(eve_pair, headline_params) is None
 
