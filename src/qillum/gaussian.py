@@ -39,8 +39,8 @@ LAPACK, numpy's.  A numpy build that exports no such symbol (conda's, or
 Accelerate on macOS arm64) takes the routine from scipy's compiled
 ``scipy.linalg._flapack`` extension instead, without running the
 ``scipy.linalg`` package init.  Either way it is bound at the first
-decomposition, not at import, so ``import qillum`` and a run that
-decomposes nothing, such as ``qillum mc``, bind nothing.
+decomposition and kept by ``functools.cache`` on ``_load_dgees`` (an
+ImportError is not), so ``import qillum`` and ``qillum mc`` bind nothing.
 """
 
 from __future__ import annotations
@@ -182,6 +182,7 @@ def _scipy_dgees() -> Callable:
     return module.dgees
 
 
+@functools.cache
 def _load_dgees() -> Callable:
     """LAPACK ``dgees`` from the OpenBLAS numpy's ``linalg`` links, as scipy's ``dgees(select, a)`` for a 4 x 4 ``a``.
 
@@ -192,7 +193,8 @@ def _load_dgees() -> Callable:
     workspace, valid until the thread's next call, and ``select`` is
     ignored, as no eigenvalue is sorted.  Where numpy exports no
     ``scipy_dgees_64_``, returns scipy's routine (``_scipy_dgees``).
-    ``_dgees`` calls this at the first decomposition, not at import.
+    ``functools.cache`` keeps the routine from the first decomposition on;
+    an ImportError is not cached, so the next decomposition searches again.
 
     Raises:
         ImportError: neither numpy nor scipy has the routine; the message
@@ -219,24 +221,6 @@ def _load_dgees() -> Callable:
         return t, 0, wr, wi, vs, work, info.item()  # SDIM is 0: nothing is sorted
 
     return dgees
-
-
-def _bind_dgees(*args):
-    """``_dgees`` until the first decomposition: loads LAPACK ``dgees`` and forwards this call to it.
-
-    Rebinds the module global ``_dgees`` to the routine, unless it was
-    patched meanwhile, so later decompositions call it directly.  Where
-    neither numpy nor scipy has the routine, raises ``_load_dgees``'s
-    ImportError and stays bound.
-    """
-    global _dgees
-    routine = _load_dgees()
-    if _dgees is _bind_dgees:
-        _dgees = routine
-    return routine(*args)
-
-
-_dgees = _bind_dgees
 
 
 def _no_sort(wr: float, wi: float) -> None:
@@ -360,9 +344,10 @@ def _williamson_stack(mats: NDArray, conventions: tuple[Convention, ...], labels
     inv_root = (u / root_lam) @ u_t
     core = inv_root @ OMEGA @ inv_root
     core = (core - core.transpose(0, 2, 1)) / 2.0  # exact antisymmetry for the Schur step
+    dgees = _load_dgees()
     nus, q_rows = [], []
     for k in range(n):
-        t, _, _, _, q, _, info = _dgees(_no_sort, core[k])
+        t, _, _, _, q, _, info = dgees(_no_sort, core[k])
         if info != 0:
             raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
         # Block k carries 1/nu_k in its positive off-diagonal entry; a block

@@ -683,9 +683,9 @@ from qillum import gaussian
 assert "scipy.linalg" not in sys.modules and "scipy.linalg._flapack" not in sys.modules
 {schur_outputs}
 cores = np.load(sys.argv[1])
-before = _schur_outputs(gaussian._dgees, cores)
+before = _schur_outputs(gaussian._load_dgees(), cores)
 from scipy.linalg.lapack import dgees
-np.save(sys.argv[2], np.stack([before, _schur_outputs(gaussian._dgees, cores), _schur_outputs(dgees, cores)]))
+np.save(sys.argv[2], np.stack([before, _schur_outputs(gaussian._load_dgees(), cores), _schur_outputs(dgees, cores)]))
 """
 
 
@@ -697,13 +697,13 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
     """
     rng = np.random.default_rng(20090904)
     cores = [a - a.T for a in rng.standard_normal((200, 4, 4))]
-    bound = gaussian._dgees
+    bound = gaussian._load_dgees()
 
     def recording(select, core):
         cores.append(core.copy())
         return bound(select, core)
 
-    monkeypatch.setattr(gaussian, "_dgees", recording)
+    monkeypatch.setattr(gaussian, "_load_dgees", lambda: recording)
     params = ProtocolParams(**HEADLINE)
     for state in (*alice_pair(params), *eve_pair(params)):
         williamson(state.cm)
@@ -711,7 +711,7 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
     assert len(cores) == 204
     cores = np.array(cores)
     expected = _schur_outputs(dgees, cores).tobytes()
-    assert _schur_outputs(gaussian._dgees, cores).tobytes() == expected  # scipy.linalg loaded first here
+    assert _schur_outputs(gaussian._load_dgees(), cores).tobytes() == expected  # scipy.linalg loaded first here
 
     np.save(tmp_path / "cores.npy", cores)
     script = _QILLUM_FIRST_SCHUR.format(schur_outputs=inspect.getsource(_schur_outputs))
@@ -724,8 +724,27 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
         assert outputs.tobytes() == expected
 
 
-def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
-    """Without numpy's dgees, a scipy without ``linalg/_flapack`` names numpy's extension and the directory searched; no scipy says so."""
+@pytest.fixture
+def fresh_dgees():
+    """``gaussian._load_dgees`` with nothing bound; its cache is cleared again at teardown, so no routine bound here reaches a later test."""
+    load = gaussian._load_dgees
+    load.cache_clear()
+    yield load
+    load.cache_clear()
+
+
+def searches_and_kept(load) -> tuple[int, int]:
+    """How often the cached loader ``load`` has searched for dgees since its cache was cleared, and how many routines it keeps."""
+    info = load.cache_info()
+    return info.misses, info.currsize
+
+
+def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path, fresh_dgees):
+    """Without numpy's dgees, a scipy without ``linalg/_flapack`` names numpy's extension and the directory searched; no scipy says so.
+
+    The ImportError is not cached: each call searches again, and once the
+    routine is there the next call binds it.
+    """
     monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
     numpy_searched = re.escape(f"numpy's {np.linalg._umath_linalg.__file__} exports no no_such_dgees_64_, and ")
     scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
@@ -734,34 +753,26 @@ def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, found=found: found)
         with pytest.raises(ImportError, match=numpy_searched + ".*" + message):
             gaussian._load_dgees()
+    assert searches_and_kept(fresh_dgees) == (2, 0)
+    monkeypatch.undo()
+    assert bound_routine_names(gaussian._load_dgees()) == ["scipy_dgees_64_"]
+    assert searches_and_kept(fresh_dgees) == (3, 1)
 
 
 def bound_routine_names(solver) -> list[str]:
-    """The names of the foreign functions a bound ``_dgees`` closes over: numpy's LAPACK symbol, or none for scipy's."""
+    """The names of the foreign functions a routine from ``_load_dgees`` closes over: numpy's LAPACK symbol, or none for scipy's."""
     return [cell.cell_contents.__name__ for cell in solver.__closure__ or ()
             if isinstance(cell.cell_contents, ctypes._CFuncPtr)]
 
 
-def test_first_williamson_call_binds_the_extension_routine(monkeypatch):
-    """Until the first decomposition ``_dgees`` is the binder; that call rebinds it to numpy's OpenBLAS dgees."""
-    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
+def test_first_williamson_call_binds_the_extension_routine(fresh_dgees):
+    """Nothing is bound until the first decomposition; that one binds numpy's OpenBLAS dgees, and later ones reuse it."""
     state = alice_pair(ProtocolParams(**HEADLINE))[0]
     expected = [a.tobytes() for a in williamson(state.cm)]
-    assert bound_routine_names(gaussian._dgees) == ["scipy_dgees_64_"]
+    assert searches_and_kept(fresh_dgees) == (1, 1)
+    assert bound_routine_names(fresh_dgees()) == ["scipy_dgees_64_"]
     assert [a.tobytes() for a in williamson(state.cm)] == expected
-
-    # A patch that forwards to the binder it replaced, as this file's recording
-    # and oriented solvers do when they are the first to decompose, stays.
-    calls = []
-
-    def forwarding(select, core):
-        calls.append(core)
-        return gaussian._bind_dgees(select, core)
-
-    monkeypatch.setattr(gaussian, "_dgees", forwarding)
-    for _ in range(2):
-        assert [a.tobytes() for a in williamson(state.cm)] == expected
-    assert gaussian._dgees is forwarding and len(calls) == 2
+    assert searches_and_kept(fresh_dgees) == (1, 1)
 
 
 def decomposition_bits(states) -> list[bytes]:
@@ -781,30 +792,30 @@ def bit_test_states() -> list[GaussianState]:
     return [*alice_pair(params), *eve_pair(params), *(random_unit_state(rng, pure_modes=k % 3) for k in range(20))]
 
 
-def test_scipy_fallback_gives_the_same_bits(monkeypatch):
+def test_scipy_fallback_gives_the_same_bits(monkeypatch, fresh_dgees):
     """A numpy that exports no ``scipy_dgees_64_`` binds scipy's dgees, and every decomposition keeps its bits."""
     states = bit_test_states()
-    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
     expected = decomposition_bits(states)
-    assert bound_routine_names(gaussian._dgees) == ["scipy_dgees_64_"]
-    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
+    assert bound_routine_names(fresh_dgees()) == ["scipy_dgees_64_"]
+    fresh_dgees.cache_clear()
     monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
     assert decomposition_bits(states) == expected
-    assert type(gaussian._dgees) is type(dgees)  # scipy.linalg.lapack's kind of routine, from _flapack
+    assert type(fresh_dgees()) is type(dgees)  # scipy.linalg.lapack's kind of routine, from _flapack
 
 
-def test_threads_decomposing_at_once_each_get_a_lone_callers_bits(monkeypatch):
+def test_threads_decomposing_at_once_each_get_a_lone_callers_bits(fresh_dgees):
     """Each thread has its own dgees workspace: 4 threads decomposing at once each get the bits of a lone caller.
 
     ctypes releases the GIL during the LAPACK call, so one shared buffer
     would let a thread overwrite another's matrix or its Schur form.  More
     threads than a small host's cores, each switched out as often as the
-    interpreter allows.
+    interpreter allows.  Nothing is bound when they start, so they race on
+    the first bind too.
     """
-    monkeypatch.setattr(gaussian, "_dgees", gaussian._bind_dgees)
     states = bit_test_states()
     expected = decomposition_bits(states)
-    assert bound_routine_names(gaussian._dgees) == ["scipy_dgees_64_"]
+    assert bound_routine_names(fresh_dgees()) == ["scipy_dgees_64_"]
+    fresh_dgees.cache_clear()
     start = threading.Barrier(4)
 
     def decompose(k: int) -> list[list[bytes]]:
@@ -822,6 +833,7 @@ def test_threads_decomposing_at_once_each_get_a_lone_callers_bits(monkeypatch):
     for k, runs in enumerate(results):
         lone = expected[6 * k:] + expected[:6 * k]
         assert all(run == lone for run in runs)
+    assert searches_and_kept(fresh_dgees)[1] == 1
 
 
 def reference_overlap(state0: GaussianState, state1: GaussianState, s: float) -> tuple[float, float]:
@@ -950,15 +962,15 @@ def test_evaluator_is_the_term_by_term_overlap_bit_for_bit():
 def argsort_williamson(cm: CovMat):
     """``williamson`` with numpy bookkeeping on the two Schur blocks: list comprehensions, argsort, a column list, a mask.
 
-    Reads the Schur form from ``gaussian._dgees`` at call time, as ``williamson``
-    does, so a patched solver reaches both.
+    Reads the Schur solver from ``gaussian._load_dgees`` at call time, as
+    ``williamson`` does, so a patched solver reaches both.
     """
     lam, u = np.linalg.eigh(cm.mat)
     root = (u * np.sqrt(lam)) @ u.T
     inv_root = (u / np.sqrt(lam)) @ u.T
     core = inv_root @ OMEGA @ inv_root
     core = (core - core.T) / 2.0
-    t, _, _, _, q, _, info = gaussian._dgees(gaussian._no_sort, core)
+    t, _, _, _, q, _, info = gaussian._load_dgees()(gaussian._no_sort, core)
     assert info == 0
     flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(2)]
     nu = np.array([1.0 / (t[2 * k + 1, 2 * k] if flip else t[2 * k, 2 * k + 1]) for k, flip in enumerate(flipped)])
@@ -970,13 +982,13 @@ def argsort_williamson(cm: CovMat):
 
 
 def oriented_dgees(upper_signs):
-    """``gaussian._dgees``, with Schur block k turned so that its upper-right entry has the sign ``upper_signs[k]``.
+    """The bound Schur solver, with block k turned so that its upper-right entry has the sign ``upper_signs[k]``.
 
     Turning block k swaps rows and columns 2k, 2k + 1 of T and columns
     2k, 2k + 1 of Q, so Q T Q^T is still the input; Q keeps its
     column-major layout.
     """
-    solve = gaussian._dgees
+    solve = gaussian._load_dgees()
 
     def dgees(select, core):
         t, sdim, wr, wi, q, work, info = solve(select, core)
@@ -1021,8 +1033,9 @@ UPPER_SIGNS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 @example(cm=tied_thermal_state(2.5, 7))
 def test_williamson_bookkeeping_matches_argsort_reference_bit_for_bit(upper_signs, cm):
     """(nu, S) is bit-equal to the argsort bookkeeping in either orientation of each Schur block, ties included."""
+    turned = oriented_dgees(upper_signs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gaussian, "_dgees", oriented_dgees(upper_signs))
+        patch.setattr(gaussian, "_load_dgees", lambda: turned)
         nu, sp = williamson(cm)
         ref_nu, ref_sp = argsort_williamson(cm)
     assert nu.tobytes() == ref_nu.tobytes()
@@ -1035,11 +1048,12 @@ def test_williamson_bookkeeping_matches_argsort_reference_bit_for_bit(upper_sign
 @pytest.mark.parametrize("upper_signs", UPPER_SIGNS, ids=lambda signs: "".join("+-"[sign < 0] for sign in signs))
 def test_williamson_swaps_tied_modes_as_argsort_does(upper_signs):
     """A tie takes the swapped block order, argsort(nu)[::-1] of two equal values."""
+    turned = oriented_dgees(upper_signs)
     for cm in (CovMat(np.eye(4), Convention.UNIT_VACUUM), CovMat(2.5 * np.eye(4), Convention.UNIT_VACUUM)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gaussian, "_dgees", oriented_dgees(upper_signs))
+            patch.setattr(gaussian, "_load_dgees", lambda: turned)
             nu, sp = williamson(cm)
-            _, _, _, _, q, _, _ = gaussian._dgees(gaussian._no_sort, OMEGA / cm.mat[0, 0])
+            _, _, _, _, q, _, _ = gaussian._load_dgees()(gaussian._no_sort, OMEGA / cm.mat[0, 0])
         assert nu[0] == nu[1]
         # V = nu I: V^{1/2} = sqrt(nu) I, so S is Q with its blocks in the swapped order.
         first = [3, 2] if upper_signs[1] < 0 else [2, 3]

@@ -650,8 +650,13 @@ def test_an_invalid_bit0_row_refuses_as_its_covmat_would(coefficients, message, 
     # the refused stack falls back to the observer's own pair, which protocol builds
     for module in (receivers, protocol):
         monkeypatch.setattr(module, "derived_coefficients", lambda params: coefficients)
-    cores, schur = [], gaussian._dgees
-    monkeypatch.setattr(gaussian, "_dgees", lambda select, core: cores.append(core.copy()) or schur(select, core))
+    cores, schur = [], gaussian._load_dgees()
+
+    def recording(select, core):
+        cores.append(core.copy())
+        return schur(select, core)
+
+    monkeypatch.setattr(gaussian, "_load_dgees", lambda: recording)
     assert raised(alice_optimum_bounds, headline_params) == (ValueError, message)
     assert eve_optimum_bounds(headline_params).q_half == 1.0  # the vacuum against itself
     *refused, eve_row = williamson_calls
