@@ -36,23 +36,20 @@ solver ``dgees``.  It is called through ``ctypes`` from the OpenBLAS that
 numpy's own ``linalg`` extension links (``scipy-openblas64``, which exports
 the ILP64 symbol ``scipy_dgees_64_``), so a decomposing process maps one
 LAPACK, numpy's.  A numpy build that exports no such symbol (conda's, or
-Accelerate on macOS arm64) takes the routine from scipy's compiled
-``scipy.linalg._flapack`` extension instead, without running the
-``scipy.linalg`` package init.  Either way it is bound at the first
-decomposition and kept by ``functools.cache`` on ``_load_dgees`` (an
-ImportError is not), so ``import qillum`` and ``qillum mc`` bind nothing.
+Accelerate on macOS arm64) takes the Schur form from numpy's ``eigh`` of
+the Hermitian i a instead (``_eigh_schur``), so numpy is the one runtime
+dependency.  Either way the step is bound at the first decomposition and
+kept by ``functools.cache`` on ``_load_dgees``, so ``import qillum`` and
+``qillum mc`` bind nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import itertools
 import math
 import numbers
-import os
 import sys
 import threading
 from collections.abc import Callable
@@ -124,7 +121,7 @@ _PARITY_SIGNS.setflags(write=False)
 
 
 # The ILP64 dgees that numpy's bundled OpenBLAS exports, and the workspace
-# dgees takes for a 4 x 4 matrix: LWORK = 3 N, as scipy's wrapper passes it.
+# dgees takes for a 4 x 4 matrix: LWORK = 3 N.
 _NUMPY_DGEES = "scipy_dgees_64_"
 _LWORK = 12
 
@@ -136,8 +133,8 @@ class _SchurWorkspace(threading.local):
     the unreferenced BWORK and the int64 scalars N (= LDA = LDVS), LWORK,
     SDIM and INFO; ``args`` is the ctypes argument list over it: JOBVS
     ``V``, SORT ``N``, a NULL SELECT, and the two gfortran string lengths.
-    ``slots`` holds A^T's C-order view, ``args``, T, WR, WI, VS, WORK and
-    INFO, read with one attribute lookup per call.
+    ``slots`` holds A^T's C-order view, ``args``, T, VS and INFO, read with
+    one attribute lookup per call.
     """
 
     def __init__(self) -> None:
@@ -151,80 +148,54 @@ class _SchurWorkspace(threading.local):
         one = ctypes.c_size_t(1)
         args = (b"V", b"N", None, n, a, n, sdim, wr, wi, vs, n, work, lwork, bwork, info, one, one)
         # Column-major A and VS seen as matrices: the transposes of their C-order views.
-        self.slots = (a_t, args, a_t.T, buffer[32:36], buffer[36:40], vs_t.T, buffer[40:52], ints[3:])
+        self.slots = (a_t, args, a_t.T, vs_t.T, ints[3:])
 
 
-def _scipy_dgees() -> Callable:
-    """LAPACK ``dgees`` from scipy's ``linalg/_flapack`` extension, loaded without ``import scipy``.
+def _eigh_schur(a: NDArray) -> tuple[NDArray, NDArray]:
+    """A real Schur form (T, Z) of a nonsingular antisymmetric 4 x 4 ``a``, from numpy's ``eigh`` alone.
 
-    ``find_spec`` locates scipy and ``PathFinder`` the extension in its
-    ``linalg`` directory, neither importing anything.  The extension is not
-    left in ``sys.modules``, so a later ``import scipy.linalg`` loads its own
-    module object (over the same compiled routine).
-
-    Raises:
-        ImportError: scipy or its ``_flapack`` extension is not installed.
+    The Hermitian i a has eigenvalues -l_2 <= -l_1 < 0 < l_1 <= l_2.  An
+    eigenvector v at l > 0 is orthogonal to its conjugate, the eigenvector
+    at -l, so sqrt 2 (Re v, Im v) are orthonormal real columns spanning a
+    plane a keeps, and T = Z^T a Z carries -l and +l in its 2 x 2 block.
     """
-    name = "scipy.linalg._flapack"
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        raise ImportError("scipy is not installed, so there is no scipy/linalg/_flapack")
-    dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
-    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack is not in {', '.join(dirs)}")
-    loaded_before = name in sys.modules
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not loaded_before:
-        # A single-phase extension registers itself while it initialises.
-        sys.modules.pop(name, None)
-    return module.dgees
+    _, v = np.linalg.eigh(1j * a)
+    z = math.sqrt(2.0) * np.ascontiguousarray(v[:, 2:]).view(np.float64)
+    return z.T @ a @ z, z
 
 
 @functools.cache
-def _load_dgees() -> Callable:
-    """LAPACK ``dgees`` from the OpenBLAS numpy's ``linalg`` links, as scipy's ``dgees(select, a)`` for a 4 x 4 ``a``.
+def _load_dgees() -> Callable[[NDArray], tuple[NDArray, NDArray]]:
+    """The Schur step ``schur(a) -> (T, Z)``, a = Z T Z^T for a 4 x 4 antisymmetric ``a``: LAPACK ``dgees`` where numpy links one.
 
     ``dlsym`` on a handle to ``numpy.linalg._umath_linalg`` reaches the
     OpenBLAS that extension links, already mapped.  A call copies ``a``
-    into its thread's ``_SchurWorkspace`` and returns scipy's tuple
-    (t, sdim, wr, wi, vs, work, info): the arrays are views of that
-    workspace, valid until the thread's next call, and ``select`` is
-    ignored, as no eigenvalue is sorted.  Where numpy exports no
-    ``scipy_dgees_64_``, returns scipy's routine (``_scipy_dgees``).
-    ``functools.cache`` keeps the routine from the first decomposition on;
-    an ImportError is not cached, so the next decomposition searches again.
-
-    Raises:
-        ImportError: neither numpy nor scipy has the routine; the message
-            names both places searched.
+    into its thread's ``_SchurWorkspace`` and returns views of that
+    workspace, valid until the thread's next call; it raises
+    ``numpy.linalg.LinAlgError`` when dgees reports failure.  Where numpy
+    exports no ``scipy_dgees_64_`` (conda's build, Accelerate), returns
+    ``_eigh_schur``.  ``functools.cache`` keeps the step from the first
+    decomposition on.
     """
-    path = np.linalg._umath_linalg.__file__
     try:
-        routine = getattr(ctypes.CDLL(path), _NUMPY_DGEES)
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _NUMPY_DGEES)
     except (OSError, AttributeError):
-        try:
-            return _scipy_dgees()
-        except ImportError as missing:
-            raise ImportError(f"no LAPACK dgees: numpy's {path} exports no {_NUMPY_DGEES}, and {missing}") from None
+        return _eigh_schur
     # No argtypes: each argument in ``args`` is a ctypes object, bytes or None,
     # which fixes its C type itself, and a per-argument conversion would add
     # about 0.3 us to a 5 us call (x86_64, OpenBLAS 0.3.31).
     routine.restype = None
     workspace = _SchurWorkspace()
 
-    def dgees(select, a):
-        a_t, args, t, wr, wi, vs, work, info = workspace.slots
+    def schur(a):
+        a_t, args, t, vs, info = workspace.slots
         a_t[...] = a.T
         routine(*args)
-        return t, 0, wr, wi, vs, work, info.item()  # SDIM is 0: nothing is sorted
+        if info[0]:
+            raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info[0]})")
+        return t, vs
 
-    return dgees
-
-
-def _no_sort(wr: float, wi: float) -> None:
-    """dgees eigenvalue-selection callback; never called, as blocks are not sorted."""
+    return schur
 
 
 @dataclass(frozen=True)
@@ -314,12 +285,15 @@ def _williamson_stack(mats: NDArray, conventions: tuple[Convention, ...], labels
 
     Each matrix is symmetric positive definite, as a ``CovMat`` holds it,
     in convention ``conventions[k]``.  One ``eigh`` over the stack, V^{1/2},
-    V^{-1/2} and V^{-1/2} Omega V^{-1/2} as stacked matmuls, one ``dgees``
-    per matrix and S for the whole stack; every float operation is the one
-    a lone matrix takes, so each result is the same to the bit at any stack
-    size.  Matrix k is checked in full (convention, conditioning, and with
-    ``labels`` physicality, refused as ``labels[k]``) before matrix k + 1,
-    and no matrix from the first refused one on is inverted.
+    V^{-1/2} and V^{-1/2} Omega V^{-1/2} as stacked matmuls, one Schur step
+    (``_load_dgees``) per matrix and S for the whole stack; every float
+    operation is the one a lone matrix takes, so each result is the same to
+    the bit at any stack size.  The bookkeeping reads only the 2 x 2
+    diagonal blocks of T, in either orientation, so it serves dgees's T and
+    ``_eigh_schur``'s alike.  Matrix k is checked in full (convention,
+    conditioning, and with ``labels`` physicality, refused as
+    ``labels[k]``) before matrix k + 1, and no matrix from the first
+    refused one on is inverted.
     """
     lam, u = np.linalg.eigh(mats)
     refusal = None
@@ -344,12 +318,10 @@ def _williamson_stack(mats: NDArray, conventions: tuple[Convention, ...], labels
     inv_root = (u / root_lam) @ u_t
     core = inv_root @ OMEGA @ inv_root
     core = (core - core.transpose(0, 2, 1)) / 2.0  # exact antisymmetry for the Schur step
-    dgees = _load_dgees()
+    schur = _load_dgees()
     nus, q_rows = [], []
     for k in range(n):
-        t, _, _, _, q, _, info = dgees(_no_sort, core[k])
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Schur form not found (dgees info = {info})")
+        t, q = schur(core[k])
         # Block k carries 1/nu_k in its positive off-diagonal entry; a block
         # whose upper-right entry came out negative has its two columns of q
         # swapped, which flips the block's orientation.
@@ -382,14 +354,15 @@ def williamson(cm: CovMat) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     of the Schur blocks (as ``np.argsort(nu)[::-1]`` orders them); values
     within 1e-9 below 1 are clamped up to 1, so a physical state has every
     nu >= 1 exactly.  Uses the real Schur form of V^{-1/2} Omega V^{-1/2},
-    whose antisymmetric 2x2 blocks carry 1/nu_k, from one LAPACK ``dgees``
-    call; the bookkeeping on the two blocks is done in Python floats.  It
-    is the stack of one of the routine that decomposes both states of a
-    general pair in one pass, so a state gets the same bits either way.
+    whose antisymmetric 2x2 blocks carry 1/nu_k, from one Schur step
+    (``_load_dgees``); the bookkeeping on the two blocks is done in Python
+    floats.  It is the stack of one of the routine that decomposes both
+    states of a general pair in one pass, so a state gets the same bits
+    either way.
 
     Raises:
         IllConditionedMatrixError: condition number above 1e12.
-        numpy.linalg.LinAlgError: dgees found no Schur form.
+        numpy.linalg.LinAlgError: the Schur step found no Schur form.
     """
     nus, symplectic = _williamson_stack(cm.mat[np.newaxis], (cm.convention,))
     return np.array(nus[0]), symplectic[0]

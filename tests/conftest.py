@@ -123,6 +123,16 @@ def no_earlier_knob_point():
 
 
 @pytest.fixture
+def eigh_schur(monkeypatch):
+    """Decompose through ``gaussian._eigh_schur``, as on a numpy that exports no dgees; the loader binds afresh after the test."""
+    monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
+    gaussian._load_dgees.cache_clear()
+    assert gaussian._load_dgees() is gaussian._eigh_schur
+    yield
+    gaussian._load_dgees.cache_clear()
+
+
+@pytest.fixture
 def williamson_calls(monkeypatch) -> list:
     """Record every stack of covariance matrices that ``gaussian._williamson_stack`` decomposes.
 

@@ -13,6 +13,7 @@ import pytest
 from qillum import ProtocolParams, alice_pair, eve_pair
 from qillum.cli import CSV_HEADER, OUT_DIR_ENV, main
 
+import knob_oracle
 from conftest import HEADLINE, src_env
 
 HEADLINE_FLAGS = ["--ns", "0.004", "--kappa", "0.1", "--g", "1e4", "--nb", "1e4"]
@@ -147,9 +148,10 @@ def test_bounds_sweep_and_plan_map_one_lapack(tmp_path):
 
 # Runs the CLI on argv[2:] in a fresh interpreter whose path finder cannot see
 # scipy, as where scipy is not installed; a non-empty argv[1] replaces the
-# symbol gaussian looks up in numpy's OpenBLAS, as on a numpy without it.
+# symbol gaussian looks up in numpy's OpenBLAS, as on a numpy without it, and
+# then the Schur step must be ``_eigh_schur``.  No run may map scipy's _flapack.
 _NO_SCIPY = """
-import importlib.machinery, sys
+import importlib.machinery, os, sys
 
 class NoScipy(importlib.machinery.PathFinder):
     @classmethod
@@ -161,7 +163,13 @@ from qillum import gaussian
 from qillum.cli import main
 if sys.argv[1]:
     gaussian._NUMPY_DGEES = sys.argv[1]
-sys.exit(main(sys.argv[2:]))
+code = main(sys.argv[2:])
+if sys.argv[1]:
+    assert gaussian._load_dgees() is gaussian._eigh_schur
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        assert "_flapack" not in maps.read()
+sys.exit(code)
 """
 
 
@@ -171,33 +179,50 @@ def run_without_scipy(*argv, numpy_dgees=""):
     )
 
 
-def test_mc_runs_without_scipy(capsys):
-    proc = run_without_scipy("mc", *MC_FLAGS, "--json")
+def readme_argv(command: str) -> list[str]:
+    """The README's run of ``command``; the sweep writes ``curves.csv`` under ``QILLUM_OUT_DIR``."""
+    return {
+        "bounds": ["bounds", *HEADLINE_FLAGS, "--m", "20000"],
+        "sweep": ["sweep", *SWEEP_FLAGS, "--out", "curves.csv"],
+        "plan": ["plan", *PLAN_FLAGS, "--target", "1e-6"],
+        "mc": ["mc", *HEADLINE_FLAGS, "--m", "2000", "--trials", "1000000", "--seed", "7"],
+    }[command]
+
+
+def stable_output(record: dict, out_dir) -> tuple[dict, list[str] | None]:
+    """A run's JSON record without its timestamp, and the lines of the sweep CSV in ``out_dir`` but its "# generated:" line."""
+    del record["timestamp"]
+    csv = out_dir / "curves.csv"
+    return record, [line for line in csv.read_text().splitlines() if not line.startswith("# generated:")] if csv.exists() else None
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep", "plan", "mc"])
+def test_readme_commands_run_without_scipy(command, capsys, tmp_path, monkeypatch):
+    """With scipy hidden, each README command gives the default run's JSON record and sweep CSV, but for the timestamps."""
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    proc = run_without_scipy(*readme_argv(command), "--json")
     assert proc.returncode == 0, proc.stderr
-    code, record, _ = run_json(capsys, "mc", *MC_FLAGS)
+    blocked = stable_output(json.loads(proc.stdout), tmp_path)
+    code, record, _ = run_json(capsys, *readme_argv(command))
     assert code == 0
-    blocked = json.loads(proc.stdout)
-    del blocked["timestamp"], record["timestamp"]
-    assert blocked == record
+    assert stable_output(record, tmp_path) == blocked
+    assert (blocked[1] is not None) == (command == "sweep")
 
 
-def test_bounds_runs_without_scipy(capsys):
-    """With scipy hidden, ``bounds`` takes dgees from numpy's OpenBLAS and gives the default run's outputs."""
-    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000", "--json")
+def test_bounds_without_numpy_dgees_or_scipy_takes_the_eigh_schur_step():
+    """Without scipy and numpy's dgees, ``bounds`` runs on ``_eigh_schur``: its three optimum numbers lie within 1e-6 of the knob-exact golden.
+
+    Measured: Eve's lower bound is the worst, 1.4e-7 relative off; on the
+    dgees route it is 1.1e-7 off.
+    """
+    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000", "--json", numpy_dgees="no_such_dgees_64_")
     assert proc.returncode == 0, proc.stderr
-    code, record, _ = run_json(capsys, "bounds", *HEADLINE_FLAGS, "--m", "20000")
-    assert code == 0
-    assert json.loads(proc.stdout)["outputs"] == record["outputs"]
-
-
-def test_bounds_without_numpy_dgees_or_scipy_names_both_places_searched():
-    proc = run_without_scipy("bounds", *HEADLINE_FLAGS, "--m", "20000", numpy_dgees="no_such_dgees_64_")
-    assert proc.returncode != 0
-    assert proc.stdout == ""
-    error = proc.stderr.strip().splitlines()[-1]
-    assert error.startswith("ImportError: no LAPACK dgees: numpy's ")
-    assert "_umath_linalg" in error and "exports no no_such_dgees_64_" in error
-    assert error.endswith("and scipy is not installed, so there is no scipy/linalg/_flapack")
+    outputs = json.loads(proc.stdout)["outputs"]
+    bounds_line = knob_oracle.GOLDEN.read_text(encoding="utf-8").splitlines()[1]
+    golden = dict(pair.split("=") for pair in bounds_line.partition(": ")[2].split())
+    assert list(golden) == ["alice_chernoff_upper", "eve_lower_bound", "eve_chernoff_upper"]
+    for name, exact in golden.items():
+        assert outputs[name] == pytest.approx(float(exact), rel=1e-6, abs=0.0), name
 
 
 def test_bounds_human_output_echoes_parameters(capsys):

@@ -10,7 +10,9 @@ README sweep's golden digest does,
 and the ``mc`` command's on numpy's generator.  They do not depend on
 the Python version's float ``sum``: a general pair's Q_s adds its 19
 determinant terms with explicit left-to-right ``+=`` (CPython 3.12's
-``sum`` compensates its rounding, 3.11's does not).  A change that moves a
+``sum`` compensates its rounding, 3.11's does not).  A numpy that exports
+no dgees takes ``gaussian._eigh_schur`` instead, whose last bits differ,
+so the pins do not hold there.  A change that moves a
 digest updates its pin and states in CHANGES.md which values moved, by
 how much and in which direction against an oracle.
 """

@@ -3,11 +3,8 @@
 import concurrent.futures
 import ctypes
 import dataclasses
-import importlib.machinery
-import importlib.util
 import inspect
 import math
-import re
 import subprocess
 import sys
 import threading
@@ -37,7 +34,7 @@ from qillum import (
     to_unit_vacuum,
     williamson,
 )
-from qillum import gaussian
+from qillum import gaussian, protocol
 from qillum.gaussian import NU_CLAMP_TOL, NU_PURE_TOL
 from qillum.protocol import ProtocolParams, source_cm
 from qillum.receivers import alice_optimum_bounds, eve_optimum_bounds
@@ -664,12 +661,19 @@ def reference_williamson(cm: CovMat):
     return nu, root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
 
 
-def _schur_outputs(dgees_fn, cores: np.ndarray) -> np.ndarray:
-    """Row k: the t, q and info ``dgees_fn`` returns for ``cores[k]``, flattened."""
+def _scipy_schur(core):
+    """scipy.linalg.lapack.dgees's (T, Z) for ``core``, in the Schur step's interface; checks its INFO."""
+    t, _, _, _, q, _, info = dgees(lambda wr, wi: None, core)
+    assert info == 0
+    return t, q
+
+
+def _schur_outputs(schur, cores: np.ndarray) -> np.ndarray:
+    """Row k: the T and Z ``schur`` returns for ``cores[k]``, flattened."""
     rows = []
     for core in cores:
-        t, _, _, _, q, _, info = dgees_fn(gaussian._no_sort, core)
-        rows.append(np.concatenate([t.ravel(), q.ravel(), [info]]))
+        t, q = schur(core)
+        rows.append(np.concatenate([t.ravel(), q.ravel()]))
     return np.array(rows)
 
 
@@ -681,11 +685,12 @@ import sys
 import numpy as np
 from qillum import gaussian
 assert "scipy.linalg" not in sys.modules and "scipy.linalg._flapack" not in sys.modules
+{scipy_schur}
 {schur_outputs}
 cores = np.load(sys.argv[1])
 before = _schur_outputs(gaussian._load_dgees(), cores)
 from scipy.linalg.lapack import dgees
-np.save(sys.argv[2], np.stack([before, _schur_outputs(gaussian._load_dgees(), cores), _schur_outputs(dgees, cores)]))
+np.save(sys.argv[2], np.stack([before, _schur_outputs(gaussian._load_dgees(), cores), _schur_outputs(_scipy_schur, cores)]))
 """
 
 
@@ -699,9 +704,9 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
     cores = [a - a.T for a in rng.standard_normal((200, 4, 4))]
     bound = gaussian._load_dgees()
 
-    def recording(select, core):
+    def recording(core):
         cores.append(core.copy())
-        return bound(select, core)
+        return bound(core)
 
     monkeypatch.setattr(gaussian, "_load_dgees", lambda: recording)
     params = ProtocolParams(**HEADLINE)
@@ -710,11 +715,11 @@ def test_bound_dgees_matches_scipy_bit_for_bit_in_either_import_order(monkeypatc
     monkeypatch.undo()
     assert len(cores) == 204
     cores = np.array(cores)
-    expected = _schur_outputs(dgees, cores).tobytes()
+    expected = _schur_outputs(_scipy_schur, cores).tobytes()
     assert _schur_outputs(gaussian._load_dgees(), cores).tobytes() == expected  # scipy.linalg loaded first here
 
     np.save(tmp_path / "cores.npy", cores)
-    script = _QILLUM_FIRST_SCHUR.format(schur_outputs=inspect.getsource(_schur_outputs))
+    script = _QILLUM_FIRST_SCHUR.format(scipy_schur=inspect.getsource(_scipy_schur), schur_outputs=inspect.getsource(_schur_outputs))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "cores.npy"), str(tmp_path / "out.npy")],
         env=src_env(), capture_output=True, text=True, timeout=120,
@@ -739,28 +744,8 @@ def searches_and_kept(load) -> tuple[int, int]:
     return info.misses, info.currsize
 
 
-def test_dgees_loader_names_the_directory_it_searched(monkeypatch, tmp_path, fresh_dgees):
-    """Without numpy's dgees, a scipy without ``linalg/_flapack`` names numpy's extension and the directory searched; no scipy says so.
-
-    The ImportError is not cached: each call searches again, and once the
-    routine is there the next call binds it.
-    """
-    monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
-    numpy_searched = re.escape(f"numpy's {np.linalg._umath_linalg.__file__} exports no no_such_dgees_64_, and ")
-    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    scipy_spec.submodule_search_locations = [str(tmp_path)]
-    for found, message in ((scipy_spec, re.escape(str(tmp_path / "linalg"))), (None, "scipy is not installed")):
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name, found=found: found)
-        with pytest.raises(ImportError, match=numpy_searched + ".*" + message):
-            gaussian._load_dgees()
-    assert searches_and_kept(fresh_dgees) == (2, 0)
-    monkeypatch.undo()
-    assert bound_routine_names(gaussian._load_dgees()) == ["scipy_dgees_64_"]
-    assert searches_and_kept(fresh_dgees) == (3, 1)
-
-
 def bound_routine_names(solver) -> list[str]:
-    """The names of the foreign functions a routine from ``_load_dgees`` closes over: numpy's LAPACK symbol, or none for scipy's."""
+    """The names of the foreign functions a Schur step from ``_load_dgees`` closes over: numpy's LAPACK symbol, or none for ``_eigh_schur``."""
     return [cell.cell_contents.__name__ for cell in solver.__closure__ or ()
             if isinstance(cell.cell_contents, ctypes._CFuncPtr)]
 
@@ -792,15 +777,60 @@ def bit_test_states() -> list[GaussianState]:
     return [*alice_pair(params), *eve_pair(params), *(random_unit_state(rng, pure_modes=k % 3) for k in range(20))]
 
 
-def test_scipy_fallback_gives_the_same_bits(monkeypatch, fresh_dgees):
-    """A numpy that exports no ``scipy_dgees_64_`` binds scipy's dgees, and every decomposition keeps its bits."""
-    states = bit_test_states()
-    expected = decomposition_bits(states)
+def schur_agreement_matrices() -> list[np.ndarray]:
+    """The 600 matrices of 300 ``GeneralPairs`` draws (seed 4242), the 600 bit-0 rows of 300 ``PlanScan`` draws (seed 77), and 3 refused ones."""
+    mats = []
+    draws, rng = workloads.GeneralPairs(), np.random.default_rng(4242)
+    for _ in range(300):
+        state0, state1, _ = draws.draw(rng)
+        mats += [state0.cm.mat, state1.cm.mat]
+    draws, rng = workloads.PlanScan(), np.random.default_rng(77)
+    for _ in range(300):
+        mats += list(protocol._bit0_stack(protocol.derived_coefficients(draws.draw(rng))))
+    return mats + [cm.mat for cm in REFUSED_MATRICES.values() if cm.convention is Convention.UNIT_VACUUM]
+
+
+def lone_decomposition(mat: np.ndarray):
+    """(nu, S) of the unit-vacuum ``mat`` decomposed alone, physicality checked, or the type of its refusal."""
+    try:
+        nus, symplectic = gaussian._williamson_stack(mat[np.newaxis], (Convention.UNIT_VACUUM,), ("matrix",))
+    except ValueError as refusal:
+        return type(refusal)
+    return np.array(nus[0]), symplectic[0]
+
+
+# Worst values over ``schur_agreement_matrices``, measured (x86_64, OpenBLAS
+# 0.3.31): nu 1.55e-12 relative off dgees's, |S Omega S^T - Omega|_max
+# 6.5e-13 |S|_2**2, and |S D S^T - V|_max 6.3e-14 |V|_max.  Each bound is
+# about 5 times its worst.
+EIGH_NU_RTOL = 8e-12
+EIGH_SYMPLECTIC_TOL = 3e-12
+EIGH_RECONSTRUCTION_TOL = 3e-13
+
+
+def test_eigh_schur_step_agrees_with_dgees(monkeypatch, fresh_dgees):
+    """A numpy that exports no ``scipy_dgees_64_`` takes ``_eigh_schur``: each decomposition is a Williamson form near dgees's, and each refusal dgees's.
+
+    The refused matrices are the unit-vacuum ones of ``REFUSED_MATRICES``:
+    two fail the condition gate, and the unphysical one reaches the Schur
+    step and is refused on its nu.
+    """
+    mats = schur_agreement_matrices()
+    expected = [lone_decomposition(mat) for mat in mats]
     assert bound_routine_names(fresh_dgees()) == ["scipy_dgees_64_"]
+    assert [kind for kind in expected if isinstance(kind, type)] == [IllConditionedMatrixError, IllConditionedMatrixError, ValueError]
     fresh_dgees.cache_clear()
     monkeypatch.setattr(gaussian, "_NUMPY_DGEES", "no_such_dgees_64_")
-    assert decomposition_bits(states) == expected
-    assert type(fresh_dgees()) is type(dgees)  # scipy.linalg.lapack's kind of routine, from _flapack
+    assert fresh_dgees() is gaussian._eigh_schur
+    for mat, dgees_result in zip(mats, expected):
+        result = lone_decomposition(mat)
+        if isinstance(dgees_result, type) or isinstance(result, type):
+            assert result is dgees_result
+            continue
+        (nu, sp), (dgees_nu, _) = result, dgees_result
+        assert np.max(np.abs(nu / dgees_nu - 1.0)) <= EIGH_NU_RTOL
+        assert np.abs(sp @ OMEGA @ sp.T - OMEGA).max() <= EIGH_SYMPLECTIC_TOL * np.linalg.norm(sp, 2) ** 2
+        assert np.abs((sp * np.repeat(nu, 2)) @ sp.T - mat).max() <= EIGH_RECONSTRUCTION_TOL * np.abs(mat).max()
 
 
 def test_threads_decomposing_at_once_each_get_a_lone_callers_bits(fresh_dgees):
@@ -970,8 +1000,7 @@ def argsort_williamson(cm: CovMat):
     inv_root = (u / np.sqrt(lam)) @ u.T
     core = inv_root @ OMEGA @ inv_root
     core = (core - core.T) / 2.0
-    t, _, _, _, q, _, info = gaussian._load_dgees()(gaussian._no_sort, core)
-    assert info == 0
+    t, q = gaussian._load_dgees()(core)
     flipped = [t[2 * k, 2 * k + 1] < 0.0 for k in range(2)]
     nu = np.array([1.0 / (t[2 * k + 1, 2 * k] if flip else t[2 * k, 2 * k + 1]) for k, flip in enumerate(flipped)])
     order = np.argsort(nu)[::-1]
@@ -981,8 +1010,8 @@ def argsort_williamson(cm: CovMat):
     return nu, (root @ q) * (np.repeat(nu, 2) ** -0.5)
 
 
-def oriented_dgees(upper_signs):
-    """The bound Schur solver, with block k turned so that its upper-right entry has the sign ``upper_signs[k]``.
+def oriented_schur(upper_signs):
+    """The bound Schur step, with block k turned so that its upper-right entry has the sign ``upper_signs[k]``.
 
     Turning block k swaps rows and columns 2k, 2k + 1 of T and columns
     2k, 2k + 1 of Q, so Q T Q^T is still the input; Q keeps its
@@ -990,15 +1019,15 @@ def oriented_dgees(upper_signs):
     """
     solve = gaussian._load_dgees()
 
-    def dgees(select, core):
-        t, sdim, wr, wi, q, work, info = solve(select, core)
+    def schur(core):
+        t, q = solve(core)
         perm = [0, 1, 2, 3]
         for k, sign in enumerate(upper_signs):
             if math.copysign(1.0, t[2 * k, 2 * k + 1]) != sign:
                 perm[2 * k : 2 * k + 2] = [2 * k + 1, 2 * k]
-        return t[np.ix_(perm, perm)], sdim, wr, wi, np.asfortranarray(q[:, perm]), work, info
+        return t[np.ix_(perm, perm)], np.asfortranarray(q[:, perm])
 
-    return dgees
+    return schur
 
 
 def tied_thermal_state(nu: float, seed: int) -> CovMat:
@@ -1033,7 +1062,7 @@ UPPER_SIGNS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 @example(cm=tied_thermal_state(2.5, 7))
 def test_williamson_bookkeeping_matches_argsort_reference_bit_for_bit(upper_signs, cm):
     """(nu, S) is bit-equal to the argsort bookkeeping in either orientation of each Schur block, ties included."""
-    turned = oriented_dgees(upper_signs)
+    turned = oriented_schur(upper_signs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gaussian, "_load_dgees", lambda: turned)
         nu, sp = williamson(cm)
@@ -1048,12 +1077,12 @@ def test_williamson_bookkeeping_matches_argsort_reference_bit_for_bit(upper_sign
 @pytest.mark.parametrize("upper_signs", UPPER_SIGNS, ids=lambda signs: "".join("+-"[sign < 0] for sign in signs))
 def test_williamson_swaps_tied_modes_as_argsort_does(upper_signs):
     """A tie takes the swapped block order, argsort(nu)[::-1] of two equal values."""
-    turned = oriented_dgees(upper_signs)
+    turned = oriented_schur(upper_signs)
     for cm in (CovMat(np.eye(4), Convention.UNIT_VACUUM), CovMat(2.5 * np.eye(4), Convention.UNIT_VACUUM)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gaussian, "_load_dgees", lambda: turned)
             nu, sp = williamson(cm)
-            _, _, _, _, q, _, _ = gaussian._load_dgees()(gaussian._no_sort, OMEGA / cm.mat[0, 0])
+            _, q = gaussian._load_dgees()(OMEGA / cm.mat[0, 0])
         assert nu[0] == nu[1]
         # V = nu I: V^{1/2} = sqrt(nu) I, so S is Q with its blocks in the swapped order.
         first = [3, 2] if upper_signs[1] < 0 else [2, 3]

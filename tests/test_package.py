@@ -189,6 +189,23 @@ def test_cli_forms_no_receiver_bound_or_model():
     assert named & {"alice_optimum_bounds", "eve_optimum_bounds", "opa_bhattacharyya", "opa_model"} == set()
 
 
+def _requirement_names(requirements: list[str]) -> set[str]:
+    """The distribution names of pyproject.toml requirement strings, lower-cased."""
+    return {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower() for requirement in requirements}
+
+
+def _third_party_imports(pattern: str, own: set[str]) -> set[str]:
+    """The top-level modules the files matching ``pattern`` import by an absolute import, less the standard library and ``own``."""
+    imported = set()
+    for path in sorted(ROOT.glob(pattern)):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    return imported - set(sys.stdlib_module_names) - own
+
+
 def test_every_third_party_module_the_tests_import_is_a_declared_dependency():
     """Each module a test file imports is the standard library's, the repository's own, or from a distribution pyproject.toml lists.
 
@@ -197,17 +214,22 @@ def test_every_third_party_module_the_tests_import_is_a_declared_dependency():
     """
     tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
-    declared = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower() for requirement in requirements}
+    declared = _requirement_names(project["dependencies"] + project["optional-dependencies"]["test"])
     own = {"qillum"} | {path.stem for folder in ("tests", "bench") for path in (ROOT / folder).glob("*.py")}
-    imported = set()
-    for path in sorted(ROOT.glob("tests/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - own
+    third_party = _third_party_imports("tests/*.py", own)
     distributions = importlib.metadata.packages_distributions()
     assert third_party
     assert {name: distributions.get(name) for name in third_party if not {d.lower() for d in distributions.get(name, [])} & declared} == {}
+
+
+def test_the_runtime_dependencies_are_the_distributions_src_imports():
+    """pyproject.toml's runtime dependencies are exactly the distributions of the third-party modules src/ imports: numpy.
+
+    So a test-only reference such as scipy cannot creep into the package
+    unnoticed, and no runtime dependency stays declared once unused.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    distributions = importlib.metadata.packages_distributions()
+    imported = {d.lower() for name in _third_party_imports("src/qillum/*.py", {"qillum"}) for d in distributions.get(name, [name])}
+    assert imported == _requirement_names(project["dependencies"]) == {"numpy"}

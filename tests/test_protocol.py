@@ -273,13 +273,17 @@ def test_source_physicality_refuses_ill_conditioned_source(ns):
         validate_physicality(source_cm(ns))
 
 
-def test_source_physicality_never_gives_a_wrong_verdict():
-    """The pure source over ns in [1e-9, 1e8] is reported ok or refused, never unphysical.
+@pytest.mark.parametrize("schur_step", ["dgees", "eigh_schur"])
+def test_source_physicality_never_gives_a_wrong_verdict(schur_step, request):
+    """The pure source over ns in [1e-9, 1e8] is reported ok or refused, never unphysical, on either Schur step.
 
     Refused means an IllConditionedMatrixError from validate_physicality
     (condition number above 1e7, from ns about 794), or, from ns about 2.5e7,
     source_cm's own ValueError once the matrix rounds to singular.
+    ``eigh_schur`` is the step of a numpy that exports no dgees.
     """
+    if schur_step == "eigh_schur":
+        request.getfixturevalue("eigh_schur")
     grid = np.logspace(-9, 8, 3401)
     verdicts = []
     for ns in grid:

@@ -652,9 +652,9 @@ def test_an_invalid_bit0_row_refuses_as_its_covmat_would(coefficients, message, 
         monkeypatch.setattr(module, "derived_coefficients", lambda params: coefficients)
     cores, schur = [], gaussian._load_dgees()
 
-    def recording(select, core):
+    def recording(core):
         cores.append(core.copy())
-        return schur(select, core)
+        return schur(core)
 
     monkeypatch.setattr(gaussian, "_load_dgees", lambda: recording)
     assert raised(alice_optimum_bounds, headline_params) == (ValueError, message)
