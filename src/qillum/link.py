@@ -16,8 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .gaussian import ErrorBounds, _as_float, _real
-from .protocol import ProtocolParams
-from .receivers import _ALICE, _opa_overlap, _optimum_q_half, alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
+from .protocol import _ALICE, ProtocolParams
+from .receivers import _opa_overlap, _optimum_q_half, alice_optimum_bounds, eve_optimum_bounds, opa_bhattacharyya
 
 __all__ = [
     "LinkBudget",
@@ -108,6 +108,13 @@ def budget_from_fiber(
     return LinkBudget(kappa=kappa, m=m, bit_rate=1.0 / t)
 
 
+def _target(name: str, value) -> float:
+    """``value`` as a float target error probability, which must lie in (0, 0.5]."""
+    if not 0.0 < (value := _as_float(name, value)) <= 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5]")
+    return value
+
+
 def required_m(
     params: ProtocolParams, target_pe: float, receiver: Receiver = Receiver.OPA
 ) -> int:
@@ -131,9 +138,7 @@ def required_m(
             (target unreachable).  Below that ceiling the answer is at most
             about 6.8e17, even for a target of 5e-324.
     """
-    target_pe = _as_float("target_pe", target_pe)
-    if not 0.0 < target_pe <= 0.5:
-        raise ValueError("target_pe must lie in (0, 0.5]")
+    target_pe = _target("target_pe", target_pe)
     if receiver is Receiver.OPA:
         _, q = _opa_overlap(params)
     elif receiver is Receiver.OPTIMUM:
@@ -172,9 +177,7 @@ def security_margin(
     ``target_pe``.  A refused evaluation raises the first refusal in the
     order Alice's optimum receiver, Alice's OPA receiver, Eve's receiver.
     """
-    alice_target = _as_float("alice_target", alice_target)
-    if not 0.0 < alice_target <= 0.5:
-        raise ValueError("alice_target must lie in (0, 0.5]")
+    alice_target = _target("alice_target", alice_target)
     alice_opt = alice_optimum_bounds(params)
     alice_opa = opa_bhattacharyya(params)
     eve = eve_optimum_bounds(params)

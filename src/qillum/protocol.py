@@ -103,6 +103,15 @@ class PhysicalityReport:
     ok: bool
 
 
+# Which observer's pair a caller means: its row of ``_bit0_stack``.
+_ALICE, _EVE = 0, 1
+
+
+def _source_entries(ns: float) -> tuple[float, float]:
+    """The source's diagonal s_diag = 2 ns + 1 and correlation c_q = 2 sqrt(ns (ns + 1))."""
+    return 2.0 * ns + 1.0, 2.0 * math.sqrt(ns * (ns + 1.0))
+
+
 def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     """Evaluate every covariance-matrix coefficient from the protocol knobs.
 
@@ -110,8 +119,7 @@ def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     entries, so recomputing here reproduces the matrices bit for bit.
     """
     ns, kappa, g, nb = params.ns, params.kappa, params.g, params.nb
-    s_diag = 2.0 * ns + 1.0
-    c_q = 2.0 * math.sqrt(ns * (ns + 1.0))
+    s_diag, c_q = _source_entries(ns)
     return DerivedCoefficients(
         s_diag=s_diag,
         c_q=c_q,
@@ -123,17 +131,9 @@ def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     )
 
 
-def _two_mode_cm(diag_a: float, diag_b: float, corr_x: float, corr_p: float) -> CovMat:
-    """Two-mode unit-vacuum CM with x-x correlation ``corr_x`` and p-p correlation ``corr_p``."""
-    mat = np.array(
-        [
-            [diag_a, 0.0, corr_x, 0.0],
-            [0.0, diag_a, 0.0, corr_p],
-            [corr_x, 0.0, diag_b, 0.0],
-            [0.0, corr_p, 0.0, diag_b],
-        ]
-    )
-    return CovMat(mat, Convention.UNIT_VACUUM)
+def _two_mode(diag_a: float, diag_b: float, corr_x: float, corr_p: float) -> list[list[float]]:
+    """Two-mode unit-vacuum layout, ordering (x_1, p_1, x_2, p_2): x-x correlation ``corr_x``, p-p ``corr_p``, no x-p entries."""
+    return [[diag_a, 0.0, corr_x, 0.0], [0.0, diag_a, 0.0, corr_p], [corr_x, 0.0, diag_b, 0.0], [0.0, corr_p, 0.0, diag_b]]
 
 
 def source_cm(ns: float) -> CovMat:
@@ -145,20 +145,23 @@ def source_cm(ns: float) -> CovMat:
     """
     if (ns := _real("ns", ns)) <= 0.0:
         raise ValueError("ns must be positive")
-    s_diag = 2.0 * ns + 1.0
-    c_q = 2.0 * math.sqrt(ns * (ns + 1.0))
-    return _two_mode_cm(s_diag, s_diag, c_q, -c_q)
+    s_diag, c_q = _source_entries(ns)
+    return CovMat(np.array(_two_mode(s_diag, s_diag, c_q, -c_q)), Convention.UNIT_VACUUM)
 
 
 def _bit0_stack(c: DerivedCoefficients) -> NDArray[np.float64]:
-    """Bit 0's matrix of Alice's pair (row 0, see ``alice_pair``) and of Eve's (row 1, see ``eve_pair``): one (2, 4, 4) unit-vacuum array, not validated.
+    """Bit 0's matrix of Alice's pair (row ``_ALICE``, see ``alice_pair``) and of Eve's (row ``_EVE``, see ``eve_pair``): one (2, 4, 4) unit-vacuum array, not validated.
 
     Each row is symmetric by construction, so ``CovMat``'s copy, symmetry
     check and symmetrisation are exact no-ops on it.
     """
-    a, s, ca, d, e, ce = c.a, c.s_diag, c.c_a, c.d, c.e, c.c_e
-    return np.array([[[a, 0.0, ca, 0.0], [0.0, a, 0.0, -ca], [ca, 0.0, s, 0.0], [0.0, -ca, 0.0, s]],
-                     [[d, 0.0, ce, 0.0], [0.0, d, 0.0, ce], [ce, 0.0, e, 0.0], [0.0, ce, 0.0, e]]])
+    return np.array([_two_mode(c.a, c.s_diag, c.c_a, -c.c_a), _two_mode(c.d, c.e, c.c_e, c.c_e)])
+
+
+def _parity_pair(params: ProtocolParams, row: int) -> tuple[GaussianState, GaussianState]:
+    """Row ``row`` of ``_bit0_stack`` as bit 0 and its mirror by P, exactly V0 * ``_PARITY_SIGNS``, as bit 1; each is validated as a ``CovMat``."""
+    bit0 = CovMat(_bit0_stack(derived_coefficients(params))[row], Convention.UNIT_VACUUM)
+    return GaussianState(bit0), GaussianState(CovMat(bit0.mat * _PARITY_SIGNS, Convention.UNIT_VACUUM))
 
 
 def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -167,11 +170,9 @@ def alice_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     Unit-vacuum convention, ordering (x_R, p_R, x_I, p_I): diagonal
     (a, a, s_diag, s_diag).  The correlation is phase sensitive: the x-x
     entry carries (-1)^k c_a and the p-p entry the opposite sign.  Bit 1's
-    matrix is bit 0's mirrored by P (both idler quadratures negated),
-    exactly V0 * ``_PARITY_SIGNS``; each is validated as a ``CovMat``.
+    matrix is bit 0's with both idler quadratures negated (``_parity_pair``).
     """
-    bit0 = CovMat(_bit0_stack(derived_coefficients(params))[0], Convention.UNIT_VACUUM)
-    return GaussianState(bit0), GaussianState(CovMat(bit0.mat * _PARITY_SIGNS, Convention.UNIT_VACUUM))
+    return _parity_pair(params, _ALICE)
 
 
 def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
@@ -180,12 +181,10 @@ def eve_pair(params: ProtocolParams) -> tuple[GaussianState, GaussianState]:
     Unit-vacuum convention, ordering (x_S', p_S', x_R', p_R') for the two
     tapped modes: diagonal (d, d, e, e).  Unlike Alice's pair the
     correlation here is phase insensitive: (-1)^k c_e multiplies both the
-    x-x and the p-p entry.  Bit 1's matrix is bit 0's mirrored by P (both
-    return quadratures negated), exactly V0 * ``_PARITY_SIGNS``; each is
-    validated as a ``CovMat``.
+    x-x and the p-p entry.  Bit 1's matrix is bit 0's with both return
+    quadratures negated (``_parity_pair``).
     """
-    bit0 = CovMat(_bit0_stack(derived_coefficients(params))[1], Convention.UNIT_VACUUM)
-    return GaussianState(bit0), GaussianState(CovMat(bit0.mat * _PARITY_SIGNS, Convention.UNIT_VACUUM))
+    return _parity_pair(params, _EVE)
 
 
 def validate_physicality(cm: CovMat) -> PhysicalityReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import _ENTRY_MAX, Convention, ErrorBounds, _as_float, _parity_q_halves, _williamson_stack, error_bounds_from_overlaps, minimize_overlap
-from .protocol import DerivedCoefficients, ProtocolParams, _bit0_stack, alice_pair, derived_coefficients, eve_pair
+from .protocol import _ALICE, _EVE, DerivedCoefficients, ProtocolParams, _bit0_stack, _parity_pair, derived_coefficients
 
 __all__ = [
     "OpaReceiverModel",
@@ -75,10 +75,6 @@ class ApproxExponents:
     in_regime: bool
 
 
-# Which observer's optimum Q_{1/2} a caller reads: its row of ``_bit0_stack``.
-_ALICE, _EVE = 0, 1
-
-
 @dataclass
 class _KnobPoint:
     """The evaluation shared by every call at one (ns, kappa, g, nb): filled from one ``derived_coefficients``.
@@ -128,7 +124,7 @@ def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
                 raise ValueError
             point.q_halves = _parity_q_halves(*_williamson_stack(stack, (Convention.UNIT_VACUUM,) * 2, ("state0",) * 2))
         except ValueError:
-            return minimize_overlap(*(alice_pair, eve_pair)[observer](params)).q_half
+            return minimize_overlap(*_parity_pair(params, observer)).q_half
     return point.q_halves[observer]
 
 

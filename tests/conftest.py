@@ -50,6 +50,10 @@ def parity_pair_q_half_gap(cm: np.ndarray, dps: int = 50) -> mpmath.mpf:
     Q_1/2 = prod_k t(nu_k, 1/2)^2 / sqrt(det A_h det B_h), with A_h and B_h
     the diagonal 2 x 2 blocks of V_h.  mpmath's sqrtm does not converge on a
     pure mode, so ``cm`` must have both nu > 1.
+
+    The result loses digits as the gap shrinks: measured at 60 digits on
+    seeded plan_scan draws, a gap of 4.1e-19 kept only about 30 of them.
+    Compare a small gap at ``dps`` well above the digits it must match.
     """
     with mpmath.workdps(dps):
         v = mpmath.matrix(cm.tolist())

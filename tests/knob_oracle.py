@@ -77,6 +77,16 @@ def _root_excess(x, sqrt):
     return 1 + x + sqrt(x * (x + 2))
 
 
+def eve_interpolation(plus, minus, r_plus, r_minus):
+    """beta and alpha of sqrt(V_x**2 - I) = beta V_x + alpha I, from V_x's eigenvalues lambda+- and r+- = sqrt(lambda+-**2 - 1)."""
+    return (plus + minus) / (r_plus + r_minus), -(plus + minus) / (plus * r_minus + minus * r_plus)
+
+
+def alice_sinh2(a, b, c, big_r):
+    """sinh(r)**2 = (a + b - R) / (2 R), formed without cancellation as 2 c**2 / (R (a + b + R))."""
+    return 2 * c**2 / (big_r * (a + b + big_r))
+
+
 def eve_gap(ns, kappa, g, nb, sqrt=mpmath.sqrt):
     """1 - Q_1/2 of Eve's pair by item 1's recipe.
 
@@ -91,8 +101,7 @@ def eve_gap(ns, kappa, g, nb, sqrt=mpmath.sqrt):
     minus1 = eve_excess_product(ns, kappa, g, nb) / plus1
     plus, minus = plus1 + 1, minus1 + 1
     r_plus, r_minus = sqrt(plus1 * (plus + 1)), sqrt(minus1 * (minus + 1))
-    beta = (plus + minus) / (r_plus + r_minus)
-    alpha = -(plus + minus) / (plus * r_minus + minus * r_plus)
+    beta, alpha = eve_interpolation(plus, minus, r_plus, r_minus)
     a_h, b_h, c_h = (1 + beta) * d + alpha, (1 + beta) * e + alpha, (1 + beta) * c_e
     return c_h**2 / (a_h * b_h)
 
@@ -115,7 +124,7 @@ def alice_gap(ns, kappa, g, nb, sqrt=mpmath.sqrt):
         nu_b = (big_r - a + b) / 2
         nu_a1 = p1 / (nu_b + 1)
         nu_b1 = p2 / (nu_a1 + 2)
-    sinh2 = 2 * c**2 / (big_r * (a + b + big_r))
+    sinh2 = alice_sinh2(a, b, c, big_r)
     cosh2 = 1 + sinh2
     h_a, h_b = _root_excess(nu_a1, sqrt), _root_excess(nu_b1, sqrt)
     a_h, b_h, c_h = cosh2 * h_a + sinh2 * h_b, sinh2 * h_a + cosh2 * h_b, c / big_r * (h_a + h_b)

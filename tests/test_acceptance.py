@@ -42,6 +42,13 @@ def report(criterion: int, text: str) -> None:
     print(f"PASS criterion {criterion:2d}: {text}")
 
 
+@pytest.fixture(params=["dgees", "eigh_schur"])
+def schur_step(request):
+    """Run a test on each Schur step: the one the loader binds (numpy's dgees where numpy exports it), and ``gaussian._eigh_schur``."""
+    if request.param == "eigh_schur":
+        request.getfixturevalue("eigh_schur")
+
+
 def test_criterion_01_opa_bound_at_50_km(headline_params):
     bounds, elapsed = timed(lambda: opa_bhattacharyya(headline_params))
     value = bounds.bhattacharyya_upper
@@ -50,7 +57,7 @@ def test_criterion_01_opa_bound_at_50_km(headline_params):
     report(1, f"OPA bound {value:.3e} within 5% of 5.09e-7 in {elapsed:.3f}s")
 
 
-def test_criterion_02_eve_interval_at_50_km(headline_params):
+def test_criterion_02_eve_interval_at_50_km(headline_params, schur_step):
     eve, elapsed = timed(lambda: eve_optimum_bounds(headline_params))
     assert 0.442 <= eve.chernoff_upper <= 0.460
     assert 0.279 <= eve.lower_bound <= 0.291
@@ -62,7 +69,7 @@ def test_criterion_02_eve_interval_at_50_km(headline_params):
     )
 
 
-def test_criterion_03_alice_below_target_while_eve_above_floor(headline_params):
+def test_criterion_03_alice_below_target_while_eve_above_floor(headline_params, schur_step):
     alice = alice_optimum_bounds(headline_params)
     opa = opa_bhattacharyya(headline_params)
     eve = eve_optimum_bounds(headline_params)
@@ -76,7 +83,7 @@ def test_criterion_03_alice_below_target_while_eve_above_floor(headline_params):
     )
 
 
-def test_criterion_04_opa_is_three_db_from_optimum(headline_params):
+def test_criterion_04_opa_is_three_db_from_optimum(headline_params, schur_step):
     alice = alice_optimum_bounds(headline_params)
     opa = opa_bhattacharyya(headline_params)
     ratio = math.log(alice.q_star) / math.log(opa.q_half)
@@ -179,7 +186,7 @@ def test_criterion_09_link_planner_headline_numbers():
     report(9, "50 km / 0.2 dB/km / 1 THz / 20 ns -> kappa 0.1, M 20000, 50 Mbit/s")
 
 
-def test_criterion_10_sweep_regression(tmp_path, capsys):
+def test_criterion_10_sweep_regression(tmp_path, capsys, schur_step):
     args = [
         "sweep", "--ns", "0.004", "--kappa", "0.1", "--g", "1e4", "--nb", "1e4",
         "--m-min", "1000", "--m-max", "100000", "--points", "50", "--scale", "log",

@@ -20,6 +20,7 @@ how much and in which direction against an oracle.
 import dataclasses
 import hashlib
 import re
+import shlex
 import sys
 
 import numpy as np
@@ -101,3 +102,24 @@ def test_readme_commands_digest_is_pinned(capsys, monkeypatch, tmp_path):
     text.append((tmp_path / "curves.csv").read_text(encoding="utf-8"))
     masked = TIMESTAMP.sub("<timestamp>", "".join(text))
     assert hashlib.sha256(masked.encode()).hexdigest() == README_DIGEST
+
+
+def fenced_blocks(text: str, language: str) -> list[str]:
+    """The bodies of the fenced ``language`` code blocks in ``text``, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def test_readme_code_blocks_are_the_ones_tier1_runs(capsys):
+    """README's ``qillum`` commands, continuations joined, are ``README_COMMANDS``; its Library block runs, and each value it prints rounds to its comment."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in fenced_blocks(readme, "sh") for line in block.replace("\\\n", " ").splitlines()]
+    assert [shlex.split(line)[1:] for line in lines if line.startswith("qillum ")] == README_COMMANDS
+
+    library = fenced_blocks(readme.partition("\n## Library\n")[2], "python")[0]
+    exec(compile(library, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    comments = re.findall(r"^print\(.*\)\s+# (\S+)$", library, flags=re.M)
+    assert len(printed) == len(comments) == 2
+    for value, comment in zip(printed, comments):
+        decimals = len(comment.partition("e")[0].partition(".")[2])
+        assert format(float(value), f".{decimals}{'e' if 'e' in comment else 'f'}") == comment, (value, comment)

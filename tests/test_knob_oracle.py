@@ -118,6 +118,25 @@ def test_oracle_matches_the_parity_pair_oracle_on_knob_exact_matrices():
                 assert abs(parity_pair_q_half_gap(matrix, dps=knob_oracle.DPS) / gap - 1) < mpmath.mpf(10) ** -30, knobs
 
 
+# Digits for both oracles in the wider check below.  At 60, the matrix oracle
+# loses about 30 digits on small gaps: over 50 further draws the worst
+# relative difference was 2.95e-30, at a gap of 4.1e-19, above the 1e-30 of
+# the check above.  At 100, the worst over the 25 draws checked is 1.2e-72.
+WIDE_DPS = 100
+
+
+def test_oracle_matches_the_parity_pair_oracle_at_100_digits_on_further_draws(monkeypatch):
+    """At ``WIDE_DPS`` digits on both sides, the recipe's 1 - Q_1/2 equals ``parity_pair_q_half_gap`` to 1e-60 on the 25 plan_scan draws after the four above."""
+    monkeypatch.setattr(knob_oracle, "DPS", WIDE_DPS)
+    draws, rng = workloads.PlanScan(), np.random.default_rng(1833)
+    points = [draws.draw(rng) for _ in range(4 + 25)][4:]
+    for params in points:
+        knobs = (params.ns, params.kappa, params.g, params.nb)
+        for matrix, gap in zip(knob_oracle.bit0_matrices(*knobs), knob_oracle.gaps(*knobs)):
+            with mpmath.workdps(WIDE_DPS):
+                assert abs(parity_pair_q_half_gap(matrix, dps=WIDE_DPS) / gap - 1) < mpmath.mpf(10) ** -60, knobs
+
+
 # The FOUND point of ROADMAP item 1 (CHANGES.md, the FOUND on
 # ``_overlap_evaluator``): Eve's q_half reads exactly 1.0 there, so ``qillum
 # bounds`` prints 5.000000000e-01 <= Pr(e) <= 5.000000000e-01.

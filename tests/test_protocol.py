@@ -18,7 +18,6 @@ from qillum import (
     validate_physicality,
 )
 from qillum.gaussian import _PARITY_SIGNS, Convention, CovMat, GaussianState, minimize_overlap
-from qillum.protocol import _two_mode_cm
 
 from conftest import HEADLINE, random_valid_params
 
@@ -167,10 +166,23 @@ def test_pair_sign_symmetry(pair, log_ns, kappa, log_g, nb_fraction):
     assert np.array_equal(state1.cm.mat, state0.cm.mat * _PARITY_SIGNS)
 
 
+def _two_mode(diag_a, diag_b, corr_x, corr_p):
+    """The two-mode layout written out here, so the expected bit-1 matrix is not built by the code under test."""
+    mat = np.array(
+        [
+            [diag_a, 0.0, corr_x, 0.0],
+            [0.0, diag_a, 0.0, corr_p],
+            [corr_x, 0.0, diag_b, 0.0],
+            [0.0, corr_p, 0.0, diag_b],
+        ]
+    )
+    return CovMat(mat, Convention.UNIT_VACUUM)
+
+
 # Bit 1's matrix as a separately validated CovMat builds it from the (..., -c) entries.
 VALIDATED_BIT1 = {
-    alice_pair: lambda c: _two_mode_cm(c.a, c.s_diag, -c.c_a, c.c_a),
-    eve_pair: lambda c: _two_mode_cm(c.d, c.e, -c.c_e, -c.c_e),
+    alice_pair: lambda c: _two_mode(c.a, c.s_diag, -c.c_a, c.c_a),
+    eve_pair: lambda c: _two_mode(c.d, c.e, -c.c_e, -c.c_e),
 }
 
 
