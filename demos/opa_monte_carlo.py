@@ -1,12 +1,15 @@
 """Validate the OPA receiver's Bhattacharyya bound by direct simulation.
 
 The receiver's per-mode counts are geometric, so each trial's M-mode
-total is negative binomial.  A run draws how many of its trials sent bit 0,
-then each bit's totals as one batch (exact, since the trials are iid),
-applies the maximum-likelihood threshold to every total and scores the
-decisions.  The empirical error must sit below the analytic bound (it is
-an upper bound) but not suspiciously far below bound/20 (which would point
-at broken sampling).
+total is negative binomial: the failures before the M-th success of
+Bernoulli trials.  A run draws how many of its trials sent bit 0 (exact,
+since the trials are iid), then each trial's decision.  The total lies
+below the maximum-likelihood threshold T (rounded up) exactly when at least
+M of the first T + M - 1 Bernoulli outcomes succeed, so one binomial draw
+per trial decides it, with the law of thresholding every total.  The
+empirical error must sit below the analytic bound (it is an upper bound)
+but not suspiciously far below bound/20 (which would point at broken
+sampling).
 
 Run: python demos/opa_monte_carlo.py
 """

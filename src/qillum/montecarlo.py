@@ -1,13 +1,19 @@
 """Monte Carlo validation of the OPA receiver's error bound.
 
-Each trial sends a uniformly random bit, samples the receiver's total
-photon count over the bit's M modes (iid geometric counts, so a negative
-binomial total) and applies the maximum-likelihood threshold test.  The
-trials are iid, so the run draws how many sent bit 0, then each bit's
-totals in fixed-size chunks (see ``run_mc``), and reports the empirical
-error rate, with a Wilson 95% interval, next to the analytic Bhattacharyya
-bound.  A run holds one chunk at a time, so its memory does not grow with
-its trial count.
+Each trial sends a uniformly random bit, and the receiver thresholds its
+total photon count over the bit's M modes (iid geometric counts, so a
+negative binomial total) by the maximum-likelihood test.  The trials are
+iid, so the run draws how many sent bit 0, then each bit's decisions in
+fixed-size chunks (see ``run_mc``), and reports the empirical error rate,
+with a Wilson 95% interval, next to the analytic Bhattacharyya bound.
+
+A decision is drawn, not a total.  The total is the number of failures
+before the M-th success of Bernoulli(p) trials, p = 1 / (1 + mean), so it
+lies below T = ceil(threshold) exactly when at least M of the first
+T + M - 1 trials succeed: one binomial draw per trial samples the same
+photon stream as far as the decision needs, and the errors have the law
+of thresholding every total.  A run holds one chunk at a time, so its
+memory does not grow with its trial count.
 
 Randomness comes from ``numpy.random.Generator`` seeded with PCG64, so a
 fixed seed reproduces results bit for bit.
@@ -32,16 +38,22 @@ _Z95 = 1.959963984540054
 
 RECOMMENDED_MIN_TRIALS = 10_000
 
-# Negative-binomial totals drawn per call: 512 KiB of int64.
+# Binomial draws per call: 512 KiB of int64.
 _CHUNK = 2**16
+
+# The largest count numpy's Generator samples, for trials and for each binomial draw.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo run description: trial count, RNG seed, protocol knobs.
 
-    Fewer than 10^4 trials, or an expected error count below 10, triggers a
-    statistical-power warning at run time rather than a hard error.
+    Fewer than 10^4 trials, or trials times the analytic bound (capped at 1)
+    below 10, triggers a statistical-power warning at run time rather than a
+    hard error.  That product is an upper bound on the expected error count,
+    not the expected count itself, so a run can expect far fewer errors
+    without a warning.
     """
 
     trials: int
@@ -49,7 +61,7 @@ class McConfig:
     params: ProtocolParams
 
     def __post_init__(self) -> None:
-        if (trials := _count("trials", self.trials)) > np.iinfo(np.int64).max:
+        if (trials := _count("trials", self.trials)) > _INT64_MAX:
             raise ValueError("trials must be at most 2**63 - 1, the largest count numpy samples")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
@@ -105,17 +117,20 @@ def run_mc(config: McConfig) -> McResult:
     """Simulate the OPA receiver and measure its empirical bit-error rate.
 
     Draws sent0 ~ Binomial(trials, 1/2), then sent0 bit-0 and
-    trials - sent0 bit-1 totals in that order, each negative binomial at its
-    bit's scalar p = 1 / (1 + n_bit) and thresholded, ties to bit 0.  The
-    trials are iid, so (sent0, errors) has exactly the law of a loop
-    drawing bit then total per trial.  Each bit's totals come in chunks of
-    ``_CHUNK`` draws, counted one chunk at a time; numpy's Generator gives
-    the same stream for a split batch, so the draw order and every count
-    are those of one batch per bit.  An empty bit still makes one draw of
-    size 0, so numpy refuses its p as it would a full batch's.  The bound,
-    returned with the model, is formed first, so it refuses means beyond
-    1e120 by name; the model is the one it was formed from, shared per
-    (ns, kappa, g, nb).
+    trials - sent0 bit-1 decisions in that order.  A total X, negative
+    binomial at its bit's p = 1 / (1 + n_bit), lies below
+    T = ceil(threshold) exactly when at least m of the first T + m - 1
+    Bernoulli(p) outcomes succeed, so a bit-0 error is
+    Binomial(T + m - 1, p0) >= m and a bit-1 error (X >= threshold, ties to
+    bit 0) is Binomial(T + m - 1, p1) < m, both compared as integers.  The
+    trials are iid, so (sent0, errors) has exactly the law of a loop drawing
+    bit then total per trial and thresholding it.  Each bit's decisions come
+    in chunks of ``_CHUNK`` draws, counted one chunk at a time; numpy's
+    Generator gives the same stream for a split batch, so the draw order and
+    every count are those of one batch per bit.  The bound, returned with
+    the model, is formed first, so it refuses means beyond 1e120 by name;
+    the model is the one it was formed from, shared per (ns, kappa, g, nb).
+    An outcome count T + m - 1 beyond 2**63 - 1 is refused before any draw.
 
     Output is fully determined by ``config.seed``.
     """
@@ -124,6 +139,11 @@ def run_mc(config: McConfig) -> McResult:
     model, _ = _opa_overlap(params)
     m = params.m
     threshold = ml_threshold(model, m)
+    if (outcomes := math.ceil(threshold) + m - 1) > _INT64_MAX:
+        raise ValueError(
+            f"ceil(threshold) + m - 1 = {outcomes} Bernoulli outcomes per decision exceeds 2**63 - 1, "
+            "the largest count numpy samples"
+        )
     if config.trials < RECOMMENDED_MIN_TRIALS or config.trials * min(bound, 1.0) < 10.0:
         warnings.warn(
             f"low statistical power: {config.trials} trials against an error bound "
@@ -134,12 +154,12 @@ def run_mc(config: McConfig) -> McResult:
     rng = np.random.default_rng(config.seed)
     sent0 = int(rng.binomial(config.trials, 0.5))
     errors = 0
-    for mean, sent, wrong in ((model.n0, sent0, np.less), (model.n1, config.trials - sent0, np.greater_equal)):
+    for mean, sent, wrong in ((model.n0, sent0, np.greater_equal), (model.n1, config.trials - sent0, np.less)):
         p = 1.0 / (1.0 + mean)
-        for start in range(0, sent, _CHUNK) or range(1):
+        for start in range(0, sent, _CHUNK):
             size = min(_CHUNK, sent - start)
             # One expression, so each chunk is freed before the next is drawn.
-            errors += int(np.count_nonzero(wrong(rng.negative_binomial(m, p, size=size), threshold)))
+            errors += int(np.count_nonzero(wrong(rng.binomial(outcomes, p, size=size), m)))
     return McResult(
         empirical_error=errors / config.trials,
         wilson_ci95=_wilson_ci95(errors, config.trials),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -675,6 +676,18 @@ def test_mc_refuses_trials_beyond_int64_by_name(capsys):
     assert out == "" and err == "error: trials must be at most 2**63 - 1, the largest count numpy samples\n"
 
 
+def test_mc_refuses_an_outcome_count_beyond_int64_by_name(capsys):
+    """Means of about 3.8e20 at M = 1 need more Bernoulli outcomes per decision than numpy samples: exit 2, no traceback."""
+    code, out, err = run_cli(capsys, "mc", "--ns", "1e10", "--kappa", "0.1", "--g", "1e4", "--nb", "1e4", "--m", "1", "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(
+        r"error: ceil\(threshold\) \+ m - 1 = \d+ Bernoulli outcomes per decision exceeds 2\*\*63 - 1, "
+        r"the largest count numpy samples\n",
+        err,
+    )
+
+
 def test_mc_rejects_negative_seed(capsys):
     code, _, err = run_cli(capsys, "mc", *HEADLINE_FLAGS, "--m", "500", "--trials", "100", "--seed", "-1")
     assert code == 2
@@ -682,14 +695,14 @@ def test_mc_rejects_negative_seed(capsys):
 
 
 def test_mc_json_lists_every_warning_the_text_prints(capsys):
-    # 20 trials at M = 1 err 12 times against a bound of 0.4997.
-    argv = ["mc", *HEADLINE_FLAGS, "--m", "1", "--trials", "20", "--seed", "1"]
+    # Seed 2 is the smallest seed whose 20 trials at M = 1 exceed the bound of 0.4997: 10 errors.
+    argv = ["mc", *HEADLINE_FLAGS, "--m", "1", "--trials", "20", "--seed", "2"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     printed = [line.removeprefix("WARNING: ") for line in out.splitlines() if line.startswith("WARNING: ")]
     assert printed == [
         "low statistical power: 20 trials against an error bound of 4.997e-01; expect a noisy estimate",
-        "empirical error 6.000000e-01 exceeds the analytic bound 4.996552e-01",
+        "empirical error 5.000000e-01 exceeds the analytic bound 4.996552e-01",
     ]
     _, record, _ = run_json(capsys, *argv)
     assert record["outputs"]["warnings"] == printed

@@ -46,7 +46,7 @@ README_COMMANDS = [
      "--ns", "0.004", "--g", "1e4", "--nb", "1e4", "--target", "1e-6"],
     ["mc", *HEADLINE, "--m", "2000", "--trials", "1000000", "--seed", "7"],
 ]
-README_DIGEST = "77ad87043c7aa84b875bf2684131c3626e11e0db087bd85c56533eefc94ef282"
+README_DIGEST = "e95db4c74d65722273eebc30141bf62456830703ae5fab4930aa241d2521cc35"
 TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00")
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -134,6 +135,35 @@ def test_negative_binomial_equals_convolved_geometric():
     assert p_value > 1e-3
 
 
+@pytest.mark.parametrize("m", [1, 3, 2000, 5000])
+@pytest.mark.parametrize("p", [1e-6, 0.13, 0.5, 0.87, 1.0 - 1e-9])
+def test_a_total_below_the_threshold_is_a_binomial_with_m_successes(m, p):
+    """NB(m, p) total < T iff at least m of the first T + m - 1 Bernoulli(p) outcomes succeed, T = ceil(threshold).
+
+    The thresholds are integers and non-integers, below 1, near 1 and around the total's mean.  The
+    complements are checked too, so a probability near 1 (at p = 1 - 1e-9) is compared in its tail.
+    """
+    mean = m * (1.0 - p) / p
+    thresholds = {0.25, 1.0, 2.5, 7.0, 0.8 * mean, float(math.floor(mean)), 1.2 * mean, float(math.ceil(1.2 * mean))}
+    for threshold in sorted(t for t in thresholds if t > 0.0):
+        t = math.ceil(threshold)
+        total, successes = stats.nbinom(m, p), stats.binom(t + m - 1, p)
+        assert total.cdf(t - 1) == pytest.approx(successes.sf(m - 1), rel=1e-12, abs=0.0)
+        assert total.sf(t - 1) == pytest.approx(successes.cdf(m - 1), rel=1e-12, abs=0.0)
+
+
+def test_the_binomial_identity_holds_in_exact_arithmetic():
+    # Both sides as exact rationals at p = 13/100, sharing no code with scipy's incomplete beta.
+    p = Fraction(13, 100)
+    q = 1 - p
+    for m in range(1, 5):
+        for t in range(0, 13):
+            below = sum(math.comb(x + m - 1, x) * p**m * q**x for x in range(t))
+            n = t + m - 1
+            successes = sum(math.comb(n, k) * p**k * q ** (n - k) for k in range(m, n + 1))
+            assert below == successes
+
+
 # ----------------------------------------------------------------------
 # runs
 
@@ -172,13 +202,13 @@ def test_run_mc_matches_the_exact_error_of_its_threshold_test(m):
 
 
 def test_run_mc_stream_is_pinned():
-    """Seed 7's 4815 errors in 1e5 trials at M = 2000 (the CLI tests' MC_FLAGS point).
+    """Seed 7's 4891 errors in 1e5 trials at M = 2000 (the CLI tests' MC_FLAGS point), within 1 sigma of 0.048322.
 
-    They change whenever the order of the draws does, which must then be deliberate.
+    They change whenever the order or the kind of the draws does, which must then be deliberate.
     """
     result = run_mc(make_config(m=2000, trials=100_000))
-    assert result.empirical_error == 0.04815
-    assert result.wilson_ci95 == (0.046840392454996944, 0.04949432147484436)
+    assert result.empirical_error == 0.04891
+    assert result.wilson_ci95 == (0.04759046794386863, 0.05026418759804155)
 
 
 def traced_peak(config: McConfig) -> int:
@@ -194,7 +224,7 @@ def traced_peak(config: McConfig) -> int:
 
 
 def test_run_mc_holds_no_array_per_trial_beyond_its_counts():
-    # Per-trial bit, mean and p arrays take 40 B per trial.  One chunk of totals is
+    # Per-trial bit, mean and p arrays take 40 B per trial.  One chunk of draws is
     # 512 KiB whatever the trial count, so ten times the trials may not raise the peak
     # (one batch per bit raised it from 0.97 to 9.07 MB).  The 1 KiB allows for the
     # Python ints of a later chunk's offset, which the first chunk's offset 0 does not
@@ -206,35 +236,52 @@ def test_run_mc_holds_no_array_per_trial_beyond_its_counts():
 
 
 def one_shot_errors(config: McConfig) -> int:
-    """Errors of ``config``'s run with each bit's totals drawn as one batch, not in chunks."""
+    """Errors of ``config``'s run with each bit's decisions drawn as one binomial batch, not in chunks."""
     model, m = opa_model(config.params), config.params.m
-    threshold = ml_threshold(model, m)
+    outcomes = math.ceil(ml_threshold(model, m)) + m - 1
     rng = np.random.default_rng(config.seed)
     sent0 = int(rng.binomial(config.trials, 0.5))
-    errors = int(np.count_nonzero(rng.negative_binomial(m, 1.0 / (1.0 + model.n0), size=sent0) < threshold))
-    totals1 = rng.negative_binomial(m, 1.0 / (1.0 + model.n1), size=config.trials - sent0)
-    return errors + int(np.count_nonzero(totals1 >= threshold))
+    errors = int(np.count_nonzero(rng.binomial(outcomes, 1.0 / (1.0 + model.n0), size=sent0) >= m))
+    successes1 = rng.binomial(outcomes, 1.0 / (1.0 + model.n1), size=config.trials - sent0)
+    return errors + int(np.count_nonzero(successes1 < m))
 
 
 @pytest.mark.parametrize("m", [1, 2000])
 @pytest.mark.parametrize("seed", [0, 7, 20090904])
 def test_chunked_run_counts_the_errors_of_one_batch_per_bit(m, seed):
-    # About 3 x _CHUNK totals per bit: three or four chunks, the last one partial.
+    # About 3 x _CHUNK decisions per bit: three or four chunks, the last one partial.
     trials = 6 * montecarlo._CHUNK + 17
     config = make_config(m=m, trials=trials, seed=seed)
     assert run_mc(config).empirical_error == one_shot_errors(config) / trials
 
 
-@pytest.mark.parametrize("seed", [0, 2])  # sent0 = 1 and 0 of one trial
-def test_an_empty_bit_still_has_its_p_refused(seed):
-    # Bit 0's mean of 9.6e17 is past numpy's negative-binomial range at m = 1, bit 1's 6.4e17 is not.
-    config = McConfig(trials=1, seed=seed, params=ProtocolParams(ns=5e8, kappa=0.1, g=1e4, nb=1e4, m=1))
-    with pytest.raises(ValueError) as expected:
-        one_shot_errors(config)
-    assert "n too large or p too small" in str(expected.value)
-    with pytest.warns(UserWarning, match="low statistical power"), pytest.raises(ValueError) as refused:
+@pytest.mark.parametrize("seed, sent0", [(0, 1), (2, 0)])
+def test_an_outcome_count_beyond_int64_is_refused_before_any_draw(seed, sent0, monkeypatch):
+    # Means of about 3.8e20 and 2.6e20 put ceil(threshold) + m - 1 past the largest count numpy samples,
+    # whichever bit the one trial would send.
+    assert np.random.default_rng(seed).binomial(1, 0.5) == sent0
+    config = McConfig(trials=1, seed=seed, params=ProtocolParams(ns=1e10, kappa=0.1, g=1e4, nb=1e4, m=1))
+
+    def no_generator(seed):
+        raise AssertionError("a generator was made before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match=r"ceil\(threshold\) \+ m - 1 = \d+ Bernoulli outcomes per decision exceeds 2\*\*63 - 1"):
         run_mc(config)
-    assert str(refused.value) == str(expected.value)
+
+
+def test_run_mc_samples_means_past_the_negative_binomial_range():
+    """ns = 5e8 at M = 1 (means of about 9.6e17 and 6.4e17), which numpy's negative binomial refuses, within 4 sigma of exact."""
+    trials = 100_000
+    params = ProtocolParams(ns=5e8, kappa=0.1, g=1e4, nb=1e4, m=1)
+    result = run_mc(McConfig(trials=trials, seed=20260808, params=params))
+    model, t = result.model, math.ceil(result.threshold)
+    assert model.n0 > 9e17
+    with pytest.raises(ValueError, match="n too large or p too small"):
+        np.random.default_rng(0).negative_binomial(1, 1.0 / (1.0 + model.n0))
+    f0, f1 = (stats.nbinom(1, 1.0 / (1.0 + mean)).cdf(t - 1) for mean in (model.n0, model.n1))
+    exact = 0.5 * (f0 + 1.0 - f1)
+    assert abs(result.empirical_error - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
 
 def test_run_mc_error_grows_as_m_shrinks():
