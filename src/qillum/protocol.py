@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _recipe
 from .gaussian import _PARITY_SIGNS, Convention, CovMat, GaussianState, IllConditionedMatrixError, _count, _real, to_unit_vacuum, williamson
 
 __all__ = [
@@ -76,14 +77,9 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
-    """Covariance-matrix entries implied by the protocol knobs.
+    """Covariance-matrix entries implied by the protocol knobs, each by its formula in ``_recipe``.
 
-    s_diag = 2 ns + 1 and c_q = 2 sqrt(ns (ns + 1)) describe the source;
-    a = 2 kappa^2 g ns + 2 kappa nb + 1 and c_a = kappa sqrt(g) c_q describe
-    Alice's return/idler state; d = 2 (1 - kappa) ns + 1,
-    c_e = 2 (1 - kappa) sqrt(kappa g) ns and
-    e = 2 (1 - kappa) kappa g ns + 2 (1 - kappa) nb + 1 describe Eve's
-    tapped pair.
+    The source's s_diag and c_q, Alice's a and c_a, and Eve's d, c_e and e.
     """
 
     s_diag: float
@@ -107,28 +103,17 @@ class PhysicalityReport:
 _ALICE, _EVE = 0, 1
 
 
-def _source_entries(ns: float) -> tuple[float, float]:
-    """The source's diagonal s_diag = 2 ns + 1 and correlation c_q = 2 sqrt(ns (ns + 1))."""
-    return 2.0 * ns + 1.0, 2.0 * math.sqrt(ns * (ns + 1.0))
-
-
 def derived_coefficients(params: ProtocolParams) -> DerivedCoefficients:
     """Evaluate every covariance-matrix coefficient from the protocol knobs.
 
-    The unit-vacuum matrix builders below place these exact values as their
-    entries, so recomputing here reproduces the matrices bit for bit.
+    Each entry is ``_recipe``'s, run on the float knobs with ``math.sqrt``.
+    The matrix builders below place these exact values as their entries,
+    so recomputing here reproduces the matrices bit for bit.
     """
-    ns, kappa, g, nb = params.ns, params.kappa, params.g, params.nb
-    s_diag, c_q = _source_entries(ns)
-    return DerivedCoefficients(
-        s_diag=s_diag,
-        c_q=c_q,
-        a=2.0 * kappa**2 * g * ns + 2.0 * kappa * nb + 1.0,
-        c_a=kappa * math.sqrt(g) * c_q,
-        d=2.0 * (1.0 - kappa) * ns + 1.0,
-        c_e=2.0 * (1.0 - kappa) * math.sqrt(kappa * g) * ns,
-        e=2.0 * (1.0 - kappa) * kappa * g * ns + 2.0 * (1.0 - kappa) * nb + 1.0,
-    )
+    knobs = params.ns, params.kappa, params.g, params.nb
+    s_diag, c_q = _recipe.source_entries(params.ns, math.sqrt)
+    (a, _, c_a), (d, e, c_e) = _recipe.alice_entries(*knobs, math.sqrt), _recipe.eve_entries(*knobs, math.sqrt)
+    return DerivedCoefficients(s_diag=s_diag, c_q=c_q, a=a, c_a=c_a, d=d, c_e=c_e, e=e)
 
 
 def _two_mode(diag_a: float, diag_b: float, corr_x: float, corr_p: float) -> list[list[float]]:
@@ -145,7 +130,7 @@ def source_cm(ns: float) -> CovMat:
     """
     if (ns := _real("ns", ns)) <= 0.0:
         raise ValueError("ns must be positive")
-    s_diag, c_q = _source_entries(ns)
+    s_diag, c_q = _recipe.source_entries(ns, math.sqrt)
     return CovMat(np.array(_two_mode(s_diag, s_diag, c_q, -c_q)), Convention.UNIT_VACUUM)
 
 

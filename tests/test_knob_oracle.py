@@ -1,7 +1,8 @@
 """The README sweep and bounds against the knob-exact oracle golden, and that oracle against the conftest one.
 
 ``tests/knob_oracle.py`` computes Alice's and Eve's 1 - Q_1/2 from the knobs
-at 60 digits with no qillum code, and writes the golden
+at 60 digits, running no qillum code but the recipe ``qillum._recipe``, and
+writes the golden
 ``tests/data/readme_sweep_oracle.csv``.  These tests move no pin: the
 engine's README sweep is checked against the golden to a relative
 tolerance that holds today, and the count of cells whose printed digits
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import knob_oracle
-from qillum import ProtocolParams, eve_optimum_bounds, security_margin
+from qillum import ProtocolParams, _recipe, eve_optimum_bounds, security_margin
 from qillum.cli import main
 
 from conftest import HEADLINE, ROOT, parity_pair_q_half_gap
@@ -116,6 +117,22 @@ def test_oracle_matches_the_parity_pair_oracle_on_knob_exact_matrices():
         for matrix, gap in zip(knob_oracle.bit0_matrices(*knobs), knob_oracle.gaps(*knobs)):
             with mpmath.workdps(knob_oracle.DPS):
                 assert abs(parity_pair_q_half_gap(matrix, dps=knob_oracle.DPS) / gap - 1) < mpmath.mpf(10) ** -30, knobs
+
+
+def test_the_recipe_in_float_matches_the_oracle_over_the_box():
+    """``_recipe``'s gaps run on the float knobs with ``math.sqrt`` are within 1e-14 relative of the 60-digit ones, on 1000 plan_scan draws.
+
+    Measured worst: 1.1e-15 for Alice and 1.3e-15 for Eve.  On the same
+    draws the engine's own 1 - Q_1/2 is off by up to 7.3e9 relative.
+    """
+    draws, rng = workloads.PlanScan(), np.random.default_rng(77)
+    worst = 0.0
+    for params in (draws.draw(rng) for _ in range(1000)):
+        knobs = (params.ns, params.kappa, params.g, params.nb)
+        floats = (_recipe.alice_gap(*knobs, math.sqrt), _recipe.eve_gap(*knobs, math.sqrt))
+        for value, exact in zip(floats, knob_oracle.gaps(*knobs)):
+            worst = max(worst, float(abs(value / exact - 1)))
+    assert worst < 1e-14
 
 
 # Digits for both oracles in the wider check below.  At 60, the matrix oracle

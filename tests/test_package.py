@@ -176,6 +176,28 @@ def test_only_gaussian_imports_numbers():
     assert importers == ["gaussian.py"]
 
 
+def _defaulted_parameters(arguments: ast.arguments) -> list[str]:
+    """The names of the parameters that ``arguments`` gives a default."""
+    positional = arguments.posonlyargs + arguments.args
+    named = positional[len(positional) - len(arguments.defaults):]
+    named += [arg for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults) if default is not None]
+    return [arg.arg for arg in named]
+
+
+def test_the_recipe_imports_nothing_and_takes_sqrt_without_a_default():
+    """``_recipe`` runs on floats, mpmath and sympy alike only while it imports nothing and is always handed its ``sqrt``.
+
+    An import could pull numpy into it, and a default ``sqrt=math.sqrt``
+    would quietly round an mpmath number to float.
+    """
+    tree = ast.parse((ROOT / "src/qillum/_recipe.py").read_text())
+    nodes = list(ast.walk(tree))
+    assert [node.lineno for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    arguments = [node for node in nodes if isinstance(node, ast.arguments)]
+    assert any(arg.arg == "sqrt" for node in arguments for arg in node.posonlyargs + node.args + node.kwonlyargs)
+    assert [node for node in arguments if "sqrt" in _defaulted_parameters(node)] == []
+
+
 def test_cli_forms_no_receiver_bound_or_model():
     """The CLI presents library results: ``security_margin`` and ``run_mc`` form every bound and model it prints.
 

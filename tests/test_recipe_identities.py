@@ -1,9 +1,10 @@
-"""Item 1's recipe, proved: each cancellation-free form ``knob_oracle`` uses is an identity in the knobs.
+"""Item 1's recipe, proved: each cancellation-free form of ``qillum._recipe`` is an identity in the knobs.
 
-Each residual below is the oracle's closed form less its definition from
-the matrix entries (as ``protocol.derived_coefficients`` defines them),
-run on sympy symbols through the oracle's own functions, and must cancel
-to 0 for every positive (ns, kappa, g, nb).  Alice's R**2 takes
+Each residual below is the recipe's closed form less its definition from
+the matrix entries (as ``_recipe.alice_entries`` and ``eve_entries`` give
+them), run on sympy symbols through the very functions the package ships
+and ``tests/knob_oracle.py`` runs at 60 digits.  Each must cancel to 0 for
+every positive (ns, kappa, g, nb).  Alice's R**2 takes
 u = sqrt(g ns) and v = sqrt(ns + 1) in place of g and ns, which makes it
 rational.  Two steps hold for any entries tied by a square root, so they
 run on free symbols, and their numerators cancel once each root's square
@@ -12,15 +13,15 @@ alpha meet beta lambda+- + alpha = r+- wherever r+-**2 = lambda+-**2 - 1,
 and Alice's sinh(r)**2 = 2 c**2 / (R (a + b + R)) is (a + b - R) / (2 R)
 wherever R**2 = (a + b)**2 - 4 c**2.
 
-Not proved here: 1 - Q_1/2 = c_h**2 / (a_h b_h) itself.
+Not proved here: 1 - Q_1/2 = c_h**2 / (a_h b_h) itself, nor the entries
+themselves, which ``tests/test_protocol.py`` pins by literal values.
 """
-
 import types
 
 import pytest
 import sympy
 
-import knob_oracle
+from qillum import _recipe
 
 NS, KAPPA, G, NB, U, V = sympy.symbols("ns kappa g nb u v", positive=True)
 KNOBS = (NS, KAPPA, G, NB)
@@ -37,7 +38,7 @@ def reduced(residual, *roots) -> sympy.Expr:
 
 
 def residuals(recipe) -> dict[str, sympy.Expr]:
-    """Each recipe step of ``recipe`` (the oracle module, or a mutant of it) as closed form less definition."""
+    """Each recipe step of ``recipe`` (``_recipe``, or a mutant of it) as closed form less definition."""
     a, b, c = recipe.alice_entries(*KNOBS, sympy.sqrt)
     d, e, c_e = recipe.eve_entries(*KNOBS, sympy.sqrt)
     d1, e1 = recipe.eve_shifted(*KNOBS)
@@ -63,12 +64,12 @@ def vanishing(recipe) -> dict[str, bool]:
 
 
 def test_every_recipe_step_is_an_identity():
-    assert vanishing(knob_oracle) == dict.fromkeys(residuals(knob_oracle), True)
+    assert vanishing(_recipe) == dict.fromkeys(residuals(_recipe), True)
 
 
 def mutant(**functions) -> types.SimpleNamespace:
-    """The oracle with ``functions`` in place of its own."""
-    return types.SimpleNamespace(**{**vars(knob_oracle), **functions})
+    """``_recipe`` with ``functions`` in place of its own."""
+    return types.SimpleNamespace(**{**vars(_recipe), **functions})
 
 
 # Each mutant flips one sign in one closed form.
