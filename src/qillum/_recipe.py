@@ -1,14 +1,21 @@
-"""The knob recipe: each covariance entry, and 1 - Q_1/2 of each protocol pair, from the knobs (ns, kappa, g, nb).
+"""The knob recipe: each covariance entry, 1 - Q_1/2 of each protocol pair and the OPA receiver's counts, from the knobs (ns, kappa, g, nb).
 
 The functions use only arithmetic and the ``sqrt`` they are given, so one
-source runs on floats (``protocol``), mpmath (``tests/knob_oracle.py``) and
-sympy (``tests/test_recipe_identities.py``).  The module imports nothing,
-and ``sqrt`` has no default: ``math.sqrt`` would round an mpmath number.
+source runs on floats (``protocol``, ``receivers``), mpmath
+(``tests/knob_oracle.py``) and sympy (``tests/test_recipe_identities.py``).
+The module imports nothing, and ``sqrt`` has no default: ``math.sqrt``
+would round an mpmath number.
 
 Each protocol pair is a parity pair with no x-p correlations, so s* = 1/2
 and 1 - Q_1/2 = c_h**2 / (a_h b_h), with a_h, b_h and c_h the x-block
-entries of V_h, the covariance matrix of sqrt(rho) / tr sqrt(rho).  The
-gaps form each symplectic excess nu - 1 as a product of nonnegative terms.
+entries of V_h, the covariance matrix of sqrt(rho) / tr sqrt(rho).
+Nothing in the gaps cancels: each symplectic excess nu - 1, Alice's
+R = nu_a + nu_b and sinh(r)**2, and V_h's entries a_h, b_h and c_h are
+each a sum or product of nonnegative terms.
+
+Alice's OPA receiver has two closed forms: ``opa_means``, its gain excess
+and output means n0 and n1, and ``opa_excess``, 1/q - 1 of their overlap,
+also formed without cancellation.
 """
 
 
@@ -56,9 +63,14 @@ def _root_excess(x, sqrt):
     return 1 + x + sqrt(x * (x + 2))
 
 
-def eve_interpolation(plus, minus, r_plus, r_minus):
-    """beta and alpha of sqrt(V_x**2 - I) = beta V_x + alpha I, from V_x's eigenvalues lambda+- and r+- = sqrt(lambda+-**2 - 1)."""
-    return (plus + minus) / (r_plus + r_minus), -(plus + minus) / (plus * r_minus + minus * r_plus)
+def eve_interpolation(plus1, minus1, r_plus, r_minus):
+    """beta and s = alpha + beta of sqrt(V_x**2 - I) = beta V_x + alpha I, from V_x's excesses lambda+- - 1 and r+- = sqrt(lambda+-**2 - 1).
+
+    beta (lambda+- - 1) + s = r+-.  s is a product of nonnegative terms,
+    while alpha alone nearly cancels beta once lambda- - 1 is small.
+    """
+    plus, minus = plus1 + 1, minus1 + 1
+    return (plus + minus) / (r_plus + r_minus), (plus + minus) * (plus1 * r_minus + minus1 * r_plus) / ((r_plus + r_minus) * (plus * r_minus + minus * r_plus))
 
 
 def alice_sinh2(a, b, c, big_r):
@@ -72,16 +84,17 @@ def eve_gap(ns, kappa, g, nb, sqrt):
     Her state is phase insensitive (V_p = V_x), so its symplectic
     eigenvalues are the eigenvalues lambda+- of the x block, and V_h's x
     block is (1 + beta) V_x + alpha I with the two-point interpolation
-    sqrt(V_x**2 - I) = beta V_x + alpha I.
+    sqrt(V_x**2 - I) = beta V_x + alpha I.  Its diagonal is formed as
+    d + beta (d - 1) + s and e + beta (e - 1) + s, sums of nonnegative
+    terms (``eve_interpolation``).
     """
     d, e, c_e = eve_entries(ns, kappa, g, nb, sqrt)
     d1, e1 = eve_shifted(ns, kappa, g, nb)
     plus1 = (d1 + e1) / 2 + sqrt(((d1 - e1) / 2) ** 2 + c_e**2)
     minus1 = eve_excess_product(ns, kappa, g, nb) / plus1
-    plus, minus = plus1 + 1, minus1 + 1
-    r_plus, r_minus = sqrt(plus1 * (plus + 1)), sqrt(minus1 * (minus + 1))
-    beta, alpha = eve_interpolation(plus, minus, r_plus, r_minus)
-    a_h, b_h, c_h = (1 + beta) * d + alpha, (1 + beta) * e + alpha, (1 + beta) * c_e
+    r_plus, r_minus = sqrt(plus1 * (plus1 + 2)), sqrt(minus1 * (minus1 + 2))
+    beta, s = eve_interpolation(plus1, minus1, r_plus, r_minus)
+    a_h, b_h, c_h = d + beta * d1 + s, e + beta * e1 + s, (1 + beta) * c_e
     return c_h**2 / (a_h * b_h)
 
 
@@ -108,3 +121,18 @@ def alice_gap(ns, kappa, g, nb, sqrt):
     h_a, h_b = _root_excess(nu_a1, sqrt), _root_excess(nu_b1, sqrt)
     a_h, b_h, c_h = cosh2 * h_a + sinh2 * h_b, sinh2 * h_a + cosh2 * h_b, c / big_r * (h_a + h_b)
     return c_h**2 / (a_h * b_h)
+
+
+def opa_means(ns, kappa, g, nb, sqrt):
+    """The OPA gain excess x = ns / sqrt(kappa nb) and the thermal means n_k = (1 + x) ns + x (a + 1) / 2 + (-1)**k sqrt((1 + x) x) c_a, k = 0, 1."""
+    a, _, c_a = alice_entries(ns, kappa, g, nb, sqrt)
+    x = ns / sqrt(kappa * nb)
+    common = (1 + x) * ns + x * (a + 1) / 2
+    shift = sqrt((1 + x) * x) * c_a
+    return x, common + shift, common - shift
+
+
+def opa_excess(n0, n1, sqrt):
+    """1/q - 1 = AB - ab - 1 of two thermal counts' overlap q (n0 != n1), with a, A = sqrt(n0), sqrt(n0 + 1) and b, B alike, formed without cancellation."""
+    a, b, big_a, big_b = sqrt(n0), sqrt(n1), sqrt(n0 + 1), sqrt(n1 + 1)
+    return (n0 - n1) ** 2 / 2 * (1 / (big_a + a) + 1 / (big_b + b)) * (big_a + big_b + a + b) / ((a + b) ** 2 * (big_a + big_b) ** 2)

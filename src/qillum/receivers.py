@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _recipe
 from .gaussian import _ENTRY_MAX, Convention, ErrorBounds, _as_float, _parity_q_halves, _williamson_stack, error_bounds_from_overlaps, minimize_overlap
-from .protocol import _ALICE, _EVE, DerivedCoefficients, ProtocolParams, _bit0_stack, _parity_pair, derived_coefficients
+from .protocol import _ALICE, _EVE, ProtocolParams, _bit0_stack, _parity_pair, derived_coefficients
 
 __all__ = [
     "OpaReceiverModel",
@@ -77,15 +78,14 @@ class ApproxExponents:
 
 @dataclass
 class _KnobPoint:
-    """The evaluation shared by every call at one (ns, kappa, g, nb): filled from one ``derived_coefficients``.
+    """The results shared by every call at one (ns, kappa, g, nb), each filled when first asked for.
 
     ``q_halves`` holds Alice's and Eve's optimum Q_{1/2} once both bit-0
     matrices are decomposed in one stacked pass; ``opa`` the OPA model and
-    its overlap once asked for.  A refused evaluation is not kept.  Only
-    the last knob point asked about keeps its record (``_last``).
+    its overlap.  A refused evaluation is not kept.  Only the last knob
+    point asked about keeps its record (``_last``).
     """
 
-    coefficients: DerivedCoefficients
     q_halves: tuple[float, float] | None = None
     opa: tuple[OpaReceiverModel, float] | None = None
 
@@ -95,12 +95,12 @@ _last: tuple[tuple[float, float, float, float] | None, _KnobPoint | None] = (Non
 
 
 def _knob_point(params: ProtocolParams) -> _KnobPoint:
-    """The record for params' (ns, kappa, g, nb): the last one if its knobs match, else a new one made from the validated params."""
+    """The record for params' (ns, kappa, g, nb): the last one if its knobs match, else a new empty one."""
     global _last
     knobs = (params.ns, params.kappa, params.g, params.nb)
     last_knobs, point = _last
     if last_knobs != knobs:
-        point = _KnobPoint(derived_coefficients(params))
+        point = _KnobPoint()
         _last = knobs, point
     return point
 
@@ -109,7 +109,8 @@ def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
     """Q_{1/2} of ``_ALICE``'s or ``_EVE``'s pair at params' knobs, also its s-minimised overlap (a parity pair's s* is 1/2).
 
     The first call at a knob point checks both bit-0 matrices, one
-    (2, 4, 4) array (``protocol._bit0_stack``), for entries finite and at
+    (2, 4, 4) array (``protocol._bit0_stack``) built from one
+    ``derived_coefficients``, for entries finite and at
     most ``_ENTRY_MAX`` (NaN refused), then decomposes them in one stacked
     pass, whose 1e12 condition gate refuses a row that is not positive
     definite, and keeps both values.  Where either refuses, the observer's
@@ -118,7 +119,7 @@ def _optimum_q_half(params: ProtocolParams, observer: int) -> float:
     """
     point = _knob_point(params)
     if point.q_halves is None:
-        stack = _bit0_stack(point.coefficients)
+        stack = _bit0_stack(derived_coefficients(params))
         try:
             if not np.abs(stack).max() <= _ENTRY_MAX:  # false for NaN and inf too
                 raise ValueError
@@ -170,16 +171,14 @@ def opa_model(params: ProtocolParams) -> OpaReceiverModel:
 
     where a and c_a are the return/idler coefficients and the bit enters
     through the phase-sensitive cross moment <a_R a_I> = (-1)^k c_a / 2.
-    Every term is formed from the excess x = g_opa - 1 = ns / sqrt(kappa nb)
+    The means are ``_recipe.opa_means``, run with ``math.sqrt``: every
+    term is formed from the excess x = g_opa - 1 = ns / sqrt(kappa nb)
     directly, never from 1 + x, so a dim source keeps its signal.
     """
     if params.nb <= 0.0:
         raise ValueError("the OPA gain 1 + ns / sqrt(kappa nb) requires nb > 0")
-    c = _knob_point(params).coefficients
-    x = params.ns / math.sqrt(params.kappa * params.nb)
-    common = (1.0 + x) * params.ns + x * (c.a + 1.0) / 2.0
-    shift = math.sqrt((1.0 + x) * x) * c.c_a
-    return OpaReceiverModel(gain_excess=x, n0=common + shift, n1=common - shift)
+    x, n0, n1 = _recipe.opa_means(params.ns, params.kappa, params.g, params.nb, math.sqrt)
+    return OpaReceiverModel(gain_excess=x, n0=n0, n1=n1)
 
 
 def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
@@ -188,7 +187,8 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
     sum_n sqrt(P0(n) P1(n)) for thermal counts with means n0, n1 sums to
     q = 1 / [sqrt((n0 + 1)(n1 + 1)) - sqrt(n0 n1)]; equals 1 at n0 = n1.
     With a, b = sqrt(n0), sqrt(n1) and A, B = sqrt(n0 + 1), sqrt(n1 + 1),
-    1/q - 1 = [(a - b)^2 - (A - B)^2] / 2 is formed without cancellation as
+    1/q - 1 = [(a - b)^2 - (A - B)^2] / 2 is formed without cancellation
+    (``_recipe.opa_excess``, run with ``math.sqrt``) as
 
         (n0 - n1)^2 (1/(A + a) + 1/(B + b)) (A + B + a + b) / (2 (a + b)^2 (A + B)^2),
 
@@ -206,15 +206,7 @@ def geometric_bhattacharyya_overlap(n0: float, n1: float) -> float:
         )
     if n0 == n1:
         return 1.0
-    a, b = math.sqrt(n0), math.sqrt(n1)
-    big_a, big_b = math.sqrt(n0 + 1.0), math.sqrt(n1 + 1.0)
-    excess = (
-        0.5 * (n0 - n1) ** 2
-        * (1.0 / (big_a + a) + 1.0 / (big_b + b))
-        * (big_a + big_b + a + b)
-        / ((a + b) ** 2 * (big_a + big_b) ** 2)
-    )
-    return 1.0 / (1.0 + excess)
+    return 1.0 / (1.0 + _recipe.opa_excess(n0, n1, math.sqrt))
 
 
 def _opa_overlap(params: ProtocolParams) -> tuple[OpaReceiverModel, float]:

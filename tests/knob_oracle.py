@@ -10,6 +10,10 @@ rounding, not the formulas.  Those are checked by code they do not share:
 conftest's matrix-level ``parity_pair_q_half_gap``, the sympy identities
 of ``tests/test_recipe_identities.py`` and the literal entries in
 ``tests/test_protocol.py``'s ``test_coefficients_at_headline_point``.
+The same holds for the OPA column: its means (``_recipe.opa_means``) are
+checked by the matrix propagation ``opa_output_photons_oracle`` of
+``tests/test_receivers.py``, and its overlap excess (``_recipe.opa_excess``)
+by that file's 400-digit textbook references and by a sympy identity.
 
 Run as a script, it rewrites the golden ``tests/data/readme_sweep_oracle.csv``:
 the README sweep's rows as ``qillum sweep`` prints them, each cell rounded
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import mpmath
 
-from qillum._recipe import alice_entries, alice_gap, eve_entries, eve_gap
+from qillum._recipe import alice_entries, alice_gap, eve_entries, eve_gap, opa_excess, opa_means
 
 DPS = 60
 GOLDEN = Path(__file__).resolve().parent / "data" / "readme_sweep_oracle.csv"
@@ -57,13 +61,9 @@ def bit0_matrices(ns: float, kappa: float, g: float, nb: float) -> tuple[mpmath.
 
 
 def opa_overlap(ns, kappa, g, nb):
-    """The OPA receiver's per-mode Bhattacharyya overlap: thermal counts n0, n1 from the gain excess x = ns / sqrt(kappa nb)."""
-    a, _, c = alice_entries(ns, kappa, g, nb, mpmath.sqrt)
-    x = ns / mpmath.sqrt(kappa * nb)
-    common = (1 + x) * ns + x * (a + 1) / 2
-    shift = mpmath.sqrt((1 + x) * x) * c
-    n0, n1 = common + shift, common - shift
-    return 1 / (mpmath.sqrt((n0 + 1) * (n1 + 1)) - mpmath.sqrt(n0 * n1))
+    """The OPA receiver's per-mode Bhattacharyya overlap, 1 / (1 + ``opa_excess``) at ``opa_means``' thermal means n0, n1."""
+    _, n0, n1 = opa_means(ns, kappa, g, nb, mpmath.sqrt)
+    return 1 / (1 + opa_excess(n0, n1, mpmath.sqrt))
 
 
 def scientific(x: mpmath.mpf, decimals: int) -> str:

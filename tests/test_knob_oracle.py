@@ -9,7 +9,9 @@ tolerance that holds today, and the count of cells whose printed digits
 differ is reported.
 """
 
+import dis
 import hashlib
+import inspect
 import math
 import sys
 
@@ -119,20 +121,75 @@ def test_oracle_matches_the_parity_pair_oracle_on_knob_exact_matrices():
                 assert abs(parity_pair_q_half_gap(matrix, dps=knob_oracle.DPS) / gap - 1) < mpmath.mpf(10) ** -30, knobs
 
 
-def test_the_recipe_in_float_matches_the_oracle_over_the_box():
-    """``_recipe``'s gaps run on the float knobs with ``math.sqrt`` are within 1e-14 relative of the 60-digit ones, on 1000 plan_scan draws.
-
-    Measured worst: 1.1e-15 for Alice and 1.3e-15 for Eve.  On the same
-    draws the engine's own 1 - Q_1/2 is off by up to 7.3e9 relative.
-    """
+def plan_scan_knobs() -> list[tuple]:
+    """The knobs of 1000 plan_scan draws (seed 77)."""
     draws, rng = workloads.PlanScan(), np.random.default_rng(77)
+    return [(p.ns, p.kappa, p.g, p.nb) for p in (draws.draw(rng) for _ in range(1000))]
+
+
+def wide_box_knobs() -> list[tuple]:
+    """The knobs of 1000 draws (seed 11) over the whole documented box, each validated by ``ProtocolParams``.
+
+    ns is log-uniform in [1e-15, 1e8] and kappa uniform in [1e-3, 1 - 1e-3];
+    every tenth draw is g = 1, nb = 0, the others take g log-uniform in
+    [1, 1e30] and nb = (g - 1) 10**u, u uniform in [0, 3].  105 draws have
+    a < b (``alice_gap``'s second branch), the g = 1 ones among them.
+    """
+    rng = np.random.default_rng(11)
+    knobs = []
+    for k in range(1000):
+        ns, kappa = 10.0 ** rng.uniform(-15, 8), rng.uniform(1e-3, 1 - 1e-3)
+        g = 1.0 if k % 10 == 0 else 10.0 ** rng.uniform(0, 30)
+        params = ProtocolParams(ns=ns, kappa=kappa, g=g, nb=(g - 1.0) * 10.0 ** rng.uniform(0, 3), m=1)
+        knobs.append((params.ns, params.kappa, params.g, params.nb))
+    return knobs
+
+
+@pytest.mark.parametrize("draws", [plan_scan_knobs, wide_box_knobs], ids=["plan_scan", "wide_box"])
+def test_the_recipe_in_float_matches_the_oracle_over_the_box(draws):
+    """``_recipe``'s gaps run on the float knobs with ``math.sqrt`` are within 1e-14 relative of the 60-digit ones, on 1000 plan_scan draws and 1000 wide-box draws.
+
+    Measured worst on plan_scan: 1.1e-15 for Alice and 1.3e-15 for Eve; on
+    the same draws the engine's own 1 - Q_1/2 is off by up to 7.3e9
+    relative.  On the wide box: 1.3e-15 for Alice and 1.2e-15 for Eve,
+    whose g = 1, nb = 0 draws need her V_h diagonal free of cancellation.
+    """
     worst = 0.0
-    for params in (draws.draw(rng) for _ in range(1000)):
-        knobs = (params.ns, params.kappa, params.g, params.nb)
+    for knobs in draws():
         floats = (_recipe.alice_gap(*knobs, math.sqrt), _recipe.eve_gap(*knobs, math.sqrt))
         for value, exact in zip(floats, knob_oracle.gaps(*knobs)):
             worst = max(worst, float(abs(value / exact - 1)))
     assert worst < 1e-14
+
+
+def test_every_line_of_the_recipe_runs_in_float():
+    """Every executable line of ``_recipe``'s functions runs when both gaps, ``opa_means`` and ``opa_excess`` take the wide-box draws in float.
+
+    A stdlib line recorder (``sys.settrace``) limited to ``_recipe.py``
+    stands in for a coverage tool; plan_scan's draws alone never reach
+    ``alice_gap``'s a < b branch.
+    """
+    source = _recipe.__file__
+    ran = set()
+
+    def record(frame, event, arg):
+        if frame.f_code.co_filename != source:
+            return None
+        ran.add(frame.f_lineno)
+        return record
+
+    sys.settrace(record)
+    try:
+        for knobs in wide_box_knobs():
+            _recipe.alice_gap(*knobs, math.sqrt), _recipe.eve_gap(*knobs, math.sqrt)
+            if knobs[3] > 0.0:
+                _, n0, n1 = _recipe.opa_means(*knobs, math.sqrt)
+                _recipe.opa_excess(n0, n1, math.sqrt)
+    finally:
+        sys.settrace(None)
+    functions = [f for f in vars(_recipe).values() if inspect.isfunction(f) and f.__code__.co_filename == source]
+    executable = {line for f in functions for _, line in dis.findlinestarts(f.__code__) if line is not None}
+    assert sorted(executable - ran) == []
 
 
 # Digits for both oracles in the wider check below.  At 60, the matrix oracle
@@ -142,11 +199,18 @@ def test_the_recipe_in_float_matches_the_oracle_over_the_box():
 WIDE_DPS = 100
 
 
+# Two points on alice_gap's a < b branch (a bright source, small gain) and two
+# where Eve's minus mode is nearly pure.  nb stays above 0: at an exactly
+# pure mode mpmath's sqrtm does not converge.
+FURTHER_KNOBS = [(2.0, 0.3, 1.5, 0.6), (50.0, 0.9, 1.01, 0.02),
+                 (1e-9, 0.5, 1 + 1e-9, 2e-9), (1e-6, 0.985, 1 + 1e-12, 1e-11)]
+
+
 def test_oracle_matches_the_parity_pair_oracle_at_100_digits_on_further_draws(monkeypatch):
-    """At ``WIDE_DPS`` digits on both sides, the recipe's 1 - Q_1/2 equals ``parity_pair_q_half_gap`` to 1e-60 on the 25 plan_scan draws after the four above."""
+    """At ``WIDE_DPS`` digits on both sides, the recipe's 1 - Q_1/2 equals ``parity_pair_q_half_gap`` to 1e-60 on the 25 plan_scan draws after the four above and at ``FURTHER_KNOBS``."""
     monkeypatch.setattr(knob_oracle, "DPS", WIDE_DPS)
     draws, rng = workloads.PlanScan(), np.random.default_rng(1833)
-    points = [draws.draw(rng) for _ in range(4 + 25)][4:]
+    points = [draws.draw(rng) for _ in range(4 + 25)][4:] + [ProtocolParams(*knobs, m=1) for knobs in FURTHER_KNOBS]
     for params in points:
         knobs = (params.ns, params.kappa, params.g, params.nb)
         for matrix, gap in zip(knob_oracle.bit0_matrices(*knobs), knob_oracle.gaps(*knobs)):

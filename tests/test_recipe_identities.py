@@ -9,9 +9,11 @@ u = sqrt(g ns) and v = sqrt(ns + 1) in place of g and ns, which makes it
 rational.  Two steps hold for any entries tied by a square root, so they
 run on free symbols, and their numerators cancel once each root's square
 is reduced by its definition: Eve's interpolation coefficients beta and
-alpha meet beta lambda+- + alpha = r+- wherever r+-**2 = lambda+-**2 - 1,
-and Alice's sinh(r)**2 = 2 c**2 / (R (a + b + R)) is (a + b - R) / (2 R)
-wherever R**2 = (a + b)**2 - 4 c**2.
+s = alpha + beta meet beta (lambda+- - 1) + s = r+- wherever
+r+-**2 = lambda+-**2 - 1, and Alice's sinh(r)**2 = 2 c**2 / (R (a + b + R))
+is (a + b - R) / (2 R) wherever R**2 = (a + b)**2 - 4 c**2.  The OPA
+receiver's excess is proved the same way: ``opa_excess(a**2, b**2)`` is
+1/q - 1 = AB - ab - 1 wherever A**2 = a**2 + 1 and B**2 = b**2 + 1.
 
 Not proved here: 1 - Q_1/2 = c_h**2 / (a_h b_h) itself, nor the entries
 themselves, which ``tests/test_protocol.py`` pins by literal values.
@@ -25,8 +27,9 @@ from qillum import _recipe
 
 NS, KAPPA, G, NB, U, V = sympy.symbols("ns kappa g nb u v", positive=True)
 KNOBS = (NS, KAPPA, G, NB)
-PLUS, MINUS, R_PLUS, R_MINUS = sympy.symbols("lambda_plus lambda_minus r_plus r_minus", positive=True)
+PLUS1, MINUS1, R_PLUS, R_MINUS = sympy.symbols("lambda_plus1 lambda_minus1 r_plus r_minus", positive=True)
 A, B, C, R = sympy.symbols("a b c R", positive=True)
+BIG_A, BIG_B = sympy.symbols("A B", positive=True)
 
 
 def reduced(residual, *roots) -> sympy.Expr:
@@ -44,8 +47,9 @@ def residuals(recipe) -> dict[str, sympy.Expr]:
     d1, e1 = recipe.eve_shifted(*KNOBS)
     p1, p2 = recipe.alice_excess_products(*KNOBS)
     r_squared = (a + b) ** 2 - 4 * c**2 - recipe.alice_r_factor(*KNOBS, sympy.sqrt) * (a + b + 2 * c)
-    beta, alpha = recipe.eve_interpolation(PLUS, MINUS, R_PLUS, R_MINUS)
-    eve_roots = ((R_PLUS, PLUS**2 - 1), (R_MINUS, MINUS**2 - 1))
+    beta, s = recipe.eve_interpolation(PLUS1, MINUS1, R_PLUS, R_MINUS)
+    eve_roots = ((R_PLUS, (PLUS1 + 1) ** 2 - 1), (R_MINUS, (MINUS1 + 1) ** 2 - 1))
+    opa_roots = {A**2: A, B**2: B, A**2 + 1: BIG_A, B**2 + 1: BIG_B}
     return {
         "p1 = ab - c^2 + a - b - 1": p1 - (a * b - c**2 + a - b - 1),
         "p2 = ab - c^2 - a + b - 1": p2 - (a * b - c**2 - a + b - 1),
@@ -53,9 +57,11 @@ def residuals(recipe) -> dict[str, sympy.Expr]:
         "e - 1": e1 - (e - 1),
         "(d - 1)(e - 1) - c_e^2": recipe.eve_excess_product(*KNOBS) - ((d - 1) * (e - 1) - c_e**2),
         "R^2 = (a + b)^2 - 4 c^2": r_squared.subs(G, U**2 / NS).subs(NS, V**2 - 1),
-        "beta lambda+ + alpha = r+": reduced(beta * PLUS + alpha - R_PLUS, *eve_roots),
-        "beta lambda- + alpha = r-": reduced(beta * MINUS + alpha - R_MINUS, *eve_roots),
+        "beta (lambda+ - 1) + s = r+": reduced(beta * PLUS1 + s - R_PLUS, *eve_roots),
+        "beta (lambda- - 1) + s = r-": reduced(beta * MINUS1 + s - R_MINUS, *eve_roots),
         "sinh^2 r = (a + b - R) / (2 R)": reduced(recipe.alice_sinh2(A, B, C, R) - (A + B - R) / (2 * R), (R, (A + B) ** 2 - 4 * C**2)),
+        "1/q - 1 = AB - ab - 1": reduced(recipe.opa_excess(A**2, B**2, opa_roots.__getitem__) - (BIG_A * BIG_B - A * B - 1),
+                                         (BIG_A, A**2 + 1), (BIG_B, B**2 + 1)),
     }
 
 
@@ -83,8 +89,12 @@ MUTANTS = {
     "e - 1 with kappa g ns - nb": mutant(eve_shifted=lambda ns, kappa, g, nb: (
         2 * (1 - kappa) * ns, 2 * (1 - kappa) * (kappa * g * ns - nb))),
     "Eve's product with 1 + kappa": mutant(eve_excess_product=lambda ns, kappa, g, nb: 4 * (1 + kappa) ** 2 * ns * nb),
-    "alpha with + (lambda+ + lambda-)": mutant(eve_interpolation=lambda plus, minus, r_plus, r_minus: (
-        (plus + minus) / (r_plus + r_minus), (plus + minus) / (plus * r_minus + minus * r_plus))),
+    "s with (lambda+ - 1) r- - (lambda- - 1) r+": mutant(eve_interpolation=lambda plus1, minus1, r_plus, r_minus: (
+        (plus1 + minus1 + 2) / (r_plus + r_minus),
+        (plus1 + minus1 + 2) * (plus1 * r_minus - minus1 * r_plus) / ((r_plus + r_minus) * ((plus1 + 1) * r_minus + (minus1 + 1) * r_plus)))),
+    "OPA excess with 1/(A + a) - 1/(B + b)": mutant(opa_excess=lambda n0, n1, sqrt: (
+        (n0 - n1) ** 2 / 2 * (1 / (sqrt(n0 + 1) + sqrt(n0)) - 1 / (sqrt(n1 + 1) + sqrt(n1)))
+        * (sqrt(n0 + 1) + sqrt(n1 + 1) + sqrt(n0) + sqrt(n1)) / ((sqrt(n0) + sqrt(n1)) ** 2 * (sqrt(n0 + 1) + sqrt(n1 + 1)) ** 2))),
     "sinh^2 r with a + b - R": mutant(alice_sinh2=lambda a, b, c, big_r: 2 * c**2 / (big_r * (a + b - big_r))),
 }
 
